@@ -6,7 +6,7 @@
 `monitor` may be omitted when the first argument is a flag. Exit codes:
 0 every linearization satisfies the spec; 1 some linearization violates
 it; 2 the run was truncated without finding a violation; 64 usage errors;
-65 unreadable or malformed inputs; 70 internal errors.
+65 unreadable or malformed inputs; 70 the engine exhausted its state budget.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import List, Optional
 
 from . import casegen
 from .computation import ComputationError, Event
+from .oracle import OracleBudgetError
 from .parser import SpecSyntaxError, parse_spec
 from .pipeline import (
     BOUNDARY_EXACT,
@@ -178,6 +179,9 @@ def cmd_monitor(args) -> int:
     except (ComputationError, ConfigError, ValueError) as exc:
         print(f"mtlmon: {exc}", file=sys.stderr)
         return EX_DATAERR
+    except OracleBudgetError as exc:
+        print(f"mtlmon: budget exceeded: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
     if args.format == "json":
         json.dump(report.to_json(), sys.stdout, indent=2)
         print()

@@ -2,7 +2,8 @@
 computation consistent with the ordering and the skew windows, evaluate or
 rewrite on each, and collect the exact outcome set.
 
-Exists for correctness, not performance; the solver-backed engine is
+Exists for correctness, not performance: both verdict engines (the
+cut-lattice walk in the pipeline and the solver-backed enumeration) are
 differentially tested against it.
 """
 

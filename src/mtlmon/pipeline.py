@@ -3,11 +3,15 @@ into segments, thread rewritten-formula branches through the segments with
 either verdict engine, finalize, and report the verdict set.
 
 Branch threading: a branch is a pair (formula, time floor). Each segment
-rewrites every live branch over every admissible linearization of its
-events; the floor carries the previous segment's last timestamp so times
-never decrease across the boundary, and any event-free gap between the
-floor and a linearization's first time shifts the branch's anchored
-windows before rewriting. Branches that collapse to a constant freeze
+rewrites every live branch over its events. The enumerate engine walks the
+segment's lattice of consistent cuts one event per layer, stepping the
+pending formula over one frontier state per edge, so linearizations that
+reach the same (cut, last time, formula) state share the rest of the
+work; the outcome set equals the rewrite over every admissible
+linearization. The floor carries the previous segment's last timestamp so
+times never decrease across the boundary, and any event-free gap between
+the floor and a segment's first time shifts the branch's anchored windows
+before rewriting. Branches that collapse to a constant freeze
 immediately and join the final verdict set. Per-process latest payloads
 (the carry) seed each segment's frontier merging; they depend only on
 which events earlier segments consumed, not on how they interleaved.
@@ -33,10 +37,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import smt as smt_backend
-from .computation import Computation, Event, build_computation
+from .computation import Computation, Event, build_computation, time_window
 from .formula import Formula, shift_anchored, simplify
-from .oracle import enumerate_linearizations
-from .progression import progress
+from .oracle import OracleBudgetError, merge_frontier
+from .progression import step
+
+# perfbench/spans.py wraps these two names on this module to count
+# linearizations and progress calls; the cut walk calls neither.
+from .oracle import enumerate_linearizations  # noqa: F401
+from .progression import progress  # noqa: F401
 from .semantics import State, Verdict, finalize, formula_verdict
 
 ENGINE_ENUMERATE = "enumerate"
@@ -66,7 +75,7 @@ class MonitorConfig:
     length: Optional[int] = None
     boundary: str = BOUNDARY_EXACT
     emit_smt_dir: Optional[str] = None
-    oracle_budget: int = 10**6
+    oracle_budget: int = 10**6  # cut-lattice states one branch may visit per segment
 
     def validate(self):
         if self.epsilon < 1:
@@ -339,14 +348,108 @@ def _progress_branch(
             emit_tag=f"seg{seg_index}_b{ordinal}",
         )
         return set(enum.branches), enum.complete
-    out: Set[Tuple[Formula, int]] = set()
-    for lin in enumerate_linearizations(
-        sub, floor=floor, carry=carry, budget=cfg.oracle_budget
-    ):
-        gap = 0 if floor is None else lin.times[0] - floor
-        shifted = shift_anchored(phi, gap)
-        out.add((simplify(progress(lin.trace, shifted)), lin.times[-1]))
-        if len(out) > cfg.max_verdicts_per_segment:
-            keep = sorted(out, key=lambda p: (str(p[0]), p[1]))
-            return set(keep[: cfg.max_verdicts_per_segment]), False
+    out = _walk_cuts(sub, phi, floor, carry, cfg.oracle_budget)
+    if len(out) > cfg.max_verdicts_per_segment:
+        keep = sorted(out, key=lambda p: (str(p[0]), p[1]))
+        return set(keep[: cfg.max_verdicts_per_segment]), False
     return out, True
+
+
+def _walk_cuts(
+    sub: Computation,
+    phi: Formula,
+    floor: Optional[int],
+    carry: Dict[str, State],
+    budget: int,
+) -> Set[Tuple[Formula, int]]:
+    """Every (residual, last time) outcome of one branch over one segment,
+    by a walk over the lattice of consistent cuts, one event per layer.
+
+    A state is (cut, last time, pending formula): the cut as per-process
+    prefix lengths, and the formula not yet progressed over the cut's
+    frontier state. An edge adds one enabled event at a time t' >= t from
+    its skew window and steps the pending formula over the frontier with
+    elapsed t' - t. Linearizations that reach the same state share all
+    later work, so the cost follows the number of distinct states rather
+    than the number of linearizations. Raises OracleBudgetError when more
+    than `budget` states are visited.
+    """
+    events = sub.events
+    procs = sorted({e.process for e in events})
+    slot = {p: k for k, p in enumerate(procs)}
+    streams: List[List[int]] = [[] for _ in procs]  # program order per process
+    for i, e in enumerate(events):
+        streams[slot[e.process]].append(i)
+    # hb restricted to one process is a prefix of its stream, so an event is
+    # enabled once the cut holds that many events of every process
+    need = []
+    for i in range(len(events)):
+        counts = [0] * len(procs)
+        for j in sub.hb[i]:
+            counts[slot[events[j].process]] += 1
+        need.append(counts)
+    windows = [time_window(e, sub.epsilon) for e in events]
+
+    def successors(cut, t):
+        """(cut, time) pairs reached by adding one enabled event at or
+        after t, skipping times that leave some remaining event no room."""
+        for k, stream in enumerate(streams):
+            if cut[k] == len(stream):
+                continue
+            i = stream[cut[k]]
+            if any(c < m for c, m in zip(cut, need[i])):
+                continue
+            nxt = cut[:k] + (cut[k] + 1,) + cut[k + 1:]
+            hi = min(
+                (windows[s[c]][-1] for s, c in zip(streams, nxt) if c < len(s)),
+                default=windows[i][-1],
+            )
+            for t2 in windows[i]:
+                if t <= t2 <= hi:
+                    yield nxt, t2
+
+    frontiers: Dict[Tuple[int, ...], State] = {}
+
+    def frontier(cut) -> State:
+        st = frontiers.get(cut)
+        if st is None:
+            latest = dict(carry)
+            for k, c in enumerate(cut):
+                if c:
+                    latest[procs[k]] = events[streams[k][c - 1]].payload
+            st = frontiers[cut] = merge_frontier(latest)
+        return st
+
+    steps: Dict[Tuple[Tuple[int, ...], Formula, int], Formula] = {}
+
+    def advance(cut, f: Formula, gap: int) -> Formula:
+        key = (cut, f, gap)
+        out = steps.get(key)
+        if out is None:
+            out = steps[key] = step(frontier(cut), f, gap)
+        return out
+
+    visited = 0
+
+    def count(layer):
+        nonlocal visited
+        visited += sum(len(fs) for fs in layer.values())
+        if visited > budget:
+            raise OracleBudgetError(f"more than {budget} lattice states")
+
+    # layer k maps (cut of k events, last time) to its pending formulas
+    layer: Dict[Tuple[Tuple[int, ...], int], Set[Formula]] = {}
+    for cut, t in successors((0,) * len(procs), 0 if floor is None else floor):
+        gap = 0 if floor is None else t - floor
+        layer[(cut, t)] = {simplify(shift_anchored(phi, gap))}
+    count(layer)
+    for _ in range(1, len(events)):
+        nxt_layer: Dict[Tuple[Tuple[int, ...], int], Set[Formula]] = {}
+        for (cut, t), fs in layer.items():
+            for nxt, t2 in successors(cut, t):
+                succ = nxt_layer.setdefault((nxt, t2), set())
+                for f in fs:
+                    succ.add(advance(cut, f, t2 - t))
+        layer = nxt_layer
+        count(layer)
+    return {(advance(cut, f, 0), t) for (cut, t), fs in layer.items() for f in fs}

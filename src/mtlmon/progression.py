@@ -1,35 +1,37 @@
-"""Formula rewriting over a consumed finite trace.
+"""Formula rewriting over a consumed finite trace, one state at a time.
 
-`progress(trace, f)` returns a formula over the continuation such that the
-original formula holds on (trace . continuation) iff the result holds on
-the continuation. Residual intervals are shifted by the observed span by
-default; callers that know how much time elapses before the continuation
-actually starts pass it via `elapsed` (always >= span) so no elapsed time
-is lost across a gap.
+`step(state, f, elapsed)` returns a formula over the continuation such
+that f holds on (state . continuation) iff the result holds on the
+continuation, whose first state comes `elapsed` time units after `state`.
+`progress(trace, f)` is the left fold of `step` over the trace: each state
+is followed by the gap to the next one, and the last state by whatever
+remains of `elapsed` (by default nothing, so the residual is anchored at
+the last observed time). Callers that know how much time passes before
+the continuation actually starts pass it via `elapsed` (always >= span),
+so no elapsed time is lost across a gap.
 
-The rewrite dispatches on formula shape:
+The one-state rewrite dispatches on formula shape:
 
-  * predicates evaluate in the first state;
+  * predicates evaluate in the state;
   * negation distributes; binary connectives fold their operand rewrites;
-  * Globally: conjunction of suffix rewrites at in-window positions, and a
-    residual Globally over the shifted interval while the window may still
-    extend beyond the trace;
+  * Globally: the operand's rewrite when the window is open now, joined to
+    a residual Globally over the interval shifted by `elapsed`;
   * Eventually: the disjunctive dual;
-  * Until: a conjunction of left-operand obligations at positions before
-    the window opens, with a disjunction over in-window witness positions
-    (each requiring the left operand at every strictly earlier position)
-    plus, while the window may extend past the trace, a residual Until
-    guarded by the left operand over the entire trace.
+  * Until: the right operand's rewrite when the window is open now, or the
+    left operand's rewrite together with the residual Until.
 
-The witness guard is per-position rather than time-based so that equal
-timestamps are handled exactly as the reference evaluator does; the
-finalize-or-evaluate agreement property in the test suite is the arbiter.
-Outputs are built from the folding constructors and are already simplified.
+Equal timestamps need no special case: each state is its own step, so a
+later-position witness still requires the left operand at every earlier
+position. Because the rewrite is one state at a time, it composes:
+progressing a concatenation equals progressing the suffix after the
+prefix, as formulas. Outputs are built from the folding constructors, so a
+normalized input gives a normalized output; `progress` normalizes once up
+front and the steps never normalize again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import FrozenSet, Optional
 
 from .formula import (
     Atom,
@@ -46,7 +48,6 @@ from .formula import (
     Until,
     FALSE,
     TRUE,
-    in_interval,
     mk_and,
     mk_eventually,
     mk_globally,
@@ -54,85 +55,66 @@ from .formula import (
     mk_not,
     mk_or,
     mk_until,
+    simplify,
 )
-from .semantics import TimedTrace
+from .semantics import State, TimedTrace
 
 
 def progress(trace: TimedTrace, f: Formula, elapsed: Optional[int] = None) -> Formula:
     """Rewrite f after consuming the whole trace (which must be non-empty)."""
     if len(trace) == 0:
         raise ValueError("cannot progress over an empty trace")
-    from .formula import simplify
-
-    f = simplify(f)  # residual operands are reused, so normalize up front
     span = trace.span
     if elapsed is None:
         elapsed = span
     if elapsed < span:
         raise ValueError(f"elapsed {elapsed} below observed span {span}")
-    memo: Dict[Tuple[int, Formula], Formula] = {}
+    times = trace.times
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    gaps.append(elapsed - span)
+    f = simplify(f)  # residual operands are reused, so normalize up front
+    for state, gap in zip(trace.states, gaps):
+        f = step(state, f, gap, trace.alphabet)
+    return f
 
-    def pr(i: int, g: Formula) -> Formula:
-        """Progress g over the trace suffix starting at position i."""
-        key = (i, g)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = _dispatch(i, g)
-        memo[key] = out
-        return out
 
-    def _dispatch(i: int, g: Formula) -> Formula:
-        times = trace.times
-        t0 = times[i]
-        remaining = elapsed - (t0 - times[0])  # time to continuation start
-        if isinstance(g, (TrueF, FalseF)):
-            return g
-        if isinstance(g, (Atom, SumAtom)):
-            return TRUE if trace.states[i].holds(g, trace.alphabet) else FALSE
-        if isinstance(g, Not):
-            return mk_not(pr(i, g.operand))
-        if isinstance(g, Or):
-            return mk_or(pr(i, g.left), pr(i, g.right))
-        if isinstance(g, And):
-            return mk_and(pr(i, g.left), pr(i, g.right))
-        if isinstance(g, Implies):
-            return mk_implies(pr(i, g.left), pr(i, g.right))
-        if isinstance(g, Eventually):
-            terms = [
-                pr(j, g.operand)
-                for j in range(i, len(trace))
-                if in_interval(times[j], t0, g.interval)
-            ]
-            terms.append(mk_eventually(g.interval.shift(remaining), g.operand))
-            return mk_or(*terms)
-        if isinstance(g, Globally):
-            terms = [
-                pr(j, g.operand)
-                for j in range(i, len(trace))
-                if in_interval(times[j], t0, g.interval)
-            ]
-            terms.append(mk_globally(g.interval.shift(remaining), g.operand))
-            return mk_and(*terms)
-        if isinstance(g, Until):
-            guards = [
-                pr(k, g.left)
-                for k in range(i, len(trace))
-                if times[k] < g.interval.start + t0
-            ]
-            witnesses = []
-            for j in range(i, len(trace)):
-                if not in_interval(times[j], t0, g.interval):
-                    continue
-                parts = [pr(k, g.left) for k in range(i, j)]
-                parts.append(pr(j, g.right))
-                witnesses.append(mk_and(*parts))
-            residual_iv = g.interval.shift(remaining)
-            if not residual_iv.is_empty:
-                carry = [pr(k, g.left) for k in range(i, len(trace))]
-                carry.append(mk_until(g.left, residual_iv, g.right))
-                witnesses.append(mk_and(*carry))
-            return mk_and(*guards, mk_or(*witnesses))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return pr(0, f)
+def step(
+    state: State,
+    f: Formula,
+    elapsed: int,
+    alphabet: Optional[FrozenSet[str]] = None,
+) -> Formula:
+    """Rewrite a normalized formula over one state, with `elapsed` time
+    units until the continuation's first state."""
+    if isinstance(f, (TrueF, FalseF)):
+        return f
+    if isinstance(f, (Atom, SumAtom)):
+        return TRUE if state.holds(f, alphabet) else FALSE
+    if isinstance(f, Not):
+        return mk_not(step(state, f.operand, elapsed, alphabet))
+    if isinstance(f, Or):
+        return mk_or(step(state, f.left, elapsed, alphabet), step(state, f.right, elapsed, alphabet))
+    if isinstance(f, And):
+        return mk_and(step(state, f.left, elapsed, alphabet), step(state, f.right, elapsed, alphabet))
+    if isinstance(f, Implies):
+        return mk_implies(
+            step(state, f.left, elapsed, alphabet), step(state, f.right, elapsed, alphabet)
+        )
+    iv = f.interval
+    residual = iv.shift(elapsed)
+    if isinstance(f, Eventually):
+        later = mk_eventually(residual, f.operand)
+        if 0 not in iv:
+            return later
+        return mk_or(step(state, f.operand, elapsed, alphabet), later)
+    if isinstance(f, Globally):
+        later = mk_globally(residual, f.operand)
+        if 0 not in iv:
+            return later
+        return mk_and(step(state, f.operand, elapsed, alphabet), later)
+    if isinstance(f, Until):
+        later = mk_and(step(state, f.left, elapsed, alphabet), mk_until(f.left, residual, f.right))
+        if 0 not in iv:
+            return later
+        return mk_or(step(state, f.right, elapsed, alphabet), later)
+    raise TypeError(f"not a formula: {f!r}")

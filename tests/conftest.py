@@ -1,4 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
+
+# The bundled solver runs as `python -m mtlmon.refsolver` in a child
+# process; from a source checkout the child needs src/ on its path too.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture

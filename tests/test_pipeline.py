@@ -1,11 +1,14 @@
+import functools
 import json
 import random
 
 import pytest
 
+from mtlmon import cli, pipeline
+from mtlmon.casegen import gen_random_computation
 from mtlmon.cli import main as cli_main, write_jsonl
 from mtlmon.computation import Event, build_computation
-from mtlmon.formula import TRUE
+from mtlmon.formula import TRUE, max_nesting, shift_anchored, simplify
 from mtlmon.oracle import enumerate_linearizations, oracle_verdicts
 from mtlmon.parser import parse_spec
 from mtlmon.pipeline import (
@@ -15,9 +18,15 @@ from mtlmon.pipeline import (
     ingest,
     monitor,
 )
+from mtlmon.progression import progress
 from mtlmon.semantics import State, Verdict, eval_finite
 from mtlmon.smt import bundled_solver_command
-from support import bounded_computation, random_events, random_formula
+from support import (
+    bounded_computation,
+    random_events,
+    random_flat_formula,
+    random_formula,
+)
 
 CMD = bundled_solver_command()
 
@@ -181,6 +190,17 @@ class TestMonitor:
         assert capped.truncated
         assert capped.verdicts <= full.verdicts
 
+    def test_eps2_long_log_completes(self):
+        # 400 events at eps 2 in 40 segments: enumerating each
+        # linearization exceeded the state budget on this log
+        comp = gen_random_computation(7, processes=3, events=400, epsilon=2, max_gap=4)
+        cfg = MonitorConfig(
+            epsilon=2, segments=40, branch_cap=512, max_verdicts_per_segment=512
+        )
+        report = monitor(list(comp.events), parse_spec("G (p -> F[0,12) q)"), cfg)
+        assert not report.truncated
+        assert report.verdicts == {Verdict.TOP}
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             MonitorConfig(epsilon=0).validate()
@@ -197,6 +217,65 @@ class TestMonitor:
         assert payload["verdicts"] == ["true"]
         for seg in payload["segments"]:
             assert set(seg) == {"index", "range", "events", "branches", "ms"}
+
+
+class TestCutWalk:
+    # an Until whose left operand is temporal: the old whole-trace rewrite
+    # of this shape did not compose over segments
+    TEMPORAL_LEFT = parse_spec("F[0,5) q U[1,7) G[2,inf) p")
+
+    def test_outcomes_equal_oracle_per_call(self, monkeypatch):
+        """Criterion-4 recipe in window mode with g in {1, 2, 3}, so that
+        floors and carries occur: every walk's (residual, last time) set
+        equals the rewrite over each linearization."""
+        calls = []
+        walk = pipeline._walk_cuts
+
+        def recording(sub, phi, floor, carry, budget):
+            out = walk(sub, phi, floor, carry, budget)
+            calls.append((sub, phi, floor, dict(carry), out))
+            return out
+
+        monkeypatch.setattr(pipeline, "_walk_cuts", recording)
+        rng = random.Random(30303)
+        for case in range(200):
+            if case % 7 == 3:
+                comp = bounded_computation(rng, max_events=5, epsilons=(1, 2), lin_cap=150)
+                f = random_formula(rng, 2, constants=False)
+                while max_nesting(f) < 2:
+                    f = random_formula(rng, 2, constants=False)
+            else:
+                comp = bounded_computation(rng, max_events=8, lin_cap=900)
+                f = random_flat_formula(rng)
+            for phi in (f, self.TEMPORAL_LEFT) if case % 10 == 0 else (f,):
+                for g in (1, 2, 3):
+                    cfg = MonitorConfig(
+                        epsilon=comp.epsilon, segments=g, boundary="window",
+                        branch_cap=4096, max_verdicts_per_segment=4096,
+                    )
+                    monitor(list(comp.events), phi, cfg)
+        assert sum(floor is not None for _, _, floor, _, _ in calls) > 500
+        for sub, phi, floor, carry, out in calls:
+            want = set()
+            for lin in enumerate_linearizations(sub, floor=floor, carry=carry):
+                gap = 0 if floor is None else lin.times[0] - floor
+                residual = simplify(progress(lin.trace, shift_anchored(phi, gap)))
+                want.add((residual, lin.times[-1]))
+            assert out == want, (str(phi), floor)
+
+    def test_verdict_cap_keeps_sorted_prefix(self):
+        events = [ev("P1", 1, {"a"}), ev("P1", 4), ev("P2", 2, {"a"}), ev("P2", 5, {"b"})]
+        phi = parse_spec("a U[0,6) b")
+        full = monitor(events, phi, MonitorConfig(epsilon=2, max_verdicts_per_segment=512))
+        capped = monitor(events, phi, MonitorConfig(epsilon=2, max_verdicts_per_segment=2))
+        assert not full.truncated and capped.truncated
+        assert capped.segments[0].branches == full.segments[0].branches[:2]
+
+    def test_budget_counts_lattice_states(self):
+        events = [ev("P1", 1, {"a"}), ev("P1", 4), ev("P2", 2, {"a"}), ev("P2", 5, {"b"})]
+        phi = parse_spec("a U[0,6) b")
+        with pytest.raises(pipeline.OracleBudgetError):
+            monitor(events, phi, MonitorConfig(epsilon=2, oracle_budget=3))
 
 
 class TestCli:
@@ -251,6 +330,17 @@ class TestCli:
         ])
         capsys.readouterr()
         assert code == 65
+
+    def test_budget_exhaustion_exits_70(self, tmp_path, capsys, monkeypatch):
+        trace, spec = self._fig3(tmp_path)
+        monkeypatch.setattr(
+            cli, "MonitorConfig", functools.partial(MonitorConfig, oracle_budget=3)
+        )
+        code = cli_main(["--trace", trace, "--spec", spec, "--epsilon", "2"])
+        err = capsys.readouterr().err
+        assert code == 70
+        assert err.startswith("mtlmon: ") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_emit_smt_writes_queries(self, tmp_path, capsys):
         trace, spec = self._fig3(tmp_path)

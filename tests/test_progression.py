@@ -151,6 +151,23 @@ class TestSoundness:
                 checked += 1
         assert checked > 1500
 
+    def test_rewrite_composes_syntactically(self):
+        # progressing the whole trace equals progressing the suffix after
+        # the prefix, as formulas and not only as verdicts
+        rng = random.Random(102)
+        splits = 0
+        for _ in range(400):
+            tr = random_trace(rng, 10)
+            f = random_formula(rng, rng.randrange(1, 4))
+            whole = progress(tr, f)
+            for cut in range(1, len(tr)):
+                prefix = TimedTrace(tr.states[:cut], tr.times[:cut])
+                suffix = TimedTrace(tr.states[cut:], tr.times[cut:])
+                mid = progress(prefix, f, elapsed=suffix.times[0] - prefix.times[0])
+                assert progress(suffix, mid) == whole, (str(f), cut)
+                splits += 1
+        assert splits > 1000
+
     def test_negation_duality(self):
         rng = random.Random(55)
         for _ in range(250):
