@@ -6,7 +6,9 @@
 `monitor` may be omitted when the first argument is a flag. Exit codes:
 0 every linearization satisfies the spec; 1 some linearization violates
 it; 2 the run was truncated without finding a violation; 64 usage errors;
-65 unreadable or malformed inputs; 70 the engine exhausted its state budget.
+65 unreadable or malformed inputs; 69 the solver timed out, could not be
+run, answered unknown or returned an unusable model; 70 the engine
+exhausted its state budget.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ from .pipeline import (
     monitor,
 )
 from .semantics import Verdict
+from .smt import ModelDecodeError, SolverCrashError, SolverTimeoutError
 
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_UNAVAILABLE = 69
 EX_SOFTWARE = 70
 
 
@@ -182,6 +186,9 @@ def cmd_monitor(args) -> int:
     except OracleBudgetError as exc:
         print(f"mtlmon: budget exceeded: {exc}", file=sys.stderr)
         return EX_SOFTWARE
+    except (SolverTimeoutError, SolverCrashError, ModelDecodeError) as exc:
+        print(f"mtlmon: solver error: {exc}", file=sys.stderr)
+        return EX_UNAVAILABLE
     if args.format == "json":
         json.dump(report.to_json(), sys.stdout, indent=2)
         print()

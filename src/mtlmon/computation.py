@@ -1,15 +1,20 @@
-"""Distributed computations: events, the skew-closed happened-before order,
-consistent cuts, frontiers, timestamp windows, and time-window segmentation.
+"""Distributed computations: events, the skew-bounded happened-before order
+as per-event vector clocks, consistent cuts and timestamp windows.
 
 Two events on different processes are ordered whenever their local
 timestamps differ by at least the maximum clock skew epsilon; within one
 process events are totally ordered; message sends precede their receives.
-The relation is closed transitively at construction time.
+Restricted to one process, the events ordered before any event form a
+prefix of that process's stream, so the order is stored as vector clocks
+(Fidge 1988; Mattern 1989): clock[i][k] counts the events of the k-th
+process that happened before event i.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .semantics import State
@@ -54,29 +59,41 @@ def time_window(e: Event, epsilon: int) -> range:
 
 @dataclass(frozen=True)
 class Computation:
-    """Immutable event set with its transitively closed ordering matrix."""
+    """Immutable event set with its happened-before order as vector clocks."""
 
     events: Tuple[Event, ...]  # indexed by event_index
     epsilon: int
-    hb: Tuple[FrozenSet[int], ...]  # hb[i] = indices that happened before event i
+    # clock[i][k] = number of events of processes[k] that happened before event i
+    clock: Tuple[Tuple[int, ...], ...]
 
     def __len__(self):
         return len(self.events)
 
-    @property
+    @cached_property
     def processes(self) -> Tuple[str, ...]:
-        seen = []
-        for e in self.events:
-            if e.process not in seen:
-                seen.append(e.process)
-        return tuple(sorted(seen))
+        return tuple(sorted({e.process for e in self.events}))
 
-    def index_of(self, e: Event) -> int:
-        try:
-            return self._index[e]
-        except AttributeError:
-            object.__setattr__(self, "_index", {ev: i for i, ev in enumerate(self.events)})
-            return self._index[e]
+    @cached_property
+    def streams(self) -> Tuple[Tuple[int, ...], ...]:
+        """Event indices of each process in program order, by clock column."""
+        col = {p: k for k, p in enumerate(self.processes)}
+        out: List[List[int]] = [[] for _ in self.processes]
+        for i, e in enumerate(self.events):
+            out[col[e.process]].append(i)
+        return tuple(tuple(s) for s in out)
+
+    def predecessors(self, i: int) -> List[int]:
+        """Indices of the events that happened before event i, ascending."""
+        return sorted(j for s, c in zip(self.streams, self.clock[i]) for j in s[:c])
+
+    @cached_property
+    def hb(self) -> Tuple[FrozenSet[int], ...]:
+        """hb[i] = indices that happened before event i (read-only view of
+        the clocks, for the exhaustive oracle and the tests)."""
+        return tuple(
+            frozenset(j for s, c in zip(self.streams, row) for j in s[:c])
+            for row in self.clock
+        )
 
     @property
     def length(self) -> int:
@@ -86,20 +103,31 @@ class Computation:
     def restrict(self, indices: Iterable[int]) -> "Computation":
         """Sub-computation induced by a subset of event indices."""
         keep = sorted(set(indices))
-        remap = {old: new for new, old in enumerate(keep)}
-        events = tuple(self.events[i] for i in keep)
-        hb = tuple(
-            frozenset(remap[p] for p in self.hb[i] if p in remap) for i in keep
+        col = {p: k for k, p in enumerate(self.processes)}
+        # stream positions of the kept events, per process; an event's own
+        # clock column is its position in its stream
+        kept: Dict[int, List[int]] = {}
+        for i in keep:
+            k = col[self.events[i].process]
+            kept.setdefault(k, []).append(self.clock[i][k])
+        cols = sorted(kept)
+        clock = tuple(
+            tuple(bisect_left(kept[k], self.clock[i][k]) for k in cols) for i in keep
         )
-        return Computation(events, self.epsilon, hb)
+        return Computation(tuple(self.events[i] for i in keep), self.epsilon, clock)
 
 
 def build_computation(events: Sequence[Event], epsilon: int) -> Computation:
-    """Close the ordering over program order, messages, and the skew rule.
+    """Order the events by program order, messages, and the skew rule.
 
-    Events are indexed deterministically by (local_time, process). Raises
-    ComputationError for duplicate (process, local_time) pairs, dangling or
-    reused message ids, and ordering cycles (a physically impossible log).
+    Events are indexed deterministically by (local_time, process). Each
+    event's clock is the componentwise max over its direct predecessors:
+    the previous event of its process, the latest event of every other
+    process at least epsilon earlier (one bisect per process), and the
+    matching send of a receive, taken in topological (Kahn) order, so the
+    cost is O(n·P·log n). Raises ComputationError for duplicate
+    (process, local_time) pairs, dangling or reused message ids, and
+    ordering cycles (a physically impossible log).
     """
     if epsilon < 1:
         raise ValueError("epsilon must be a positive integer")
@@ -131,101 +159,72 @@ def build_computation(events: Sequence[Event], epsilon: int) -> Computation:
         if ordered[si].process == ordered[recvs[m]].process:
             raise ComputationError(f"message {m!r} sent and received on one process")
 
-    adj: List[Set[int]] = [set() for _ in range(n)]  # adj[i] = direct successors
+    procs = sorted({e.process for e in ordered})
+    col = {p: k for k, p in enumerate(procs)}
+    cols = [col[e.process] for e in ordered]
+    streams: List[List[int]] = [[] for _ in procs]
+    own: List[int] = []  # each event's position in its process's stream
+    for i, k in enumerate(cols):
+        own.append(len(streams[k]))
+        streams[k].append(i)
+    times = [[ordered[i].local_time for i in s] for s in streams]
+
+    preds: List[List[int]] = []  # direct predecessors
     for i, e in enumerate(ordered):
-        for j, f in enumerate(ordered):
-            if i == j:
-                continue
-            if e.process == f.process:
-                if e.local_time < f.local_time:
-                    adj[i].add(j)
-            elif f.local_time - e.local_time >= epsilon:
-                adj[i].add(j)
+        k = cols[i]
+        ps = [streams[k][own[i] - 1]] if own[i] else []
+        for q, ts in enumerate(times):
+            if q != k:
+                r = bisect_right(ts, e.local_time - epsilon)
+                if r:
+                    ps.append(streams[q][r - 1])
+        preds.append(ps)
     for m, si in sends.items():
-        adj[si].add(recvs[m])
+        preds[recvs[m]].append(si)
 
-    # transitive closure (desk-scale n, cubic is fine)
-    reach = [set(s) for s in adj]
-    for k in range(n):
-        for i in range(n):
-            if k in reach[i]:
-                reach[i] |= reach[k]
-    for i in range(n):
-        if i in reach[i]:
-            raise ComputationError(
-                f"ordering cycle through {ordered[i]}: log is physically impossible"
-            )
-
-    preds: List[Set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in reach[i]:
-            preds[j].add(i)
-    return Computation(tuple(ordered), epsilon, tuple(frozenset(p) for p in preds))
-
-
-def happened_before(c: Computation, e: Event, f: Event) -> bool:
-    i, j = c.index_of(e), c.index_of(f)
-    return i in c.hb[j]
-
-
-def is_consistent_cut(c: Computation, cut: Iterable[Event]) -> bool:
-    """True iff the cut is downward closed under the ordering."""
-    idx = {c.index_of(e) for e in cut}
-    return all(c.hb[i] <= idx for i in idx)
+    succs: List[List[int]] = [[] for _ in range(n)]
+    indegree = [len(ps) for ps in preds]
+    for i, ps in enumerate(preds):
+        for p in ps:
+            succs[p].append(i)
+    clock: List[Optional[Tuple[int, ...]]] = [None] * n
+    counted: List[Optional[List[int]]] = [None] * n  # clock[i], event i counted too
+    ready = [i for i in range(n) if not indegree[i]]
+    while ready:
+        i = ready.pop()
+        rows = [counted[p] for p in preds[i]]
+        vec = list(map(max, *rows)) if len(rows) > 1 else (rows[0][:] if rows else [0] * len(procs))
+        clock[i] = tuple(vec)
+        vec[cols[i]] += 1
+        counted[i] = vec
+        for j in succs[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                ready.append(j)
+    if None in clock:
+        # every event Kahn left has an unvisited direct predecessor, so
+        # walking back through them must close a cycle
+        seen: Set[int] = set()
+        i = clock.index(None)
+        while i not in seen:
+            seen.add(i)
+            i = next(p for p in preds[i] if clock[p] is None)
+        raise ComputationError(
+            f"ordering cycle through {ordered[i]}: log is physically impossible"
+        )
+    return Computation(tuple(ordered), epsilon, tuple(clock))
 
 
 def is_consistent_cut_indices(c: Computation, indices: Set[int]) -> bool:
-    return all(c.hb[i] <= indices for i in indices)
-
-
-def frontier(c: Computation, cut: Iterable[Event]) -> Dict[str, Event]:
-    """Per-process latest event of a consistent cut (processes absent from
-    the cut are absent from the mapping)."""
-    out: Dict[str, Event] = {}
-    for e in cut:
-        cur = out.get(e.process)
-        if cur is None or e.local_time > cur.local_time:
-            out[e.process] = e
-    return out
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A local-time window of a computation, with epsilon overlap."""
-
-    index: int  # 1-based
-    events: Tuple[Event, ...]
-    lo: int
-    hi: int
-
-
-def segment(c: Computation, g: int, l: Optional[int] = None) -> List[Segment]:
-    """Chop the computation into g overlapping time windows.
-
-    Window j covers local times [max(0, (j-1)*l/g - eps), j*l/g]; bounds are
-    exact rationals (compared via cross-multiplication), so no event is
-    dropped to rounding. The union of all windows is the full event set and
-    each event lies in at most two consecutive windows when eps <= l/g.
-    """
-    if g < 1:
-        raise ValueError("segment count must be >= 1")
-    if l is None:
-        l = c.length
-    if l < c.length:
-        raise ValueError(f"computation length {l} below maximum timestamp {c.length}")
-    if g > max(l, 1):
-        raise ValueError(f"{g} segments over length {l} would have zero width")
-    eps = c.epsilon
-    out = []
-    for j in range(1, g + 1):
-        # sigma >= (j-1)*l/g - eps  <=>  sigma*g >= (j-1)*l - eps*g (and >= 0)
-        # sigma <= j*l/g            <=>  sigma*g <= j*l
-        members = tuple(
-            e
-            for e in c.events
-            if e.local_time * g >= (j - 1) * l - eps * g and e.local_time * g <= j * l
-        )
-        lo = max(0, -(-((j - 1) * l - eps * g) // g))  # ceil for reporting
-        hi = (j * l) // g
-        out.append(Segment(j, members, lo, hi))
-    return out
+    """True iff the index set is downward closed under the ordering: each
+    event's own process contributes more events than precede it there, and
+    every other process at least as many as its clock names."""
+    col = {p: k for k, p in enumerate(c.processes)}
+    counts = [0] * len(col)
+    for i in indices:
+        counts[col[c.events[i].process]] += 1
+    for i in indices:
+        k = col[c.events[i].process]
+        if c.clock[i][k] >= counts[k] or any(v > h for v, h in zip(c.clock[i], counts)):
+            return False
+    return True

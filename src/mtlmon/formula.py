@@ -63,10 +63,6 @@ EMPTY = Interval(0, 0)
 FULL = Interval(0, None)
 
 
-def interval_shift(iv: Interval, t: int) -> Interval:
-    return iv.shift(t)
-
-
 def in_interval(tau_i: int, tau_0: int, iv: Interval) -> bool:
     """True iff the elapsed time tau_i - tau_0 falls in the half-open interval."""
     return (tau_i - tau_0) in iv

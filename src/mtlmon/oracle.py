@@ -49,15 +49,6 @@ class Linearization:
     trace: TimedTrace
     final_latest: Carry
 
-    @property
-    def cuts(self) -> List[frozenset]:
-        """The induced growing cut sequence (without the initial empty cut)."""
-        out, acc = [], set()
-        for e in self.events:
-            acc.add(e)
-            out.append(frozenset(acc))
-        return out
-
 
 def enumerate_linearizations(
     c: Computation,

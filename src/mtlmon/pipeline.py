@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import time as _time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -202,23 +203,20 @@ def ingest(paths) -> List[Event]:
 # ---------------------------------------------------------------------------
 
 
-def _is_safe_cut(events: Sequence[Event], theta: int, epsilon: int) -> bool:
+def _is_safe_cut(proc_times: Sequence[Sequence[int]], theta: int, epsilon: int) -> bool:
     """True iff every event at or below theta is ordered before every event
-    above it (cross-process pairs need a gap of at least epsilon)."""
-    max_below: Dict[str, int] = {}
-    min_above: Dict[str, int] = {}
-    for e in events:
-        if e.local_time <= theta:
-            max_below[e.process] = max(max_below.get(e.process, -1), e.local_time)
-        else:
-            cur = min_above.get(e.process)
-            if cur is None or e.local_time < cur:
-                min_above[e.process] = e.local_time
-    for p, below in max_below.items():
-        for q, above in min_above.items():
-            if p != q and above - below < epsilon:
-                return False
-    return True
+    above it (cross-process pairs need a gap of at least epsilon). Only the
+    latest time below and the earliest above on each process matter; each
+    is one bisect into that process's sorted times."""
+    below: List[Tuple[int, int]] = []  # (process column, time)
+    above: List[Tuple[int, int]] = []
+    for k, ts in enumerate(proc_times):
+        r = bisect_right(ts, theta)
+        if r:
+            below.append((k, ts[r - 1]))
+        if r < len(ts):
+            above.append((k, ts[r]))
+    return all(p == q or a - b >= epsilon for p, b in below for q, a in above)
 
 
 def consumption_boundaries(
@@ -231,17 +229,23 @@ def consumption_boundaries(
     out = []
     prev = -1
     times = sorted({e.local_time for e in events})
+    by_proc: Dict[str, List[int]] = {}
+    for e in events:
+        by_proc.setdefault(e.process, []).append(e.local_time)
+    proc_times = [sorted(ts) for ts in by_proc.values()]
     for j in range(1, g):
         target = (j * l) // g
         if mode == BOUNDARY_WINDOW:
             theta = target
         else:
             theta = prev
-            for t in times:
-                if t > target:
+            # the largest safe candidate in (prev, target], searched downward
+            for r in range(bisect_right(times, target) - 1, -1, -1):
+                if times[r] <= prev:
                     break
-                if t > theta and _is_safe_cut(events, t, epsilon):
-                    theta = t
+                if _is_safe_cut(proc_times, times[r], epsilon):
+                    theta = times[r]
+                    break
         out.append(max(theta, prev))
         prev = out[-1]
     out.append(max(l, prev))
@@ -270,13 +274,10 @@ def monitor(events: Sequence[Event], f: Formula, cfg: MonitorConfig) -> MonitorR
     seg_reports: List[SegmentReport] = []
     carry: Dict[str, State] = {}
 
+    times = [e.local_time for e in comp.events]  # ascending: events sort by time
     prev_theta = -1
     for index, theta in enumerate(thetas, start=1):
-        consumed = [
-            i
-            for i, e in enumerate(comp.events)
-            if prev_theta < e.local_time <= theta
-        ]
+        consumed = range(bisect_right(times, prev_theta), bisect_right(times, theta))
         report = SegmentReport(index, prev_theta + 1, theta, len(consumed))
         t0 = _time.perf_counter()
         if consumed:
@@ -315,12 +316,8 @@ def monitor(events: Sequence[Event], f: Formula, cfg: MonitorConfig) -> MonitorR
 
 
 def _segment_carry(sub: Computation) -> Dict[str, State]:
-    latest: Dict[str, Event] = {}
-    for e in sub.events:
-        cur = latest.get(e.process)
-        if cur is None or e.local_time > cur.local_time:
-            latest[e.process] = e
-    return {p: e.payload for p, e in latest.items()}
+    """Payload of each process's latest event in the segment."""
+    return {p: sub.events[s[-1]].payload for p, s in zip(sub.processes, sub.streams)}
 
 
 def _progress_branch(
@@ -375,19 +372,11 @@ def _walk_cuts(
     than `budget` states are visited.
     """
     events = sub.events
-    procs = sorted({e.process for e in events})
-    slot = {p: k for k, p in enumerate(procs)}
-    streams: List[List[int]] = [[] for _ in procs]  # program order per process
-    for i, e in enumerate(events):
-        streams[slot[e.process]].append(i)
-    # hb restricted to one process is a prefix of its stream, so an event is
-    # enabled once the cut holds that many events of every process
-    need = []
-    for i in range(len(events)):
-        counts = [0] * len(procs)
-        for j in sub.hb[i]:
-            counts[slot[events[j].process]] += 1
-        need.append(counts)
+    procs = sub.processes
+    streams = sub.streams  # program order per process
+    # an event is enabled once the cut holds as many events of every
+    # process as its clock names
+    need = sub.clock
     windows = [time_window(e, sub.epsilon) for e in events]
 
     def successors(cut, t):

@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .computation import Computation, Event, is_consistent_cut_indices, time_window
+from .computation import Computation, Event, time_window
 from .formula import (
     And,
     Atom,
@@ -101,6 +101,7 @@ class SmtProblem:
     text: str
     events: Tuple[Event, ...]
     epsilon: int
+    clock: Tuple[Tuple[int, ...], ...]  # the encoded sub-computation's order
     floor: Optional[int]
     carry: Tuple[Tuple[str, State], ...]
     signature_bools: Tuple[str, ...]
@@ -174,11 +175,7 @@ class _Encoder:
         self.sig_bools: List[str] = []
         self.sig_ints: List[str] = []
         # per-process time-ordered event indices
-        self.by_proc: Dict[str, List[int]] = {}
-        for i, e in enumerate(c.events):
-            self.by_proc.setdefault(e.process, []).append(i)
-        for idxs in self.by_proc.values():
-            idxs.sort(key=lambda i: c.events[i].local_time)
+        self.by_proc: Dict[str, Tuple[int, ...]] = dict(zip(c.processes, c.streams))
 
     def _number_nodes(self, g: Formula):
         self.nodes.append(g)
@@ -227,7 +224,7 @@ class _Encoder:
             total = " ".join(f"(ite rho_{step}_{k} 1 0)" for k in range(m))
             self.add(f"(= (+ {total}) {step})")
         for b in range(m):
-            for a in c.hb[b]:
+            for a in c.predecessors(b):
                 for step in range(1, m):
                     self.add(f"(=> rho_{step}_{b} rho_{step}_{a})")
 
@@ -529,6 +526,7 @@ class _Encoder:
             text=text,
             events=self.c.events,
             epsilon=self.c.epsilon,
+            clock=self.c.clock,
             floor=self.floor,
             carry=tuple(sorted(self.carry.items())),
             signature_bools=tuple(self.sig_bools),
@@ -665,12 +663,9 @@ def decode_linearization(problem: SmtProblem, model: Mapping[str, int]) -> Decod
     """Extract the cut order and time assignment; re-check all structural
     constraints natively."""
     m = problem.m
-    # rebuild the ordering matrix of the segment events for the check
-    from .computation import build_computation
-
-    c = build_computation(problem.events, problem.epsilon)
+    col = {p: k for k, p in enumerate(sorted({e.process for e in problem.events}))}
+    counts = [0] * len(col)  # the cut so far, as per-process prefix lengths
     order: List[int] = []
-    members: Set[int] = set()
     times: List[int] = []
     for step in range(1, m + 1):
         added = [
@@ -682,9 +677,13 @@ def decode_linearization(problem: SmtProblem, model: Mapping[str, int]) -> Decod
             raise ModelDecodeError(f"step {step} adds {len(added)} events")
         k = added[0]
         order.append(k)
-        members.add(k)
-        if not is_consistent_cut_indices(c, members):
+        # the cut stays consistent iff k is next on its process and the cut
+        # already holds everything its clock names
+        own = col[problem.events[k].process]
+        vec = problem.clock[k]
+        if vec[own] != counts[own] or any(v > h for v, h in zip(vec, counts)):
             raise ModelDecodeError(f"cut at step {step} is not consistent")
+        counts[own] += 1
         t = model.get(f"tau_{step}")
         if t is None:
             raise ModelDecodeError(f"model lacks tau_{step}")

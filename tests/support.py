@@ -1,13 +1,15 @@
 """Shared corpus builders for the test suite: seeded random formulas,
 traces, and computations with a bound on how many linearizations a
-computation admits (keeps exhaustive enumeration affordable)."""
+computation admits (keeps exhaustive enumeration affordable); plus the
+brute-force references the fast order and boundary search are checked
+against."""
 
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from mtlmon.computation import Computation, Event, build_computation
+from mtlmon.computation import Computation, ComputationError, Event, build_computation
 from mtlmon.formula import (
     And,
     Atom,
@@ -134,3 +136,80 @@ def bounded_computation(
         except OracleBudgetError:
             continue
     raise RuntimeError("could not draw a bounded computation")
+
+
+def reference_order(
+    events: Sequence[Event], epsilon: int
+) -> Tuple[Tuple[Event, ...], Tuple[FrozenSet[int], ...], FrozenSet[int]]:
+    """The ordering by brute force: every program-order, skew and message
+    edge, closed transitively in a cubic loop.
+
+    Returns (events in index order, hb[i] = indices before event i, indices
+    that lie on an ordering cycle). Raises ComputationError for the same
+    malformed logs as build_computation, except cycles, which it reports.
+    """
+    ordered = sorted(events, key=lambda e: (e.local_time, e.process))
+    n = len(ordered)
+    if len({(e.process, e.local_time) for e in ordered}) != n:
+        raise ComputationError("duplicate event")
+    sends: Dict[str, int] = {}
+    recvs: Dict[str, int] = {}
+    for i, e in enumerate(ordered):
+        if e.kind != "local":
+            side = sends if e.kind == "send" else recvs
+            if e.msg in side:
+                raise ComputationError(f"message id {e.msg!r} used twice")
+            side[e.msg] = i
+    if set(sends) != set(recvs):
+        raise ComputationError("dangling message ids")
+    if any(ordered[si].process == ordered[recvs[m]].process for m, si in sends.items()):
+        raise ComputationError("message sent and received on one process")
+
+    adj: List[Set[int]] = [set() for _ in range(n)]  # adj[i] = direct successors
+    for i, e in enumerate(ordered):
+        for j, f in enumerate(ordered):
+            if i == j:
+                continue
+            if e.process == f.process:
+                if e.local_time < f.local_time:
+                    adj[i].add(j)
+            elif f.local_time - e.local_time >= epsilon:
+                adj[i].add(j)
+    for m, si in sends.items():
+        adj[si].add(recvs[m])
+    reach = [set(s) for s in adj]
+    for k in range(n):
+        for i in range(n):
+            if k in reach[i]:
+                reach[i] |= reach[k]
+    preds: List[Set[int]] = [set() for _ in range(n)]
+    for i in range(n):
+        for j in reach[i]:
+            preds[j].add(i)
+    cyclic = frozenset(i for i in range(n) if i in reach[i])
+    return tuple(ordered), tuple(frozenset(p) for p in preds), cyclic
+
+
+def reference_boundaries(events: Sequence[Event], g: int, l: int, epsilon: int) -> List[int]:
+    """Exact-mode segment boundaries by a full scan of the events for every
+    candidate time: the largest safe cut at or below each target."""
+
+    def safe(theta: int) -> bool:
+        below = [e for e in events if e.local_time <= theta]
+        above = [e for e in events if e.local_time > theta]
+        return all(
+            b.process == a.process or a.local_time - b.local_time >= epsilon
+            for b in below
+            for a in above
+        )
+
+    if g == 1:
+        return [l]
+    out, prev = [], -1
+    times = sorted({e.local_time for e in events})
+    for j in range(1, g):
+        target = (j * l) // g
+        out.append(max([prev] + [t for t in times if prev < t <= target and safe(t)]))
+        prev = out[-1]
+    out.append(max(l, prev))
+    return out

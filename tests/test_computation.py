@@ -1,19 +1,19 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtlmon.computation import (
     ComputationError,
     Event,
     build_computation,
-    frontier,
-    happened_before,
-    is_consistent_cut,
-    segment,
+    is_consistent_cut_indices,
     time_window,
 )
+from mtlmon.pipeline import BOUNDARY_EXACT, _segment_carry, consumption_boundaries
 from mtlmon.semantics import State
-from support import random_events
+from support import random_events, reference_boundaries, reference_order
 
 
 def ev(proc, t, props=()):
@@ -24,35 +24,34 @@ def fig3():
     return [ev("P1", 1, {"a"}), ev("P1", 4), ev("P2", 2, {"a"}), ev("P2", 5, {"b"})]
 
 
+# fig3 indexes by (local time, process): P1@1, P2@2, P1@4, P2@5
+A1, A2, NA4, B5 = range(4)
+
+
 class TestBuild:
     def test_skew_ordering(self):
         c = build_computation(fig3(), epsilon=2)
-        a1, a2, na4, b5 = (
-            ev("P1", 1, {"a"}), ev("P2", 2, {"a"}), ev("P1", 4), ev("P2", 5, {"b"}),
-        )
-        assert happened_before(c, a1, na4)  # program order
-        assert happened_before(c, a1, b5)  # 5 - 1 >= 2
-        assert happened_before(c, a2, na4)  # 4 - 2 >= 2 (non-strict threshold)
-        assert not happened_before(c, na4, b5)  # 5 - 4 < 2
-        assert not happened_before(c, a1, a2)  # 2 - 1 < 2
+        assert A1 in c.hb[NA4]  # program order
+        assert A1 in c.hb[B5]  # 5 - 1 >= 2
+        assert A2 in c.hb[NA4]  # 4 - 2 >= 2 (non-strict threshold)
+        assert NA4 not in c.hb[B5]  # 5 - 4 < 2
+        assert A1 not in c.hb[A2]  # 2 - 1 < 2
+        assert c.clock == ((0, 0), (0, 0), (1, 1), (1, 1))
 
     def test_single_process_total_order(self):
         c = build_computation([ev("P", 1), ev("P", 2), ev("P", 3)], epsilon=2)
-        es = c.events
         for i in range(3):
             for j in range(3):
-                assert happened_before(c, es[i], es[j]) == (i < j)
+                assert (i in c.hb[j]) == (i < j)
 
     def test_equal_timestamps_concurrent(self):
         c = build_computation([ev("P1", 0), ev("P2", 0)], epsilon=1)
-        e1, e2 = c.events
-        assert not happened_before(c, e1, e2)
-        assert not happened_before(c, e2, e1)
+        assert c.hb == (frozenset(), frozenset())
 
     def test_irreflexive(self):
         c = build_computation(fig3(), 2)
-        for e in c.events:
-            assert not happened_before(c, e, e)
+        for i in range(len(c)):
+            assert i not in c.hb[i]
 
     def test_duplicate_slot_rejected(self):
         with pytest.raises(ComputationError):
@@ -96,21 +95,22 @@ class TestBuild:
 class TestCuts:
     def test_empty_and_full_are_consistent(self):
         c = build_computation(fig3(), 2)
-        assert is_consistent_cut(c, [])
-        assert is_consistent_cut(c, list(c.events))
+        assert is_consistent_cut_indices(c, set())
+        assert is_consistent_cut_indices(c, set(range(len(c))))
 
     def test_missing_predecessor_is_inconsistent(self):
         c = build_computation(fig3(), 2)
-        assert not is_consistent_cut(c, [ev("P2", 5, {"b"})])
+        assert not is_consistent_cut_indices(c, {B5})
+        assert not is_consistent_cut_indices(c, {A1, NA4})  # NA4 needs A2
+        assert is_consistent_cut_indices(c, {A1, A2, NA4})
 
     def test_frontier(self):
+        # a segment's carry is the payload of each process's latest event
         c = build_computation(fig3(), 2)
-        a1 = ev("P1", 1, {"a"})
-        a2 = ev("P2", 2, {"a"})
-        na4 = ev("P1", 4)
-        assert frontier(c, [a1, a2]) == {"P1": a1, "P2": a2}
-        assert frontier(c, []) == {}
-        assert frontier(c, [a1, na4]) == {"P1": na4}
+        p = [e.payload for e in c.events]
+        assert _segment_carry(c.restrict({A1, A2})) == {"P1": p[A1], "P2": p[A2]}
+        assert _segment_carry(c.restrict(set())) == {}
+        assert _segment_carry(c.restrict({A1, NA4})) == {"P1": p[NA4]}
 
 
 class TestTimeWindow:
@@ -128,49 +128,72 @@ class TestTimeWindow:
                     assert (t in w) == (abs(t - sigma) <= eps - 1)
 
 
-class TestSegment:
-    def test_window_bounds(self):
-        evs = [ev("P", t) for t in range(0, 21, 2)]
-        c = build_computation(evs, 2)
-        segs = segment(c, g=4, l=20)
-        assert (segs[1].lo, segs[1].hi) == (3, 10)
-        assert all(3 <= e.local_time <= 10 for e in segs[1].events)
+@st.composite
+def logs(draw):
+    """(events, epsilon): 1-4 processes, epsilon 1-4, with or without
+    message pairs; a message may dangle or run against the skew order."""
+    epsilon = draw(st.integers(1, 4))
+    slots = []
+    for p in range(draw(st.integers(1, 4))):
+        t = draw(st.integers(0, 3))
+        for _ in range(draw(st.integers(0, 5))):
+            slots.append([f"P{p + 1}", t, "local", None])
+            t += draw(st.integers(1, 6))
+    if slots and draw(st.booleans()):
+        pairs = st.tuples(st.integers(0, len(slots) - 1), st.integers(0, len(slots) - 1))
+        for n, (a, b) in enumerate(draw(st.lists(pairs, min_size=1, max_size=4))):
+            if slots[a][2] == slots[b][2] == "local" and slots[a][0] != slots[b][0]:
+                slots[a][2:] = ["send", f"m{n}"]
+                slots[b][2:] = ["recv", f"m{n}"]
+        unused = [s for s in slots if s[2] == "local"]
+        if unused and draw(st.integers(0, 9)) == 0:
+            unused[0][2:] = ["send", "orphan"]
+    return [Event(p, t, State(), kind, msg) for p, t, kind, msg in slots], epsilon
 
-    def test_single_segment_holds_everything(self):
-        c = build_computation(fig3(), 2)
-        segs = segment(c, g=1)
-        assert set(segs[0].events) == set(c.events)
 
-    def test_lower_bound_clamps(self):
-        evs = [ev("P", t) for t in range(10)]
-        c = build_computation(evs, 5)
-        segs = segment(c, g=3, l=9)
-        assert segs[1].lo == 0 and segs[1].hi == 6
+class TestAgainstReference:
+    """The vector-clock order and the bisecting boundary search against
+    brute force on random logs."""
 
-    def test_coverage_and_overlap(self):
-        rng = random.Random(17)
-        for _ in range(25):
-            evs = random_events(rng, rng.randrange(1, 4), rng.randrange(3, 10))
-            eps = rng.choice([1, 2])
-            c = build_computation(evs, eps)
-            l = c.length + rng.randrange(0, 3)
-            g = rng.randrange(1, 5)
-            if g > max(l, 1):
-                continue
-            segs = segment(c, g, l)
-            covered = set()
-            for s in segs:
-                covered.update(s.events)
-            assert covered == set(c.events)
-            # strictly below the window width: an event at an aligned
-            # boundary with eps == l/g legitimately touches three windows
-            if eps * g < l:
-                for e in c.events:
-                    homes = [s.index for s in segs if e in s.events]
-                    assert 1 <= len(homes) <= 2
-                    assert homes == list(range(homes[0], homes[0] + len(homes)))
+    @settings(max_examples=400, deadline=None)
+    @given(logs())
+    def test_order_equals_cubic_closure(self, log):
+        events, epsilon = log
+        try:
+            ordered, hb, cyclic = reference_order(events, epsilon)
+        except ComputationError:
+            with pytest.raises(ComputationError):
+                build_computation(events, epsilon)
+            return
+        if cyclic:
+            with pytest.raises(ComputationError):
+                build_computation(events, epsilon)
+            return
+        c = build_computation(events, epsilon)
+        assert c.events == ordered
+        assert c.hb == hb
 
-    def test_zero_width_rejected(self):
-        c = build_computation([ev("P", 1)], 1)
-        with pytest.raises(ValueError):
-            segment(c, g=5, l=1)
+    @settings(max_examples=400, deadline=None)
+    @given(logs())
+    def test_cycle_error_names_an_event_on_a_cycle(self, log):
+        events, epsilon = log
+        try:
+            ordered, _hb, cyclic = reference_order(events, epsilon)
+        except ComputationError:
+            return
+        if not cyclic:
+            return
+        with pytest.raises(ComputationError) as exc:
+            build_computation(events, epsilon)
+        named = re.search(r"cycle through (\S+):", str(exc.value)).group(1)
+        assert named in {str(ordered[i]) for i in cyclic}
+
+    @settings(max_examples=400, deadline=None)
+    @given(logs(), st.integers(1, 10), st.integers(0, 3))
+    def test_exact_boundaries_equal_full_scan(self, log, g, extra):
+        events, epsilon = log
+        events = sorted(events, key=lambda e: (e.local_time, e.process))
+        l = max((e.local_time for e in events), default=0) + extra
+        assert consumption_boundaries(events, g, l, epsilon, BOUNDARY_EXACT) == (
+            reference_boundaries(events, g, l, epsilon)
+        )

@@ -14,7 +14,6 @@ from mtlmon.formula import (
     Not,
     Or,
     in_interval,
-    interval_shift,
     shift_anchored,
     simplify,
 )
@@ -44,10 +43,10 @@ class TestInterval:
             Interval(-1, 4)
 
     def test_shift_examples(self):
-        assert interval_shift(Interval(2, 9), 3) == Interval(0, 6)
-        assert interval_shift(Interval(0, 6), 0) == Interval(0, 6)
-        assert interval_shift(Interval(1, 3), 5) == EMPTY
-        assert interval_shift(Interval(4, None), 10) == Interval(0, None)
+        assert Interval(2, 9).shift(3) == Interval(0, 6)
+        assert Interval(0, 6).shift(0) == Interval(0, 6)
+        assert Interval(1, 3).shift(5) == EMPTY
+        assert Interval(4, None).shift(10) == Interval(0, None)
 
     @given(
         st.integers(0, 30), st.integers(1, 30) | st.none(),
@@ -55,14 +54,14 @@ class TestInterval:
     )
     def test_shift_composes(self, start, width, t1, t2):
         iv = Interval(start, None if width is None else start + width)
-        assert interval_shift(interval_shift(iv, t1), t2) == interval_shift(iv, t1 + t2)
+        assert iv.shift(t1).shift(t2) == iv.shift(t1 + t2)
 
     @given(st.integers(0, 40), st.integers(0, 20), st.integers(1, 25), st.integers(0, 40))
     def test_membership_survives_shift(self, start, width, a_off, t):
         iv = Interval(start, start + width) if width else Interval(start, None)
         a = start + a_off
         if a in iv and a >= t:
-            assert (a - t) in interval_shift(iv, t)
+            assert (a - t) in iv.shift(t)
 
 
 class TestInInterval:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mtlmon.computation import Event, build_computation, is_consistent_cut
+from mtlmon.computation import Event, build_computation, is_consistent_cut_indices
 from mtlmon.formula import TRUE, Not
 from mtlmon.oracle import (
     OracleBudgetError,
@@ -68,12 +68,15 @@ class TestEnumeration:
 
     def test_every_prefix_is_a_consistent_cut_with_monotone_times(self):
         rng = random.Random(31)
-        for _ in range(10)            :
+        for _ in range(10):
             c = bounded_computation(rng, max_events=7)
+            index = {e: i for i, e in enumerate(c.events)}
             for lin in enumerate_linearizations(c):
                 assert all(a <= b for a, b in zip(lin.times, lin.times[1:]))
-                for cut in lin.cuts:
-                    assert is_consistent_cut(c, cut)
+                cut = set()
+                for e in lin.events:
+                    cut.add(index[e])
+                    assert is_consistent_cut_indices(c, cut)
 
     def test_budget_overrun_raises(self):
         events = [ev(f"P{i}", 5) for i in range(5)]

@@ -342,6 +342,20 @@ class TestCli:
         assert err.startswith("mtlmon: ") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "solver", ["sleep 5", "/nonexistent/mtlmon-solver"], ids=["timeout", "missing"]
+    )
+    def test_solver_failure_exits_69(self, tmp_path, capsys, solver):
+        trace, spec = self._fig3(tmp_path)
+        code = cli_main([
+            "--trace", trace, "--spec", spec, "--epsilon", "2",
+            "--engine", "smt", "--solver-cmd", solver, "--timeout", "0.2",
+        ])
+        err = capsys.readouterr().err
+        assert code == 69
+        assert err.startswith("mtlmon: solver error: ") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_emit_smt_writes_queries(self, tmp_path, capsys):
         trace, spec = self._fig3(tmp_path)
         dump = tmp_path / "queries"
