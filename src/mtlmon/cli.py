@@ -6,9 +6,10 @@
 `monitor` may be omitted when the first argument is a flag. Exit codes:
 0 every linearization satisfies the spec; 1 some linearization violates
 it; 2 the run was truncated without finding a violation; 64 usage errors;
-65 unreadable or malformed inputs; 69 the solver timed out, could not be
-run, answered unknown or returned an unusable model; 70 the engine
-exhausted its state budget.
+65 unreadable, undecodable or malformed inputs; 69 the solver timed out,
+could not be run, answered unknown or returned an unusable model; 70 the
+engine exhausted its budget (lattice states, or the solver engine's
+boolean variables).
 """
 
 from __future__ import annotations
@@ -33,7 +34,12 @@ from .pipeline import (
     monitor,
 )
 from .semantics import Verdict
-from .smt import ModelDecodeError, SolverCrashError, SolverTimeoutError
+from .smt import (
+    ModelDecodeError,
+    SegmentTooLargeError,
+    SolverCrashError,
+    SolverTimeoutError,
+)
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -147,8 +153,9 @@ def _print_text_report(report: MonitorReport, out):
 
 def cmd_monitor(args) -> int:
     try:
-        spec_text = open(args.spec, "r", encoding="utf-8").read()
-    except OSError as exc:
+        with open(args.spec, "r", encoding="utf-8") as fh:
+            spec_text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"mtlmon: cannot read spec: {exc}", file=sys.stderr)
         return EX_DATAERR
     try:
@@ -180,12 +187,12 @@ def cmd_monitor(args) -> int:
         return EX_USAGE
     try:
         report = monitor(events, formula, cfg)
+    except (OracleBudgetError, SegmentTooLargeError) as exc:
+        print(f"mtlmon: budget exceeded: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
     except (ComputationError, ConfigError, ValueError) as exc:
         print(f"mtlmon: {exc}", file=sys.stderr)
         return EX_DATAERR
-    except OracleBudgetError as exc:
-        print(f"mtlmon: budget exceeded: {exc}", file=sys.stderr)
-        return EX_SOFTWARE
     except (SolverTimeoutError, SolverCrashError, ModelDecodeError) as exc:
         print(f"mtlmon: solver error: {exc}", file=sys.stderr)
         return EX_UNAVAILABLE

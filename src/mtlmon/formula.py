@@ -10,9 +10,7 @@ same rules, so simplify(progressed output) is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
-
-INF = None  # interval end sentinel for an unbounded interval
+from typing import Iterable, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -37,10 +35,6 @@ class Interval:
     def is_empty(self) -> bool:
         return self.end == 0
 
-    @property
-    def unbounded(self) -> bool:
-        return self.end is None
-
     def __contains__(self, a: int) -> bool:
         if self.end is None:
             return a >= self.start
@@ -60,7 +54,6 @@ class Interval:
 
 
 EMPTY = Interval(0, 0)
-FULL = Interval(0, None)
 
 
 def in_interval(tau_i: int, tau_0: int, iv: Interval) -> bool:
@@ -152,8 +145,13 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-def is_const(f: Formula) -> bool:
-    return isinstance(f, (TrueF, FalseF))
+def operands(f: Formula) -> Tuple[Formula, ...]:
+    """Immediate subformulas, left before right; none for a leaf."""
+    if isinstance(f, (Not, Eventually, Globally)):
+        return (f.operand,)
+    if isinstance(f, (Or, And, Implies, Until)):
+        return (f.left, f.right)
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -302,77 +300,22 @@ def shift_anchored(f: Formula, t: int) -> Formula:
 
 def atoms_of(f: Formula) -> frozenset:
     """All Atom / SumAtom leaves of a formula."""
-    out = set()
-
-    def walk(g: Formula):
-        if isinstance(g, (Atom, SumAtom)):
-            out.add(g)
-        elif isinstance(g, Not):
-            walk(g.operand)
-        elif isinstance(g, (Or, And, Implies)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Until):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Eventually, Globally)):
-            walk(g.operand)
-
-    walk(f)
-    return frozenset(out)
+    if isinstance(f, (Atom, SumAtom)):
+        return frozenset((f,))
+    return frozenset().union(*map(atoms_of, operands(f)))
 
 
 def propositional_atoms(f: Formula) -> frozenset:
     """Atoms with at least one occurrence outside every timed operator;
     such occurrences are read in the first state of a trace."""
-    out = set()
-
-    def walk(g: Formula):
-        if isinstance(g, (Atom, SumAtom)):
-            out.add(g)
-        elif isinstance(g, Not):
-            walk(g.operand)
-        elif isinstance(g, (Or, And, Implies)):
-            walk(g.left)
-            walk(g.right)
-        # Until / Eventually / Globally operands are handled per node
-
-    walk(f)
-    return frozenset(out)
-
-
-def temporal_nodes(f: Formula) -> list:
-    """All timed-operator nodes in a deterministic (pre-order) order."""
-    out = []
-
-    def walk(g: Formula):
-        if isinstance(g, Not):
-            walk(g.operand)
-        elif isinstance(g, (Or, And, Implies)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Until):
-            out.append(g)
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Eventually, Globally)):
-            out.append(g)
-            walk(g.operand)
-
-    walk(f)
-    return out
+    if isinstance(f, (Atom, SumAtom)):
+        return frozenset((f,))
+    if isinstance(f, (Until, Eventually, Globally)):
+        return frozenset()
+    return frozenset().union(*map(propositional_atoms, operands(f)))
 
 
 def max_nesting(f: Formula) -> int:
     """Depth of temporal nesting (0 for purely propositional formulas)."""
-    if isinstance(f, (TrueF, FalseF, Atom, SumAtom)):
-        return 0
-    if isinstance(f, Not):
-        return max_nesting(f.operand)
-    if isinstance(f, (Or, And, Implies)):
-        return max(max_nesting(f.left), max_nesting(f.right))
-    if isinstance(f, Until):
-        return 1 + max(max_nesting(f.left), max_nesting(f.right))
-    if isinstance(f, (Eventually, Globally)):
-        return 1 + max_nesting(f.operand)
-    raise TypeError(f"not a formula: {f!r}")
+    timed = isinstance(f, (Until, Eventually, Globally))
+    return timed + max(map(max_nesting, operands(f)), default=0)

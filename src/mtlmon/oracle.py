@@ -24,9 +24,6 @@ class OracleBudgetError(RuntimeError):
     """Enumeration exceeded its cap; a truncated oracle is not an oracle."""
 
 
-Carry = Tuple[Tuple[str, State], ...]  # per-process latest payload, sorted by process
-
-
 def merge_frontier(latest: Mapping[str, State]) -> State:
     """State visible at a cut: union of per-process latest propositions,
     key-wise sum of per-process latest variable totals."""
@@ -47,7 +44,6 @@ class Linearization:
     events: Tuple[Event, ...]
     times: Tuple[int, ...]
     trace: TimedTrace
-    final_latest: Carry
 
 
 def enumerate_linearizations(
@@ -88,8 +84,7 @@ def enumerate_linearizations(
                 raise OracleBudgetError(f"more than {budget} linearizations")
             evs = tuple(c.events[i] for i in order)
             trace = TimedTrace(tuple(states), tuple(times))
-            final = tuple(sorted(latest.items()))
-            yield Linearization(evs, tuple(times), trace, final)
+            yield Linearization(evs, tuple(times), trace)
             return
         lo = times[-1] if times else (floor if floor is not None else 0)
         for i in extensions():

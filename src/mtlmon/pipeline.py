@@ -143,37 +143,14 @@ def ingest(paths) -> List[Event]:
         paths = [paths]
     records = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise IngestError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-                try:
-                    proc = str(obj["proc"])
-                    ts = obj["ts"]
-                except KeyError as exc:
-                    raise IngestError(f"{path}:{lineno}: missing field {exc}") from exc
-                if not isinstance(ts, int) or ts < 0:
-                    raise IngestError(
-                        f"{path}:{lineno}: ts must be a non-negative integer, got {ts!r}"
-                    )
-                kind = obj.get("kind", "local")
-                msg = obj.get("msg")
-                props = obj.get("props", [])
-                variables = obj.get("vars", {})
-                if not isinstance(props, list) or not all(
-                    isinstance(p, str) for p in props
-                ):
-                    raise IngestError(f"{path}:{lineno}: props must be a string list")
-                if not isinstance(variables, dict) or not all(
-                    isinstance(v, int) for v in variables.values()
-                ):
-                    raise IngestError(f"{path}:{lineno}: vars must map names to ints")
-                records.append((path, lineno, proc, ts, kind, msg, props, variables))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    record = _parse_line(path, lineno, line)
+                    if record is not None:
+                        records.append(record)
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path}: not UTF-8 text: {exc}") from exc
 
     records.sort(key=lambda r: (r[3], r[2]))
     running: Dict[str, Dict[str, int]] = {}
@@ -196,6 +173,41 @@ def ingest(paths) -> List[Event]:
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from exc
     return events
+
+
+def _parse_line(path, lineno: int, line: str) -> Optional[tuple]:
+    """The record of one trace line; None for a blank or comment line."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    where = f"{path}:{lineno}"
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise IngestError(f"{where}: malformed JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise IngestError(f"{where}: a line must be a JSON object")
+    try:
+        proc = str(obj["proc"])
+        ts = obj["ts"]
+    except KeyError as exc:
+        raise IngestError(f"{where}: missing field {exc}") from exc
+    # bool is a subclass of int, so `true` would otherwise read as 1
+    if type(ts) is not int or ts < 0:
+        raise IngestError(f"{where}: ts must be a non-negative integer, got {ts!r}")
+    kind = obj.get("kind", "local")
+    msg = obj.get("msg")
+    props = obj.get("props", [])
+    variables = obj.get("vars", {})
+    if msg is not None and not isinstance(msg, str):
+        raise IngestError(f"{where}: msg must be a string")
+    if not isinstance(props, list) or not all(isinstance(p, str) for p in props):
+        raise IngestError(f"{where}: props must be a string list")
+    if not isinstance(variables, dict) or not all(
+        type(v) is int for v in variables.values()
+    ):
+        raise IngestError(f"{where}: vars must map names to ints")
+    return (path, lineno, proc, ts, kind, msg, props, variables)
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +341,17 @@ def _progress_branch(
     seg_index: int,
     ordinal: int,
 ) -> Tuple[Set[Tuple[Formula, int]], bool]:
-    """All (rewritten formula, last time) outcomes of one branch over one
-    segment, plus a completeness flag."""
+    """The (rewritten formula, last time) outcomes of one branch over one
+    segment, plus a completeness flag. Both engines share one cap rule:
+    when more than `max_verdicts_per_segment` outcomes exist, the sorted
+    first ones are kept and the result is flagged incomplete."""
+    cap = cfg.max_verdicts_per_segment
     if cfg.engine == ENGINE_SMT:
+        # one outcome past the cap tells "exactly cap" from "more than cap"
         enum = smt_backend.enumerate_verdicts(
             sub,
             phi,
-            cfg.max_verdicts_per_segment,
+            cap + 1,
             cfg.solver_command,
             floor=floor,
             carry=carry,
@@ -344,11 +360,12 @@ def _progress_branch(
             emit_dir=cfg.emit_smt_dir,
             emit_tag=f"seg{seg_index}_b{ordinal}",
         )
-        return set(enum.branches), enum.complete
-    out = _walk_cuts(sub, phi, floor, carry, cfg.oracle_budget)
-    if len(out) > cfg.max_verdicts_per_segment:
+        out = set(enum.branches)
+    else:
+        out = _walk_cuts(sub, phi, floor, carry, cfg.oracle_budget)
+    if len(out) > cap:
         keep = sorted(out, key=lambda p: (str(p[0]), p[1]))
-        return set(keep[: cfg.max_verdicts_per_segment]), False
+        return set(keep[:cap]), False
     return out, True
 
 

@@ -31,7 +31,7 @@ front and the steps never normalize again.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional
+from typing import Optional
 
 from .formula import (
     Atom,
@@ -74,47 +74,40 @@ def progress(trace: TimedTrace, f: Formula, elapsed: Optional[int] = None) -> Fo
     gaps.append(elapsed - span)
     f = simplify(f)  # residual operands are reused, so normalize up front
     for state, gap in zip(trace.states, gaps):
-        f = step(state, f, gap, trace.alphabet)
+        f = step(state, f, gap)
     return f
 
 
-def step(
-    state: State,
-    f: Formula,
-    elapsed: int,
-    alphabet: Optional[FrozenSet[str]] = None,
-) -> Formula:
+def step(state: State, f: Formula, elapsed: int) -> Formula:
     """Rewrite a normalized formula over one state, with `elapsed` time
     units until the continuation's first state."""
     if isinstance(f, (TrueF, FalseF)):
         return f
     if isinstance(f, (Atom, SumAtom)):
-        return TRUE if state.holds(f, alphabet) else FALSE
+        return TRUE if state.holds(f) else FALSE
     if isinstance(f, Not):
-        return mk_not(step(state, f.operand, elapsed, alphabet))
+        return mk_not(step(state, f.operand, elapsed))
     if isinstance(f, Or):
-        return mk_or(step(state, f.left, elapsed, alphabet), step(state, f.right, elapsed, alphabet))
+        return mk_or(step(state, f.left, elapsed), step(state, f.right, elapsed))
     if isinstance(f, And):
-        return mk_and(step(state, f.left, elapsed, alphabet), step(state, f.right, elapsed, alphabet))
+        return mk_and(step(state, f.left, elapsed), step(state, f.right, elapsed))
     if isinstance(f, Implies):
-        return mk_implies(
-            step(state, f.left, elapsed, alphabet), step(state, f.right, elapsed, alphabet)
-        )
+        return mk_implies(step(state, f.left, elapsed), step(state, f.right, elapsed))
     iv = f.interval
     residual = iv.shift(elapsed)
     if isinstance(f, Eventually):
         later = mk_eventually(residual, f.operand)
         if 0 not in iv:
             return later
-        return mk_or(step(state, f.operand, elapsed, alphabet), later)
+        return mk_or(step(state, f.operand, elapsed), later)
     if isinstance(f, Globally):
         later = mk_globally(residual, f.operand)
         if 0 not in iv:
             return later
-        return mk_and(step(state, f.operand, elapsed, alphabet), later)
+        return mk_and(step(state, f.operand, elapsed), later)
     if isinstance(f, Until):
-        later = mk_and(step(state, f.left, elapsed, alphabet), mk_until(f.left, residual, f.right))
+        later = mk_and(step(state, f.left, elapsed), mk_until(f.left, residual, f.right))
         if 0 not in iv:
             return later
-        return mk_or(step(state, f.right, elapsed, alphabet), later)
+        return mk_or(step(state, f.right, elapsed), later)
     raise TypeError(f"not a formula: {f!r}")

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Mapping, Optional, Tuple
 
 from .formula import (
-    FALSE,
-    TRUE,
     And,
     Atom,
     Eventually,
@@ -41,10 +39,6 @@ class Verdict(enum.Enum):
         return "⊤" if self is Verdict.TOP else "⊥"
 
 
-class UnknownAtomError(KeyError):
-    """An atom in the formula is outside the trace's declared alphabet."""
-
-
 @dataclass(frozen=True, eq=False)
 class State:
     """One observed state: propositions that hold plus integer variables."""
@@ -66,11 +60,9 @@ class State:
     def __hash__(self):
         return hash((self.props, tuple(sorted(self.variables.items()))))
 
-    def holds(self, f: Formula, alphabet: Optional[FrozenSet[str]] = None) -> bool:
+    def holds(self, f: Formula) -> bool:
         """Truth of a propositional Atom / SumAtom in this state."""
         if isinstance(f, Atom):
-            if alphabet is not None and f.name not in alphabet:
-                raise UnknownAtomError(f.name)
             return f.name in self.props
         if isinstance(f, SumAtom):
             to_total = self.variables.get(f"to_{f.to_party}", 0)
@@ -85,7 +77,6 @@ class TimedTrace:
 
     states: Tuple[State, ...]
     times: Tuple[int, ...]
-    alphabet: Optional[FrozenSet[str]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
@@ -101,15 +92,12 @@ class TimedTrace:
     def __len__(self) -> int:
         return len(self.states)
 
-    def suffix(self, i: int) -> "TimedTrace":
-        return TimedTrace(self.states[i:], self.times[i:], self.alphabet)
-
     @property
     def span(self) -> int:
         return self.times[-1] - self.times[0]
 
 
-def trace_of(pairs, alphabet=None) -> TimedTrace:
+def trace_of(pairs) -> TimedTrace:
     """Build a trace from (props, time) or (props, vars, time) tuples."""
     states, times = [], []
     for item in pairs:
@@ -120,7 +108,7 @@ def trace_of(pairs, alphabet=None) -> TimedTrace:
             props, variables, t = item
             states.append(State(frozenset(props), dict(variables)))
         times.append(t)
-    return TimedTrace(tuple(states), tuple(times), alphabet)
+    return TimedTrace(tuple(states), tuple(times))
 
 
 def eval_finite(trace: TimedTrace, f: Formula, i: int = 0) -> Verdict:
@@ -142,7 +130,7 @@ def _eval(trace: TimedTrace, f: Formula, i: int) -> bool:
     if isinstance(f, FalseF):
         return False
     if isinstance(f, (Atom, SumAtom)):
-        return trace.states[i].holds(f, trace.alphabet)
+        return trace.states[i].holds(f)
     if isinstance(f, Not):
         return not _eval(trace, f.operand, i)
     if isinstance(f, Or):
@@ -200,10 +188,6 @@ def _finalize(f: Formula) -> bool:
     if isinstance(f, Implies):
         return (not _finalize(f.left)) or _finalize(f.right)
     raise TypeError(f"not a formula: {f!r}")
-
-
-def verdict_formula(v: Verdict) -> Formula:
-    return TRUE if v is Verdict.TOP else FALSE
 
 
 def formula_verdict(f: Formula) -> Optional[Verdict]:

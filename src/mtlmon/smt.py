@@ -1,11 +1,12 @@
 """Solver-backed verdict engine.
 
 One segment's question is unrolled into a quantifier-free boolean/integer
-problem over SMT-LIB v2 text and handed to an external solver process; sat
-models are decoded back into a (cut order, timestamp assignment) pair,
-progression is replayed on the decoded linearization, and a blocking
-assertion over the decision bits that determine the rewritten formula is
-added so repeated solving enumerates the distinct outcomes.
+problem over SMT-LIB v2 text, once per segment and branch. The engine is
+one loop: solve, decode the sat model once into a (cut order, timestamp
+assignment) pair, replay progression on that linearization, and add a
+blocking assertion over the decision bits that determine the rewritten
+formula, until the solver answers unsat. An encoding that would declare
+more than VAR_BUDGET boolean variables is refused.
 
 Symbol scheme (stable across runs for identical inputs):
 
@@ -25,13 +26,14 @@ formula nodes in pre-order.
 
 from __future__ import annotations
 
+import os
 import shlex
 import subprocess
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .computation import Computation, Event, time_window
+from .computation import Computation, time_window
 from .formula import (
     And,
     Atom,
@@ -48,6 +50,7 @@ from .formula import (
     Until,
     atoms_of,
     max_nesting,
+    operands,
     propositional_atoms,
     shift_anchored,
     simplify,
@@ -57,11 +60,7 @@ from .progression import progress
 from .semantics import State, TimedTrace
 
 DEFAULT_TIMEOUT = 60.0
-DEFAULT_VAR_BUDGET = 5000
-
-SATISFACTION = "satisfaction"
-VIOLATION = "violation"
-ANY = "any"
+VAR_BUDGET = 5000  # boolean variables one encoding may declare
 
 
 class EncodingError(ValueError):
@@ -69,7 +68,7 @@ class EncodingError(ValueError):
 
 
 class SegmentTooLargeError(ValueError):
-    """Encoding would exceed the configured boolean-variable budget."""
+    """Encoding would exceed the boolean-variable budget."""
 
 
 class SolverCrashError(RuntimeError):
@@ -99,9 +98,7 @@ class SmtProblem:
     """Declarations and assertions (without check-sat) plus decode metadata."""
 
     text: str
-    events: Tuple[Event, ...]
-    epsilon: int
-    clock: Tuple[Tuple[int, ...], ...]  # the encoded sub-computation's order
+    comp: Computation  # the encoded segment
     floor: Optional[int]
     carry: Tuple[Tuple[str, State], ...]
     signature_bools: Tuple[str, ...]
@@ -110,7 +107,7 @@ class SmtProblem:
 
     @property
     def m(self) -> int:
-        return len(self.events)
+        return len(self.comp)
 
 
 def _atom_key(a) -> tuple:
@@ -146,23 +143,17 @@ class _Encoder:
         self,
         c: Computation,
         f: Formula,
-        mode: str,
         floor: Optional[int],
         carry: Mapping[str, State],
-        var_budget: int,
-        thread_timing: bool = False,
+        thread_timing: bool,
     ):
-        self.thread_timing = thread_timing
         if len(c) == 0:
             raise EncodingError("cannot encode an empty segment")
-        if mode not in (SATISFACTION, VIOLATION, ANY):
-            raise ValueError(f"unknown mode {mode!r}")
         self.c = c
         self.f = f
-        self.mode = mode
         self.floor = floor
         self.carry = dict(carry)
-        self.var_budget = var_budget
+        self.thread_timing = thread_timing
         self.m = len(c.events)
         self.decls: List[str] = []
         self.asserts: List[str] = []
@@ -170,33 +161,35 @@ class _Encoder:
         self.atoms = sorted(atoms_of(f), key=_atom_key)
         self.atom_id = {a: i for i, a in enumerate(self.atoms)}
         self.nested = max_nesting(f) >= 2
+        # formula nodes in pre-order (left subtree before right), with the
+        # ids of each node's operands
         self.nodes: List[Formula] = []
-        self._number_nodes(f)
+        self.child: Dict[int, Tuple[int, ...]] = {}
+        self._number(f)
         self.sig_bools: List[str] = []
         self.sig_ints: List[str] = []
         # per-process time-ordered event indices
         self.by_proc: Dict[str, Tuple[int, ...]] = dict(zip(c.processes, c.streams))
+        self.windows = [time_window(e, c.epsilon) for e in c.events]
+        # bounds on every step time
+        self.tmin = min(w.start for w in self.windows)
+        if floor is not None:
+            self.tmin = max(self.tmin, floor)
+        self.tmax = max(w.stop - 1 for w in self.windows)
 
-    def _number_nodes(self, g: Formula):
+    def _number(self, g: Formula) -> int:
+        nid = len(self.nodes)
         self.nodes.append(g)
-        if isinstance(g, Not):
-            self._number_nodes(g.operand)
-        elif isinstance(g, (Or, And, Implies)):
-            self._number_nodes(g.left)
-            self._number_nodes(g.right)
-        elif isinstance(g, Until):
-            self._number_nodes(g.left)
-            self._number_nodes(g.right)
-        elif isinstance(g, (Eventually, Globally)):
-            self._number_nodes(g.operand)
+        self.child[nid] = tuple(self._number(h) for h in operands(g))
+        return nid
 
     def declare(self, name: str, sort: str):
         self.decls.append(f"(declare-const {name} {sort})")
         if sort == "Bool":
             self.n_bools += 1
-            if self.n_bools > self.var_budget:
+            if self.n_bools > VAR_BUDGET:
                 raise SegmentTooLargeError(
-                    f"segment needs more than {self.var_budget} boolean variables"
+                    f"segment needs more than {VAR_BUDGET} boolean variables"
                 )
 
     def add(self, term: str):
@@ -228,22 +221,14 @@ class _Encoder:
                 for step in range(1, m):
                     self.add(f"(=> rho_{step}_{b} rho_{step}_{a})")
 
-        lows, highs = [], []
-        for k, e in enumerate(c.events):
-            w = time_window(e, c.epsilon)
-            lo, hi = w.start, w.stop - 1
-            self.add(f"(>= delta_{k} {lo})")
-            self.add(f"(<= delta_{k} {hi})")
-            lows.append(lo)
-            highs.append(hi)
-        tmin = min(lows)
+        for k, w in enumerate(self.windows):
+            self.add(f"(>= delta_{k} {w.start})")
+            self.add(f"(<= delta_{k} {w.stop - 1})")
         if self.floor is not None:
-            tmin = max(tmin, self.floor)
             self.add(f"(>= tau_1 {self.floor})")
-        tmax = max(highs)
         for step in range(1, m + 1):
-            self.add(f"(>= tau_{step} {tmin})")
-            self.add(f"(<= tau_{step} {tmax})")
+            self.add(f"(>= tau_{step} {self.tmin})")
+            self.add(f"(<= tau_{step} {self.tmax})")
             for k in range(m):
                 prev = f"(not rho_{step - 1}_{k})"
                 self.add(f"(=> (and rho_{step}_{k} {prev}) (= tau_{step} delta_{k}))")
@@ -311,11 +296,7 @@ class _Encoder:
     # -- timing helpers and the blocking signature --
 
     def encode_timing(self):
-        windows = [time_window(e, self.c.epsilon) for e in self.c.events]
-        tmin = min(w.start for w in windows)
-        if self.floor is not None:
-            tmin = max(tmin, self.floor)
-        tmax = max(w.stop - 1 for w in windows)
+        tmin, tmax = self.tmin, self.tmax
         width = max(0, tmax - tmin)
         self.declare("first", "Int")
         self.add(f"(= first tau_1)")
@@ -361,7 +342,7 @@ class _Encoder:
         # first state; their truth there co-determines the rewrite
         for a in sorted(propositional_atoms(self.f), key=_atom_key):
             self.sig_bools.append(f"at_0_{self.atom_id[a]}")
-        child = self._child_ids()
+        child = self.child
         m = self.m
         for nid, node in enumerate(self.nodes):
             if not isinstance(node, (Until, Eventually, Globally)):
@@ -434,37 +415,13 @@ class _Encoder:
         for nid, node in enumerate(self.nodes):
             for pos in range(m):
                 self.declare(f"verdict_{nid}_{pos}", "Bool")
-        child = self._child_ids()
         for nid, node in enumerate(self.nodes):
             for i in range(m):
                 name = f"verdict_{nid}_{i}"
-                self.add(f"(= {name} {self._flag_expr(nid, node, i, child)})")
+                self.add(f"(= {name} {self._flag_expr(nid, node, i)})")
 
-    def _child_ids(self) -> Dict[int, Tuple[int, ...]]:
-        out: Dict[int, Tuple[int, ...]] = {}
-
-        # pre-order numbering: a node's right child id follows its left subtree
-        def walk(g: Formula, nid: int) -> int:
-            if isinstance(g, Not):
-                out[nid] = (nid + 1,)
-                return 1 + walk(g.operand, nid + 1)
-            if isinstance(g, (Or, And, Implies, Until)):
-                left = g.left
-                right = g.right
-                lsize = walk(left, nid + 1)
-                out[nid] = (nid + 1, nid + 1 + lsize)
-                return 1 + lsize + walk(right, nid + 1 + lsize)
-            if isinstance(g, (Eventually, Globally)):
-                out[nid] = (nid + 1,)
-                return 1 + walk(g.operand, nid + 1)
-            out[nid] = ()
-            return 1
-
-        walk(self.f, 0)
-        return out
-
-    def _flag_expr(self, nid: int, node: Formula, i: int, child) -> str:
-        m = self.m
+    def _flag_expr(self, nid: int, node: Formula, i: int) -> str:
+        m, child = self.m, self.child
         if isinstance(node, TrueF):
             return "true"
         if isinstance(node, FalseF):
@@ -517,16 +474,10 @@ class _Encoder:
         self.encode_timing()
         self.encode_flags()
         self.encode_summary()
-        if self.mode == SATISFACTION:
-            self.add("verdict_0_0")
-        elif self.mode == VIOLATION:
-            self.add("(not verdict_0_0)")
         text = "\n".join(["(set-logic QF_LIA)"] + self.decls + self.asserts) + "\n"
         return SmtProblem(
             text=text,
-            events=self.c.events,
-            epsilon=self.c.epsilon,
-            clock=self.c.clock,
+            comp=self.c,
             floor=self.floor,
             carry=tuple(sorted(self.carry.items())),
             signature_bools=tuple(self.sig_bools),
@@ -542,10 +493,8 @@ def _int(v: int) -> str:
 def encode(
     seg: Computation,
     f: Formula,
-    mode: str = ANY,
     floor: Optional[int] = None,
     carry: Optional[Mapping[str, State]] = None,
-    var_budget: int = DEFAULT_VAR_BUDGET,
     thread_timing: bool = False,
 ) -> SmtProblem:
     """Encode one segment (as a sub-computation) and formula as SMT-LIB text.
@@ -554,11 +503,10 @@ def encode(
     the first step's time from below; `carry` seeds per-process frontier
     state from earlier segments; `thread_timing` adds the absolute first
     time to the blocking signature (needed when later segments will be
-    threaded off this one).
+    threaded off this one). Raises SegmentTooLargeError beyond VAR_BUDGET
+    boolean variables.
     """
-    return _Encoder(
-        seg, simplify(f), mode, floor, carry or {}, var_budget, thread_timing
-    ).encode()
+    return _Encoder(seg, simplify(f), floor, carry or {}, thread_timing).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +516,7 @@ def encode(
 
 @dataclass(frozen=True)
 class SolverResult:
-    status: str  # sat | unsat | unknown
+    status: str  # sat | unsat
     model: Optional[Dict[str, int]] = None  # bools decoded as 0/1
 
 
@@ -631,26 +579,29 @@ def solve(
     problem: SmtProblem,
     solver_command: str,
     timeout: float = DEFAULT_TIMEOUT,
-    extra_assertions: Sequence[str] = (),
+    blocks: Sequence[str] = (),
+    emit_path: Optional[str] = None,
 ) -> SolverResult:
-    """Run one query; on sat, decode and sanity-check the model."""
-    text = problem.text + "".join(a + "\n" for a in extra_assertions)
+    """Run one query: the problem, then the blocking assertions, then
+    check-sat. `emit_path`, when given, receives a copy of the query."""
+    text = problem.text + "".join(b + "\n" for b in blocks)
     text += "(check-sat)\n(get-model)\n"
+    if emit_path:
+        with open(emit_path, "w") as fh:
+            fh.write(text)
     out = run_solver(text, solver_command, timeout)
     lines = [ln.strip() for ln in out.splitlines() if ln.strip()]
     status = lines[0]
     if status == "unsat":
         return SolverResult("unsat")
     if status == "unknown":
-        return SolverResult("unknown")
+        raise SolverCrashError("solver answered unknown")
     if status != "sat":
         raise SolverCrashError(f"unrecognized solver verdict {status!r}")
     rest = "\n".join(lines[1:])
     if not rest:
         raise ModelDecodeError("sat result carried no model")
-    model = _parse_model(rest)
-    decode_linearization(problem, model)  # raises ModelDecodeError when inconsistent
-    return SolverResult("sat", model)
+    return SolverResult("sat", _parse_model(rest))
 
 
 @dataclass(frozen=True)
@@ -662,8 +613,8 @@ class DecodedModel:
 def decode_linearization(problem: SmtProblem, model: Mapping[str, int]) -> DecodedModel:
     """Extract the cut order and time assignment; re-check all structural
     constraints natively."""
-    m = problem.m
-    col = {p: k for k, p in enumerate(sorted({e.process for e in problem.events}))}
+    m, comp = problem.m, problem.comp
+    col = {p: k for k, p in enumerate(comp.processes)}
     counts = [0] * len(col)  # the cut so far, as per-process prefix lengths
     order: List[int] = []
     times: List[int] = []
@@ -679,8 +630,8 @@ def decode_linearization(problem: SmtProblem, model: Mapping[str, int]) -> Decod
         order.append(k)
         # the cut stays consistent iff k is next on its process and the cut
         # already holds everything its clock names
-        own = col[problem.events[k].process]
-        vec = problem.clock[k]
+        own = col[comp.events[k].process]
+        vec = comp.clock[k]
         if vec[own] != counts[own] or any(v > h for v, h in zip(vec, counts)):
             raise ModelDecodeError(f"cut at step {step} is not consistent")
         counts[own] += 1
@@ -689,7 +640,7 @@ def decode_linearization(problem: SmtProblem, model: Mapping[str, int]) -> Decod
             raise ModelDecodeError(f"model lacks tau_{step}")
         if t != model.get(f"delta_{k}"):
             raise ModelDecodeError(f"tau_{step} disagrees with delta_{k}")
-        if t not in time_window(problem.events[k], problem.epsilon):
+        if t not in time_window(comp.events[k], comp.epsilon):
             raise ModelDecodeError(f"delta_{k}={t} outside its window")
         if times and t < times[-1]:
             raise ModelDecodeError("times decrease along the cut sequence")
@@ -704,7 +655,7 @@ def replay(problem: SmtProblem, decoded: DecodedModel) -> Tuple[Formula, int, in
     latest: Dict[str, State] = dict(problem.carry)
     states: List[State] = []
     for k in decoded.order:
-        e = problem.events[k]
+        e = problem.comp.events[k]
         latest[e.process] = e.payload
         states.append(merge_frontier(latest))
     trace = TimedTrace(tuple(states), decoded.times)
@@ -751,41 +702,31 @@ def enumerate_verdicts(
     floor: Optional[int] = None,
     carry: Optional[Mapping[str, State]] = None,
     timeout: float = DEFAULT_TIMEOUT,
-    var_budget: int = DEFAULT_VAR_BUDGET,
     thread_timing: bool = False,
     emit_dir: Optional[str] = None,
     emit_tag: str = "seg",
 ) -> Enumeration:
-    """Solve repeatedly, blocking each found decision class, until unsat or
-    the verdict cap; hitting the cap is not an error but flags the result
-    incomplete."""
+    """Encode once, then solve repeatedly, blocking each found decision
+    class, until unsat or the verdict cap. Each sat model is decoded once
+    (ModelDecodeError when it is not an admissible linearization) and
+    replayed. Hitting the cap is not an error but flags the result
+    incomplete. With `emit_dir`, query n is written to
+    `<emit_dir>/<emit_tag>_q<n>.smt2` before it is solved."""
     if max_verdicts < 1:
         raise ValueError("max_verdicts must be >= 1")
-    g = simplify(f)
-    if isinstance(g, (TrueF, FalseF)):
-        # constants rewrite to themselves on every linearization; one query
-        # against the impossible side doubles as an encoder consistency probe
-        mode = VIOLATION if isinstance(g, TrueF) else SATISFACTION
-        problem = encode(seg, g, mode, floor, carry, var_budget)
-        result = _query(problem, solver_command, timeout, (), emit_dir, emit_tag, 0)
-        if result.status != "unsat":
-            raise SolverCrashError(f"constant probe answered {result.status}")
-        last = floor if floor is not None else 0
-        return Enumeration(((g, last),), True, 1)
-    problem = encode(seg, g, ANY, floor, carry, var_budget, thread_timing)
+    problem = encode(seg, f, floor, carry, thread_timing)
+    if emit_dir:
+        os.makedirs(emit_dir, exist_ok=True)
     blocks: List[str] = []
     found: List[Tuple[Formula, int]] = []
     seen: Set[Tuple[Formula, int]] = set()
     queries = 0
     while True:
-        result = _query(
-            problem, solver_command, timeout, blocks, emit_dir, emit_tag, queries
-        )
+        emit_path = emit_dir and os.path.join(emit_dir, f"{emit_tag}_q{queries}.smt2")
+        result = solve(problem, solver_command, timeout, blocks, emit_path)
         queries += 1
         if result.status == "unsat":
             return Enumeration(tuple(found), True, queries)
-        if result.status == "unknown":
-            raise SolverCrashError("solver answered unknown")
         decoded = decode_linearization(problem, result.model)
         formula, _first, last = replay(problem, decoded)
         key = (formula, last)
@@ -795,17 +736,3 @@ def enumerate_verdicts(
         if len(found) >= max_verdicts:
             return Enumeration(tuple(found), False, queries)
         blocks.append(blocking_assertion(problem, result.model))
-
-
-def _query(problem, solver_command, timeout, blocks, emit_dir, emit_tag, n):
-    if emit_dir:
-        import os
-
-        os.makedirs(emit_dir, exist_ok=True)
-        path = os.path.join(emit_dir, f"{emit_tag}_q{n}.smt2")
-        with open(path, "w") as fh:
-            fh.write(problem.text)
-            for b in blocks:
-                fh.write(b + "\n")
-            fh.write("(check-sat)\n(get-model)\n")
-    return solve(problem, solver_command, timeout, blocks)

@@ -1,10 +1,15 @@
+import contextlib
 import functools
+import io
 import json
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mtlmon import cli, pipeline
+from mtlmon import cli, pipeline, smt
 from mtlmon.casegen import gen_random_computation
 from mtlmon.cli import main as cli_main, write_jsonl
 from mtlmon.computation import Event, build_computation
@@ -86,6 +91,24 @@ class TestIngest:
         b.write_text('{"proc": "P2", "ts": 2, "props": ["y"]}\n')
         events = ingest([str(a), str(b)])
         assert [e.process for e in events] == ["P1", "P2"]
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[1, 2]",
+            b"null",
+            b'"P1"',
+            b'{"proc": "P1", "ts": true}',
+            b'{"proc": "P1", "ts": 1, "vars": {"to_a": false}}',
+            b'{"proc": "P1", "ts": 1, "kind": "send", "msg": [1]}',
+            b'{"proc": "P1", "ts": 1, "props": ["\xff"]}',
+        ],
+    )
+    def test_malformed_line_rejected(self, tmp_path, content):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(content + b"\n")
+        with pytest.raises(IngestError, match="bad.jsonl"):
+            ingest(str(path))
 
 
 class TestMonitor:
@@ -190,6 +213,30 @@ class TestMonitor:
         assert capped.truncated
         assert capped.verdicts <= full.verdicts
 
+    @pytest.mark.parametrize("cap", [3, 4, 5])
+    def test_engines_share_the_cap_rule(self, tmp_path, capsys, cap):
+        """The criterion-1 log has 4 distinct outcomes: at caps 3, 4 and 5
+        both engines keep the same outcomes, flag truncation only below 4
+        and give the same exit code."""
+        trace, spec = TestCli._fig3(tmp_path)
+        events = ingest(trace)
+        phi = parse_spec("a U[0,6) b")
+        reports, codes = [], []
+        for engine in ("enumerate", "smt"):
+            cfg = MonitorConfig(epsilon=2, engine=engine, solver_command=CMD,
+                                max_verdicts_per_segment=cap)
+            reports.append(monitor(events, phi, cfg))
+            codes.append(cli_main([
+                "--trace", trace, "--spec", spec, "--epsilon", "2", "--engine", engine,
+                "--solver-cmd", CMD, "--max-verdicts", str(cap),
+            ]))
+        capsys.readouterr()
+        a, b = reports
+        assert a.truncated == b.truncated == (cap < 4)
+        assert a.verdicts == b.verdicts
+        assert a.segments[0].branches == b.segments[0].branches
+        assert codes[0] == codes[1]
+
     def test_eps2_long_log_completes(self):
         # 400 events at eps 2 in 40 segments: enumerating each
         # linearization exceeded the state budget on this log
@@ -279,7 +326,8 @@ class TestCutWalk:
 
 
 class TestCli:
-    def _fig3(self, tmp_path):
+    @staticmethod
+    def _fig3(tmp_path):
         trace = tmp_path / "fig3.jsonl"
         lines = [
             {"proc": "P1", "ts": 1, "props": ["a"]},
@@ -343,6 +391,39 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "which, content",
+        [
+            ("trace", b"[1, 2]\n"),
+            ("trace", b"null\n"),
+            ("trace", b'{"proc": "P1", "ts": true}\n'),
+            ("trace", b'{"proc": "P1", "ts": 1, "props": ["\xff"]}\n'),
+            ("spec", b"a U[0,6) \xff"),
+        ],
+    )
+    def test_malformed_input_exits_65(self, tmp_path, capsys, which, content):
+        files = dict(zip(("trace", "spec"), self._fig3(tmp_path)))
+        bad = tmp_path / "bad"
+        bad.write_bytes(content)
+        files[which] = str(bad)
+        code = cli_main(["--trace", files["trace"], "--spec", files["spec"], "--epsilon", "2"])
+        err = capsys.readouterr().err
+        assert code == 65
+        assert err.startswith("mtlmon: ") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_variable_budget_exits_70(self, tmp_path, capsys, monkeypatch):
+        trace, spec = self._fig3(tmp_path)
+        monkeypatch.setattr(smt, "VAR_BUDGET", 10)
+        code = cli_main([
+            "--trace", trace, "--spec", spec, "--epsilon", "2",
+            "--engine", "smt", "--solver-cmd", CMD,
+        ])
+        err = capsys.readouterr().err
+        assert code == 70
+        assert err.startswith("mtlmon: budget exceeded: ") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "solver", ["sleep 5", "/nonexistent/mtlmon-solver"], ids=["timeout", "missing"]
     )
     def test_solver_failure_exits_69(self, tmp_path, capsys, solver):
@@ -368,3 +449,76 @@ class TestCli:
         files = list(dump.glob("*.smt2"))
         assert files
         assert "(check-sat)" in files[0].read_text()
+
+
+# Trace lines: well-formed events, objects shaped like events whose fields
+# may be arbitrary, arbitrary JSON values, and raw bytes.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+FIELDS = {
+    "proc": st.sampled_from(["P1", "P2"]),
+    "ts": st.integers(0, 9),
+    "kind": st.sampled_from(["local", "send", "recv"]),
+    "msg": st.sampled_from(["m1", "m2"]),
+    "props": st.lists(st.sampled_from(["p", "q"]), max_size=2),
+    "vars": st.dictionaries(st.sampled_from(["to_a", "from_a"]), st.integers(-5, 5), max_size=2),
+}
+REQUIRED = ("proc", "ts")
+
+
+def _event_line(field):
+    return st.fixed_dictionaries(
+        {k: field(v) for k, v in FIELDS.items() if k in REQUIRED},
+        optional={k: field(v) for k, v in FIELDS.items() if k not in REQUIRED},
+    )
+
+
+GOOD_LINE = _event_line(lambda v: v).filter(lambda d: d.get("kind", "local") == "local")
+LINE = st.one_of(
+    *[st.builds(lambda v: json.dumps(v).encode(), s)
+      for s in (GOOD_LINE, GOOD_LINE, GOOD_LINE, _event_line(lambda v: v | JSON), JSON)],
+    st.binary(max_size=8),
+)
+TRACE_FILE = st.lists(LINE, max_size=6).map(b"\n".join)
+GOOD_SPEC = st.sampled_from([b"p U[0,3) q", b"G[0,4) (p -> F[0,2) q)", b"true"])
+SPEC_FILE = st.one_of(GOOD_SPEC, GOOD_SPEC, st.binary(max_size=12))
+
+
+@contextlib.contextmanager
+def _files(*contents):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for n, content in enumerate(contents):
+            paths.append(os.path.join(tmp, f"f{n}"))
+            with open(paths[-1], "wb") as fh:
+                fh.write(content)
+        yield paths
+
+
+class TestMalformedInput:
+    @settings(max_examples=200, deadline=None)
+    @given(TRACE_FILE)
+    def test_ingest_returns_events_or_raises_ingest_error(self, content):
+        with _files(content) as (trace,):
+            try:
+                events = ingest(trace)
+            except IngestError:
+                return
+        assert all(isinstance(e, pipeline.Event) for e in events)
+
+    @settings(max_examples=150, deadline=None)
+    @given(TRACE_FILE, SPEC_FILE, st.integers(1, 2), st.sampled_from(["enumerate", "smt"]))
+    def test_cli_never_crashes_nor_claims_a_false_violation(self, trace, spec, eps, engine):
+        out, err = io.StringIO(), io.StringIO()
+        with _files(trace, spec) as (trace_path, spec_path):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main([
+                    "--trace", trace_path, "--spec", spec_path, "--epsilon", str(eps),
+                    "--format", "json", "--engine", engine, "--solver-cmd", CMD,
+                ])
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert "false" in json.loads(out.getvalue())["verdicts"]

@@ -13,15 +13,7 @@ from mtlmon.formula import (
     Until,
 )
 from mtlmon.parser import parse_spec
-from mtlmon.semantics import (
-    State,
-    TimedTrace,
-    UnknownAtomError,
-    Verdict,
-    eval_finite,
-    finalize,
-    trace_of,
-)
+from mtlmon.semantics import Verdict, eval_finite, finalize, trace_of
 from support import random_formula, random_trace
 
 
@@ -69,12 +61,6 @@ class TestEvalFinite:
             eval_finite(tr, parse_spec("sum(to:alice) >= sum(from:alice) + 1"), 0)
             is Verdict.BOTTOM
         )
-
-    def test_strict_alphabet_flags_unknown_atoms(self):
-        tr = TimedTrace((State(frozenset({"a"})),), (0,), alphabet=frozenset({"a"}))
-        assert eval_finite(tr, Atom("a"), 0) is Verdict.TOP
-        with pytest.raises(UnknownAtomError):
-            eval_finite(tr, Atom("zzz"), 0)
 
     def test_desugaring_soundness(self):
         rng = random.Random(77)

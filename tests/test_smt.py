@@ -1,16 +1,16 @@
+import hashlib
 import random
 
 import pytest
 
+from mtlmon import smt
 from mtlmon.computation import Event, build_computation
-from mtlmon.formula import TRUE
+from mtlmon.formula import TRUE, max_nesting
 from mtlmon.oracle import enumerate_linearizations, oracle_progress
 from mtlmon.parser import parse_spec
-from mtlmon.semantics import State
+from mtlmon.semantics import State, Verdict, finalize
 from mtlmon.smt import (
-    ANY,
-    SATISFACTION,
-    VIOLATION,
+    ModelDecodeError,
     SegmentTooLargeError,
     SolverCrashError,
     blocking_assertion,
@@ -39,19 +39,42 @@ class TestEncode:
     def test_deterministic_text(self):
         c = fig3_computation()
         f = parse_spec("a U[0,6) b")
-        assert encode(c, f, SATISFACTION).text == encode(c, f, SATISFACTION).text
+        assert encode(c, f).text == encode(c, f).text
 
     def test_symbol_scheme_present(self):
         c = fig3_computation()
-        text = encode(c, parse_spec("a U[0,6) b"), ANY).text
+        text = encode(c, parse_spec("a U[0,6) b")).text
         assert "(set-logic QF_LIA)" in text
         for sym in ("rho_1_0", "delta_0", "tau_1", "at_0_0", "verdict_0_0", "span"):
             assert f"(declare-const {sym} " in text
 
-    def test_variable_budget_enforced(self):
+    def test_variable_budget_enforced(self, monkeypatch):
         c = fig3_computation()
+        encode(c, parse_spec("a U[0,6) b"))
+        monkeypatch.setattr(smt, "VAR_BUDGET", 10)
         with pytest.raises(SegmentTooLargeError):
-            encode(c, parse_spec("a U[0,6) b"), ANY, var_budget=10)
+            encode(c, parse_spec("a U[0,6) b"))
+
+    def test_text_pinned_on_the_criterion_4_recipe(self):
+        """The first 20 cases of the criterion-4 recipe, encoded as the
+        pipeline encodes them; the digest pins the query text against
+        refactors of the encoder."""
+        rng = random.Random(20240)
+        digest = hashlib.sha256()
+        for case in range(20):
+            if case % 7 == 3:
+                c = bounded_computation(rng, max_events=5, epsilons=(1, 2), lin_cap=150)
+                f = random_formula(rng, 2, constants=False)
+                while max_nesting(f) < 2:
+                    f = random_formula(rng, 2, constants=False)
+            else:
+                c = bounded_computation(rng, max_events=8, lin_cap=900)
+                f = random_flat_formula(rng)
+            problem = encode(c, f, floor=None, carry={}, thread_timing=True)
+            digest.update(problem.text.encode())
+        assert digest.hexdigest() == (
+            "7b114f18dc9bcd085266bf9ca33110d9b879c1883fd8e15501805901784d1b74"
+        )
 
     def test_byte_identical_across_interpreter_runs(self, tmp_path):
         import os
@@ -85,55 +108,41 @@ class TestEncode:
 class TestSolve:
     def test_both_verdicts_reachable(self):
         c = fig3_computation()
-        f = parse_spec("a U[0,6) b")
-        assert solve(encode(c, f, SATISFACTION), CMD).status == "sat"
-        assert solve(encode(c, f, VIOLATION), CMD).status == "sat"
-
-    def test_true_cannot_be_violated(self):
-        c = fig3_computation()
-        assert solve(encode(c, TRUE, VIOLATION), CMD).status == "unsat"
+        en = enumerate_verdicts(c, parse_spec("a U[0,6) b"), 16, CMD)
+        assert {finalize(h) for h in en.formulas} == {Verdict.TOP, Verdict.BOTTOM}
 
     def test_decoded_model_is_a_real_linearization(self):
         c = fig3_computation()
-        problem = encode(c, parse_spec("a U[0,6) b"), SATISFACTION)
+        problem = encode(c, parse_spec("a U[0,6) b"))
         result = solve(problem, CMD)
         decoded = decode_linearization(problem, result.model)
         reference = {
             (tuple(l.events), l.times) for l in enumerate_linearizations(c)
         }
-        events = tuple(problem.events[k] for k in decoded.order)
+        events = tuple(problem.comp.events[k] for k in decoded.order)
         assert (events, decoded.times) in reference
 
     def test_malformed_output_raises(self):
         c = build_computation([ev("P1", 1)], 1)
-        problem = encode(c, TRUE, ANY)
+        problem = encode(c, TRUE)
         with pytest.raises(SolverCrashError):
             solve(problem, "true")  # exits 0 with no output
         with pytest.raises(SolverCrashError):
             solve(problem, "echo gibberish")
+        with pytest.raises(SolverCrashError):
+            solve(problem, "echo unknown")
 
     def test_missing_solver_raises(self):
         c = build_computation([ev("P1", 1)], 1)
         with pytest.raises(SolverCrashError):
-            solve(encode(c, TRUE, ANY), "/nonexistent/solver-binary")
+            solve(encode(c, TRUE), "/nonexistent/solver-binary")
 
     def test_slow_solver_raises_timeout(self):
         from mtlmon.smt import SolverTimeoutError
 
         c = build_computation([ev("P1", 1)], 1)
         with pytest.raises(SolverTimeoutError):
-            solve(encode(c, TRUE, ANY), "sleep 30", timeout=0.2)
-
-    def test_mode_duality(self):
-        rng = random.Random(61)
-        for _ in range(6):
-            c = bounded_computation(rng, max_events=5, lin_cap=200)
-            f = random_flat_formula(rng)
-            stats = {
-                solve(encode(c, f, SATISFACTION), CMD).status,
-                solve(encode(c, f, VIOLATION), CMD).status,
-            }
-            assert "sat" in stats  # a verdict always exists
+            solve(encode(c, TRUE), "sleep 30", timeout=0.2)
 
 
 class TestEnumerateVerdicts:
@@ -153,11 +162,11 @@ class TestEnumerateVerdicts:
         assert parse_spec("!apr_redeem_bob U[0,4) ban_redeem_alice") in en.formulas
         assert parse_spec("!apr_redeem_bob U[0,3) ban_redeem_alice") in en.formulas
 
-    def test_constant_formula_single_probe(self):
-        c = fig3_computation()
-        en = enumerate_verdicts(c, TRUE, 16, CMD)
-        assert en.complete and en.queries == 1
-        assert en.formulas == {TRUE}
+    def test_inadmissible_model_raises(self):
+        # a sat answer whose model names no time for the first step
+        fake = "printf 'sat\\n(model (define-fun rho_1_0 () Bool true))\\n'"
+        with pytest.raises(ModelDecodeError):
+            enumerate_verdicts(fig3_computation(), parse_spec("a U[0,6) b"), 16, fake)
 
     def test_cap_flags_incomplete(self):
         c = fig3_computation()
@@ -181,8 +190,6 @@ class TestEnumerateVerdicts:
         while done < 5:
             c = bounded_computation(rng, max_events=5, lin_cap=150, epsilons=(1, 2))
             f = random_formula(rng, 2, constants=False)
-            from mtlmon.formula import max_nesting
-
             if max_nesting(f) < 2:
                 continue
             done += 1
@@ -201,7 +208,7 @@ class TestEnumerateVerdicts:
 
     def test_blocking_assertion_mentions_signature(self):
         c = fig3_computation()
-        problem = encode(c, parse_spec("a U[0,6) b"), ANY)
+        problem = encode(c, parse_spec("a U[0,6) b"))
         result = solve(problem, CMD)
         block = blocking_assertion(problem, result.model)
         assert block.startswith("(assert (not")
