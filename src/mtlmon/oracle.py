@@ -121,16 +121,10 @@ def oracle_verdicts(
     return out
 
 
-def oracle_progress(
-    c: Computation,
-    f: Formula,
-    floor: Optional[int] = None,
-    carry: Optional[Mapping[str, State]] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> Set[Formula]:
+def oracle_progress(c: Computation, f: Formula, budget: int = DEFAULT_BUDGET) -> Set[Formula]:
     """Set of rewritten formulas (constants included) over every
-    linearization of a segment."""
+    linearization of a computation."""
     out: Set[Formula] = set()
-    for lin in enumerate_linearizations(c, floor=floor, carry=carry, budget=budget):
+    for lin in enumerate_linearizations(c, budget=budget):
         out.add(simplify(progress(lin.trace, f)))
     return out

@@ -12,7 +12,10 @@ Grammar (loosest binding first):
     sum_atom :=  "sum(to:" NAME ")" ">=" "sum(from:" NAME ")" ("+" INT)?
 
 Atoms match [a-zA-Z_][a-zA-Z0-9_.]*; an omitted interval means [0, inf).
-Comments run from '#' to end of line.
+Comments run from '#' to end of line. Every parenthesis and every operator
+opens one nesting level around what follows it (so a chain `p & p & p`
+takes two); specs nesting deeper than MAX_DEPTH levels are rejected, which
+keeps the recursive formula walks within Python's default recursion limit.
 
 The printer emits the same grammar with deterministic parenthesization;
 parse_spec(format_formula(f)) is structurally equal to f.
@@ -40,6 +43,9 @@ from .formula import (
     TrueF,
     Until,
 )
+
+
+MAX_DEPTH = 64
 
 
 class SpecSyntaxError(ValueError):
@@ -105,6 +111,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -125,27 +132,36 @@ class _Parser:
     def at(self, text: str) -> bool:
         return self.cur.text == text
 
+    def nested(self, parse) -> Formula:
+        """Parse one production a nesting level deeper."""
+        if self.depth == MAX_DEPTH:
+            self.error(f"spec nests deeper than {MAX_DEPTH} levels")
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
+
     # ---- grammar ----
 
     def formula(self) -> Formula:
         left = self.or_exp()
         if self.at("->"):
             self.eat("->")
-            return Implies(left, self.formula())
+            return Implies(left, self.nested(self.formula))
         return left
 
     def or_exp(self) -> Formula:
         left = self.and_exp()
         if self.at("|"):
             self.eat("|")
-            return Or(left, self.or_exp())
+            return Or(left, self.nested(self.or_exp))
         return left
 
     def and_exp(self) -> Formula:
         left = self.until_exp()
         if self.at("&"):
             self.eat("&")
-            return And(left, self.and_exp())
+            return And(left, self.nested(self.and_exp))
         return left
 
     def until_exp(self) -> Formula:
@@ -153,21 +169,21 @@ class _Parser:
         if self.at("U"):
             self.eat("U")
             iv = self.interval_opt()
-            return Until(left, iv, self.until_exp())
+            return Until(left, iv, self.nested(self.until_exp))
         return left
 
     def unary(self) -> Formula:
         if self.at("!"):
             self.eat("!")
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if self.at("F"):
             self.eat("F")
             iv = self.interval_opt()
-            return Eventually(iv, self.unary())
+            return Eventually(iv, self.nested(self.unary))
         if self.at("G"):
             self.eat("G")
             iv = self.interval_opt()
-            return Globally(iv, self.unary())
+            return Globally(iv, self.nested(self.unary))
         return self.primary()
 
     def interval_opt(self) -> Interval:
@@ -194,7 +210,7 @@ class _Parser:
         tok = self.cur
         if tok.text == "(":
             self.eat("(")
-            f = self.formula()
+            f = self.nested(self.formula)
             self.eat(")")
             return f
         if tok.text == "true":

@@ -55,6 +55,8 @@ ENGINE_SMT = "smt"
 BOUNDARY_EXACT = "exact"
 BOUNDARY_WINDOW = "window"
 
+STATE_BUDGET = 10**6  # cut-lattice states one branch may visit per segment
+
 
 class IngestError(ValueError):
     pass
@@ -76,7 +78,6 @@ class MonitorConfig:
     length: Optional[int] = None
     boundary: str = BOUNDARY_EXACT
     emit_smt_dir: Optional[str] = None
-    oracle_budget: int = 10**6  # cut-lattice states one branch may visit per segment
 
     def validate(self):
         if self.epsilon < 1:
@@ -188,10 +189,12 @@ def _parse_line(path, lineno: int, line: str) -> Optional[tuple]:
     if not isinstance(obj, dict):
         raise IngestError(f"{where}: a line must be a JSON object")
     try:
-        proc = str(obj["proc"])
+        proc = obj["proc"]
         ts = obj["ts"]
     except KeyError as exc:
         raise IngestError(f"{where}: missing field {exc}") from exc
+    if not isinstance(proc, str) or not proc:
+        raise IngestError(f"{where}: proc must be a non-empty string, got {proc!r}")
     # bool is a subclass of int, so `true` would otherwise read as 1
     if type(ts) is not int or ts < 0:
         raise IngestError(f"{where}: ts must be a non-negative integer, got {ts!r}")
@@ -362,7 +365,7 @@ def _progress_branch(
         )
         out = set(enum.branches)
     else:
-        out = _walk_cuts(sub, phi, floor, carry, cfg.oracle_budget)
+        out = _walk_cuts(sub, phi, floor, carry)
     if len(out) > cap:
         keep = sorted(out, key=lambda p: (str(p[0]), p[1]))
         return set(keep[:cap]), False
@@ -374,7 +377,6 @@ def _walk_cuts(
     phi: Formula,
     floor: Optional[int],
     carry: Dict[str, State],
-    budget: int,
 ) -> Set[Tuple[Formula, int]]:
     """Every (residual, last time) outcome of one branch over one segment,
     by a walk over the lattice of consistent cuts, one event per layer.
@@ -386,7 +388,7 @@ def _walk_cuts(
     elapsed t' - t. Linearizations that reach the same state share all
     later work, so the cost follows the number of distinct states rather
     than the number of linearizations. Raises OracleBudgetError when more
-    than `budget` states are visited.
+    than STATE_BUDGET states are visited.
     """
     events = sub.events
     procs = sub.processes
@@ -440,8 +442,8 @@ def _walk_cuts(
     def count(layer):
         nonlocal visited
         visited += sum(len(fs) for fs in layer.values())
-        if visited > budget:
-            raise OracleBudgetError(f"more than {budget} lattice states")
+        if visited > STATE_BUDGET:
+            raise OracleBudgetError(f"more than {STATE_BUDGET} lattice states")
 
     # layer k maps (cut of k events, last time) to its pending formulas
     layer: Dict[Tuple[Tuple[int, ...], int], Set[Formula]] = {}

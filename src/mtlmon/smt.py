@@ -15,7 +15,6 @@ Symbol scheme (stable across runs for identical inputs):
     tau_<step>                 Int    time of the step's added event
     at_<pos>_<atom_id>         Bool   atom truth in the frontier state
     first, span, off_<pos>     Int    tau_1, tau_m - tau_1, tau_<pos+1> - tau_1
-    verdict_<node_id>_<pos>    Bool   finite-trace truth of the subformula
     wit_/vio_/pref_/guard_<node_id>   Bool   per-node rewrite decision bits
     shout_<node_id>            Int    the node's window shift outcome
 
@@ -161,10 +160,8 @@ class _Encoder:
         self.atoms = sorted(atoms_of(f), key=_atom_key)
         self.atom_id = {a: i for i, a in enumerate(self.atoms)}
         self.nested = max_nesting(f) >= 2
-        # formula nodes in pre-order (left subtree before right), with the
-        # ids of each node's operands
+        # formula nodes in pre-order (left subtree before right)
         self.nodes: List[Formula] = []
-        self.child: Dict[int, Tuple[int, ...]] = {}
         self._number(f)
         self.sig_bools: List[str] = []
         self.sig_ints: List[str] = []
@@ -177,11 +174,10 @@ class _Encoder:
             self.tmin = max(self.tmin, floor)
         self.tmax = max(w.stop - 1 for w in self.windows)
 
-    def _number(self, g: Formula) -> int:
-        nid = len(self.nodes)
+    def _number(self, g: Formula):
         self.nodes.append(g)
-        self.child[nid] = tuple(self._number(h) for h in operands(g))
-        return nid
+        for h in operands(g):
+            self._number(h)
 
     def declare(self, name: str, sort: str):
         self.decls.append(f"(declare-const {name} {sort})")
@@ -342,47 +338,44 @@ class _Encoder:
         # first state; their truth there co-determines the rewrite
         for a in sorted(propositional_atoms(self.f), key=_atom_key):
             self.sig_bools.append(f"at_0_{self.atom_id[a]}")
-        child = self.child
-        m = self.m
+        m, prop = self.m, self._prop
         for nid, node in enumerate(self.nodes):
             if not isinstance(node, (Until, Eventually, Globally)):
                 continue
             iv = node.interval
             if isinstance(node, Eventually):
-                (ch,) = child[nid]
                 wit = _bool_or(
                     [
-                        _bool_and([self._inin(iv, 0, j), f"verdict_{ch}_{j}"])
+                        _bool_and([self._inin(iv, j), prop(node.operand, j)])
                         for j in range(m)
                     ]
                 )
                 self._sig_bool(f"wit_{nid}", wit)
             elif isinstance(node, Globally):
-                (ch,) = child[nid]
                 vio = _bool_or(
                     [
-                        _bool_and([self._inin(iv, 0, j), f"(not verdict_{ch}_{j})"])
+                        _bool_and([self._inin(iv, j), f"(not {prop(node.operand, j)})"])
                         for j in range(m)
                     ]
                 )
                 self._sig_bool(f"vio_{nid}", vio)
             else:
-                l, r = child[nid]
+                l, r = node.left, node.right
                 wit = _bool_or(
                     [
                         _bool_and(
-                            [self._inin(iv, 0, j), f"verdict_{r}_{j}"]
-                            + [f"verdict_{l}_{k}" for k in range(j)]
+                            [self._inin(iv, j), prop(r, j)]
+                            + [prop(l, k) for k in range(j)]
                         )
                         for j in range(m)
                     ]
                 )
                 self._sig_bool(f"wit_{nid}", wit)
-                pref = _bool_and([f"verdict_{l}_{i}" for i in range(m)])
+                pref = _bool_and([prop(l, i) for i in range(m)])
                 self._sig_bool(f"pref_{nid}", pref)
                 guard = _bool_and(
                     [
-                        f"(=> (< (- tau_{i + 1} tau_1) {iv.start}) verdict_{l}_{i})"
+                        f"(=> (< (- tau_{i + 1} tau_1) {iv.start}) {prop(l, i)})"
                         for i in range(m)
                     ]
                 )
@@ -401,78 +394,31 @@ class _Encoder:
         self.add(f"(= {name} {expr})")
         self.sig_bools.append(name)
 
-    def _inin(self, iv: Interval, anchor_pos: int, pos: int) -> str:
-        diff = f"(- tau_{pos + 1} tau_{anchor_pos + 1})"
+    def _prop(self, g: Formula, pos: int) -> str:
+        """Truth of a propositional operand in the frontier state at `pos`."""
+        if isinstance(g, TrueF):
+            return "true"
+        if isinstance(g, FalseF):
+            return "false"
+        if isinstance(g, (Atom, SumAtom)):
+            return f"at_{pos}_{self.atom_id[g]}"
+        if isinstance(g, Not):
+            return f"(not {self._prop(g.operand, pos)})"
+        op = {Or: "or", And: "and", Implies: "=>"}[type(g)]
+        return f"({op} {self._prop(g.left, pos)} {self._prop(g.right, pos)})"
+
+    def _inin(self, iv: Interval, pos: int) -> str:
+        """The time elapsed from position 0 to position `pos` lies in iv."""
+        diff = f"(- tau_{pos + 1} tau_1)"
         lower = f"(>= {diff} {iv.start})"
         if iv.end is None:
             return lower
         return _bool_and([lower, f"(< {diff} {iv.end})"])
 
-    # -- finite-semantics truth flags --
-
-    def encode_flags(self):
-        m = self.m
-        for nid, node in enumerate(self.nodes):
-            for pos in range(m):
-                self.declare(f"verdict_{nid}_{pos}", "Bool")
-        for nid, node in enumerate(self.nodes):
-            for i in range(m):
-                name = f"verdict_{nid}_{i}"
-                self.add(f"(= {name} {self._flag_expr(nid, node, i)})")
-
-    def _flag_expr(self, nid: int, node: Formula, i: int) -> str:
-        m, child = self.m, self.child
-        if isinstance(node, TrueF):
-            return "true"
-        if isinstance(node, FalseF):
-            return "false"
-        if isinstance(node, (Atom, SumAtom)):
-            return f"at_{i}_{self.atom_id[node]}"
-        if isinstance(node, Not):
-            return f"(not verdict_{child[nid][0]}_{i})"
-        if isinstance(node, Or):
-            l, r = child[nid]
-            return f"(or verdict_{l}_{i} verdict_{r}_{i})"
-        if isinstance(node, And):
-            l, r = child[nid]
-            return f"(and verdict_{l}_{i} verdict_{r}_{i})"
-        if isinstance(node, Implies):
-            l, r = child[nid]
-            return f"(=> verdict_{l}_{i} verdict_{r}_{i})"
-        if isinstance(node, Eventually):
-            (ch,) = child[nid]
-            return _bool_or(
-                [
-                    _bool_and([self._inin(node.interval, i, j), f"verdict_{ch}_{j}"])
-                    for j in range(i, m)
-                ]
-            )
-        if isinstance(node, Globally):
-            (ch,) = child[nid]
-            return _bool_and(
-                [
-                    f"(=> {self._inin(node.interval, i, j)} verdict_{ch}_{j})"
-                    for j in range(i, m)
-                ]
-            )
-        if isinstance(node, Until):
-            l, r = child[nid]
-            cases = []
-            for j in range(i, m):
-                holds_before = _bool_and([f"verdict_{l}_{k}" for k in range(i, j)])
-                cases.append(
-                    _bool_and(
-                        [self._inin(node.interval, i, j), f"verdict_{r}_{j}", holds_before]
-                    )
-                )
-            return _bool_or(cases)
-        raise EncodingError(f"formula node outside the encodable fragment: {node!r}")
-
     def encode(self) -> SmtProblem:
         self.encode_structure()
         self.encode_states()
         self.encode_timing()
-        self.encode_flags()
         self.encode_summary()
         text = "\n".join(["(set-logic QF_LIA)"] + self.decls + self.asserts) + "\n"
         return SmtProblem(

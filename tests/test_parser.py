@@ -13,7 +13,7 @@ from mtlmon.formula import (
     TRUE,
     Until,
 )
-from mtlmon.parser import SpecSyntaxError, format_formula, parse_spec
+from mtlmon.parser import MAX_DEPTH, SpecSyntaxError, format_formula, parse_spec
 from support import random_formula
 
 
@@ -65,6 +65,30 @@ class TestParse:
             parse_spec("((a)")
         with pytest.raises(SpecSyntaxError):
             parse_spec("a @ b")
+
+    @pytest.mark.parametrize(
+        "spec, col",
+        [
+            ("(" * 3000 + "p" + ")" * 3000, MAX_DEPTH + 2),
+            ("!" * 3000 + "p", MAX_DEPTH + 2),
+            (" & ".join(["p"] * 1500), 4 * (MAX_DEPTH + 1) + 1),
+        ],
+        ids=["parentheses", "negations", "conjuncts"],
+    )
+    def test_nesting_past_the_bound_is_a_syntax_error(self, spec, col):
+        with pytest.raises(SpecSyntaxError, match="nests deeper") as err:
+            parse_spec(spec)
+        assert (err.value.line, err.value.col) == (1, col)
+
+    def test_nesting_at_the_bound_parses(self):
+        for spec in (
+            "(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH,
+            "!" * MAX_DEPTH + "p",
+            " & ".join(["p"] * (MAX_DEPTH + 1)),
+            " U ".join(["p"] * (MAX_DEPTH + 1)),
+        ):
+            f = parse_spec(spec)
+            assert parse_spec(format_formula(f)) == f
 
     def test_empty_interval_warns_but_parses(self):
         with warnings.catch_warnings(record=True) as caught:

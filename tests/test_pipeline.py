@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import io
 import json
 import os
@@ -9,7 +8,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtlmon import cli, pipeline, smt
+from mtlmon import pipeline, smt
 from mtlmon.casegen import gen_random_computation
 from mtlmon.cli import main as cli_main, write_jsonl
 from mtlmon.computation import Event, build_computation
@@ -102,6 +101,10 @@ class TestIngest:
             b'{"proc": "P1", "ts": 1, "vars": {"to_a": false}}',
             b'{"proc": "P1", "ts": 1, "kind": "send", "msg": [1]}',
             b'{"proc": "P1", "ts": 1, "props": ["\xff"]}',
+            b'{"proc": null, "ts": 1}',
+            b'{"proc": [1], "ts": 1}',
+            b'{"proc": "", "ts": 1}',
+            b'{"proc": 7, "ts": 1}',
         ],
     )
     def test_malformed_line_rejected(self, tmp_path, content):
@@ -278,8 +281,8 @@ class TestCutWalk:
         calls = []
         walk = pipeline._walk_cuts
 
-        def recording(sub, phi, floor, carry, budget):
-            out = walk(sub, phi, floor, carry, budget)
+        def recording(sub, phi, floor, carry):
+            out = walk(sub, phi, floor, carry)
             calls.append((sub, phi, floor, dict(carry), out))
             return out
 
@@ -318,11 +321,12 @@ class TestCutWalk:
         assert not full.truncated and capped.truncated
         assert capped.segments[0].branches == full.segments[0].branches[:2]
 
-    def test_budget_counts_lattice_states(self):
+    def test_budget_counts_lattice_states(self, monkeypatch):
         events = [ev("P1", 1, {"a"}), ev("P1", 4), ev("P2", 2, {"a"}), ev("P2", 5, {"b"})]
         phi = parse_spec("a U[0,6) b")
+        monkeypatch.setattr(pipeline, "STATE_BUDGET", 3)
         with pytest.raises(pipeline.OracleBudgetError):
-            monitor(events, phi, MonitorConfig(epsilon=2, oracle_budget=3))
+            monitor(events, phi, MonitorConfig(epsilon=2))
 
 
 class TestCli:
@@ -381,9 +385,7 @@ class TestCli:
 
     def test_budget_exhaustion_exits_70(self, tmp_path, capsys, monkeypatch):
         trace, spec = self._fig3(tmp_path)
-        monkeypatch.setattr(
-            cli, "MonitorConfig", functools.partial(MonitorConfig, oracle_budget=3)
-        )
+        monkeypatch.setattr(pipeline, "STATE_BUDGET", 3)
         code = cli_main(["--trace", trace, "--spec", spec, "--epsilon", "2"])
         err = capsys.readouterr().err
         assert code == 70
@@ -397,7 +399,12 @@ class TestCli:
             ("trace", b"null\n"),
             ("trace", b'{"proc": "P1", "ts": true}\n'),
             ("trace", b'{"proc": "P1", "ts": 1, "props": ["\xff"]}\n'),
+            ("trace", b'{"proc": null, "ts": 1}\n'),
+            ("trace", b'{"proc": [1], "ts": 1}\n'),
             ("spec", b"a U[0,6) \xff"),
+            pytest.param("spec", b"(" * 3000 + b"p" + b")" * 3000, id="spec-parentheses"),
+            pytest.param("spec", b"!" * 3000 + b"p", id="spec-negations"),
+            pytest.param("spec", b" & ".join([b"p"] * 1500), id="spec-conjuncts"),
         ],
     )
     def test_malformed_input_exits_65(self, tmp_path, capsys, which, content):

@@ -35,6 +35,22 @@ def fig3_computation():
     )
 
 
+def criterion_4_cases(n):
+    """The first n (computation, formula) cases of the criterion-4 recipe:
+    a nested formula every 7th case, flat ones otherwise."""
+    rng = random.Random(20240)
+    for case in range(n):
+        if case % 7 == 3:
+            c = bounded_computation(rng, max_events=5, epsilons=(1, 2), lin_cap=150)
+            f = random_formula(rng, 2, constants=False)
+            while max_nesting(f) < 2:
+                f = random_formula(rng, 2, constants=False)
+        else:
+            c = bounded_computation(rng, max_events=8, lin_cap=900)
+            f = random_flat_formula(rng)
+        yield c, f
+
+
 class TestEncode:
     def test_deterministic_text(self):
         c = fig3_computation()
@@ -45,8 +61,9 @@ class TestEncode:
         c = fig3_computation()
         text = encode(c, parse_spec("a U[0,6) b")).text
         assert "(set-logic QF_LIA)" in text
-        for sym in ("rho_1_0", "delta_0", "tau_1", "at_0_0", "verdict_0_0", "span"):
+        for sym in ("rho_1_0", "delta_0", "tau_1", "at_0_0", "span", "wit_0"):
             assert f"(declare-const {sym} " in text
+        assert "(declare-const verdict_" not in text
 
     def test_variable_budget_enforced(self, monkeypatch):
         c = fig3_computation()
@@ -59,21 +76,32 @@ class TestEncode:
         """The first 20 cases of the criterion-4 recipe, encoded as the
         pipeline encodes them; the digest pins the query text against
         refactors of the encoder."""
-        rng = random.Random(20240)
         digest = hashlib.sha256()
-        for case in range(20):
-            if case % 7 == 3:
-                c = bounded_computation(rng, max_events=5, epsilons=(1, 2), lin_cap=150)
-                f = random_formula(rng, 2, constants=False)
-                while max_nesting(f) < 2:
-                    f = random_formula(rng, 2, constants=False)
-            else:
-                c = bounded_computation(rng, max_events=8, lin_cap=900)
-                f = random_flat_formula(rng)
+        for c, f in criterion_4_cases(20):
             problem = encode(c, f, floor=None, carry={}, thread_timing=True)
             digest.update(problem.text.encode())
         assert digest.hexdigest() == (
-            "7b114f18dc9bcd085266bf9ca33110d9b879c1883fd8e15501805901784d1b74"
+            "6d11922204e512250476c85a8a0e34bd8aebcd0e584c567de9ad17b33f24a605"
+        )
+
+    def test_blocking_sequence_pinned(self, monkeypatch):
+        """The blocking assertions the engine emits on the first cases of
+        the criterion-4 recipe, in order; the digest pins the model
+        sequence the bundled solver walks against refactors of the
+        encoder."""
+        blocks = []
+        build = smt.blocking_assertion
+
+        def recording(problem, model):
+            blocks.append(build(problem, model))
+            return blocks[-1]
+
+        monkeypatch.setattr(smt, "blocking_assertion", recording)
+        for c, f in criterion_4_cases(8):
+            enumerate_verdicts(c, f, 129, CMD, thread_timing=True)
+        assert len(blocks) == 37
+        assert hashlib.sha256("\n".join(blocks).encode()).hexdigest() == (
+            "161d2c4995803b06b023585eb042d0010c211990404089296c6646a2edaafb68"
         )
 
     def test_byte_identical_across_interpreter_runs(self, tmp_path):
