@@ -35,6 +35,7 @@ from .pipeline import (
 )
 from .semantics import Verdict
 from .smt import (
+    DEFAULT_TIMEOUT,
     ModelDecodeError,
     SegmentTooLargeError,
     SolverCrashError,
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="external SMT-LIB solver command (required for --engine smt)")
     mon.add_argument("--max-verdicts", type=int, default=16)
     mon.add_argument("--branch-cap", type=int, default=64)
-    mon.add_argument("--timeout", type=float, default=60.0,
+    mon.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
                      help="per-solver-query timeout in seconds")
     mon.add_argument("--boundary", choices=[BOUNDARY_EXACT, BOUNDARY_WINDOW],
                      default=BOUNDARY_EXACT)

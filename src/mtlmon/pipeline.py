@@ -32,6 +32,7 @@ Segment boundaries come in two flavors:
 from __future__ import annotations
 
 import json
+import math
 import time as _time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -74,7 +75,7 @@ class MonitorConfig:
     solver_command: Optional[str] = None
     max_verdicts_per_segment: int = 16
     branch_cap: int = 64
-    timeout: float = 60.0
+    timeout: float = smt_backend.DEFAULT_TIMEOUT
     length: Optional[int] = None
     boundary: str = BOUNDARY_EXACT
     emit_smt_dir: Optional[str] = None
@@ -92,6 +93,8 @@ class MonitorConfig:
             raise ConfigError(f"unknown boundary mode {self.boundary!r}")
         if self.max_verdicts_per_segment < 1 or self.branch_cap < 1:
             raise ConfigError("verdict and branch caps must be >= 1")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ConfigError("timeout must be a finite positive number of seconds")
 
 
 @dataclass
@@ -345,9 +348,12 @@ def _progress_branch(
     ordinal: int,
 ) -> Tuple[Set[Tuple[Formula, int]], bool]:
     """The (rewritten formula, last time) outcomes of one branch over one
-    segment, plus a completeness flag. Both engines share one cap rule:
-    when more than `max_verdicts_per_segment` outcomes exist, the sorted
-    first ones are kept and the result is flagged incomplete."""
+    segment, plus a completeness flag. Both engines flag the result
+    incomplete exactly when more than `max_verdicts_per_segment` outcomes
+    exist, and then keep that many in sorted order: the enumerate engine
+    the sorted first of all outcomes, the smt engine, which stops after
+    one outcome past the cap, the sorted first of those it found. The kept
+    outcomes of a truncated result may therefore differ between engines."""
     cap = cfg.max_verdicts_per_segment
     if cfg.engine == ENGINE_SMT:
         # one outcome past the cap tells "exactly cap" from "more than cap"
@@ -359,7 +365,6 @@ def _progress_branch(
             floor=floor,
             carry=carry,
             timeout=cfg.timeout,
-            thread_timing=True,
             emit_dir=cfg.emit_smt_dir,
             emit_tag=f"seg{seg_index}_b{ordinal}",
         )

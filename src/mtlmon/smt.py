@@ -4,8 +4,8 @@ One segment's question is unrolled into a quantifier-free boolean/integer
 problem over SMT-LIB v2 text, once per segment and branch. The engine is
 one loop: solve, decode the sat model once into a (cut order, timestamp
 assignment) pair, replay progression on that linearization, and add a
-blocking assertion over the decision bits that determine the rewritten
-formula, until the solver answers unsat. An encoding that would declare
+blocking assertion over the bits that determine the outcome (residual and
+last time), until the solver answers unsat. An encoding that would declare
 more than VAR_BUDGET boolean variables is refused.
 
 Symbol scheme (stable across runs for identical inputs):
@@ -14,13 +14,16 @@ Symbol scheme (stable across runs for identical inputs):
     delta_<event_index>        Int    perturbed time of the event
     tau_<step>                 Int    time of the step's added event
     at_<pos>_<atom_id>         Bool   atom truth in the frontier state
-    first, span, off_<pos>     Int    tau_1, tau_m - tau_1, tau_<pos+1> - tau_1
+    last                       Int    tau_m, the outcome's last time
+    off_<pos>                  Int    tau_<pos+1> - base (nested formulas)
     wit_/vio_/pref_/guard_<node_id>   Bool   per-node rewrite decision bits
     shout_<node_id>            Int    the node's window shift outcome
 
 Steps run 1..m; trace position p corresponds to step p+1. Atom ids number
 the formula's distinct state predicates in sorted order; node ids number
-formula nodes in pre-order.
+formula nodes in pre-order. Anchored windows are measured from one base,
+the floor when one is threaded and tau_1 otherwise: replay shifts them by
+first - floor, and for o, d >= 0, o lies in iv.shift(d) iff o + d lies in iv.
 """
 
 from __future__ import annotations
@@ -144,7 +147,6 @@ class _Encoder:
         f: Formula,
         floor: Optional[int],
         carry: Mapping[str, State],
-        thread_timing: bool,
     ):
         if len(c) == 0:
             raise EncodingError("cannot encode an empty segment")
@@ -152,7 +154,6 @@ class _Encoder:
         self.f = f
         self.floor = floor
         self.carry = dict(carry)
-        self.thread_timing = thread_timing
         self.m = len(c.events)
         self.decls: List[str] = []
         self.asserts: List[str] = []
@@ -173,6 +174,7 @@ class _Encoder:
         if floor is not None:
             self.tmin = max(self.tmin, floor)
         self.tmax = max(w.stop - 1 for w in self.windows)
+        self.base = "tau_1" if floor is None else _int(floor)
 
     def _number(self, g: Formula):
         self.nodes.append(g)
@@ -292,34 +294,25 @@ class _Encoder:
     # -- timing helpers and the blocking signature --
 
     def encode_timing(self):
-        tmin, tmax = self.tmin, self.tmax
-        width = max(0, tmax - tmin)
-        self.declare("first", "Int")
-        self.add(f"(= first tau_1)")
-        self.add(f"(>= first {tmin})")
-        self.add(f"(<= first {tmax})")
-        self.declare("span", "Int")
-        self.add(f"(= span (- tau_{self.m} tau_1))")
-        self.add("(>= span 0)")
-        self.add(f"(<= span {width})")
-        # Absolute times shape later segments, so they join the signature
-        # only when this segment's outcome will be threaded onward.
-        if self.thread_timing:
-            self.sig_ints.append("first")
-            self.sig_ints.append("span")
+        # the pipeline keys an outcome by (residual, last time)
+        self.declare("last", "Int")
+        self.add(f"(= last tau_{self.m})")
+        self.add(f"(>= last {self.tmin})")
+        self.add(f"(<= last {self.tmax})")
+        self.sig_ints.append("last")
         if self.nested:
             # Nested windows re-anchor at inner positions: the rewrite can
-            # read any pairwise time difference, so the full offset vector
-            # (which subsumes the span) joins the signature together with
-            # the per-position state bits.
+            # read the time of any position, so every offset from the base
+            # joins the signature together with the per-position state bits.
             self.sig_bools.extend(
                 f"at_{pos}_{self.atom_id[a]}" for pos in range(self.m) for a in self.atoms
             )
-            for pos in range(1, self.m):
+            lo = self.tmin if self.floor is None else self.floor
+            for pos in range(0 if self.floor is not None else 1, self.m):
                 self.declare(f"off_{pos}", "Int")
-                self.add(f"(= off_{pos} (- tau_{pos + 1} tau_1))")
+                self.add(f"(= off_{pos} {self._elapsed(pos)})")
                 self.add(f"(>= off_{pos} 0)")
-                self.add(f"(<= off_{pos} {width})")
+                self.add(f"(<= off_{pos} {max(0, self.tmax - lo)})")
                 self.sig_ints.append(f"off_{pos}")
 
     def encode_summary(self):
@@ -375,16 +368,17 @@ class _Encoder:
                 self._sig_bool(f"pref_{nid}", pref)
                 guard = _bool_and(
                     [
-                        f"(=> (< (- tau_{i + 1} tau_1) {iv.start}) {prop(l, i)})"
+                        f"(=> (< {self._elapsed(i)} {iv.start}) {prop(l, i)})"
                         for i in range(m)
                     ]
                 )
                 self._sig_bool(f"guard_{nid}", guard)
-            # spans past the window's reach all produce the same residual
+            # shifts past the window's reach all produce the same residual
             cap = iv.start if iv.end is None else iv.end
+            shift = self._elapsed(m - 1)
             name = f"shout_{nid}"
             self.declare(name, "Int")
-            self.add(f"(= {name} (ite (< span {cap}) span {cap}))")
+            self.add(f"(= {name} (ite (< {shift} {cap}) {shift} {cap}))")
             self.add(f"(>= {name} 0)")
             self.add(f"(<= {name} {cap})")
             self.sig_ints.append(name)
@@ -407,9 +401,13 @@ class _Encoder:
         op = {Or: "or", And: "and", Implies: "=>"}[type(g)]
         return f"({op} {self._prop(g.left, pos)} {self._prop(g.right, pos)})"
 
+    def _elapsed(self, pos: int) -> str:
+        """Time from the base to position `pos`."""
+        return f"(- tau_{pos + 1} {self.base})"
+
     def _inin(self, iv: Interval, pos: int) -> str:
-        """The time elapsed from position 0 to position `pos` lies in iv."""
-        diff = f"(- tau_{pos + 1} tau_1)"
+        """The time elapsed from the base to position `pos` lies in iv."""
+        diff = self._elapsed(pos)
         lower = f"(>= {diff} {iv.start})"
         if iv.end is None:
             return lower
@@ -441,18 +439,15 @@ def encode(
     f: Formula,
     floor: Optional[int] = None,
     carry: Optional[Mapping[str, State]] = None,
-    thread_timing: bool = False,
 ) -> SmtProblem:
     """Encode one segment (as a sub-computation) and formula as SMT-LIB text.
 
     Text is byte-identical across runs for identical inputs. `floor` bounds
     the first step's time from below; `carry` seeds per-process frontier
-    state from earlier segments; `thread_timing` adds the absolute first
-    time to the blocking signature (needed when later segments will be
-    threaded off this one). Raises SegmentTooLargeError beyond VAR_BUDGET
-    boolean variables.
+    state from earlier segments. Raises SegmentTooLargeError beyond
+    VAR_BUDGET boolean variables.
     """
-    return _Encoder(seg, simplify(f), floor, carry or {}, thread_timing).encode()
+    return _Encoder(seg, simplify(f), floor, carry or {}).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +630,6 @@ class Enumeration:
     complete: bool
     queries: int
 
-    @property
-    def formulas(self) -> Set[Formula]:
-        return {f for f, _ in self.branches}
-
 
 def enumerate_verdicts(
     seg: Computation,
@@ -648,7 +639,6 @@ def enumerate_verdicts(
     floor: Optional[int] = None,
     carry: Optional[Mapping[str, State]] = None,
     timeout: float = DEFAULT_TIMEOUT,
-    thread_timing: bool = False,
     emit_dir: Optional[str] = None,
     emit_tag: str = "seg",
 ) -> Enumeration:
@@ -660,7 +650,7 @@ def enumerate_verdicts(
     `<emit_dir>/<emit_tag>_q<n>.smt2` before it is solved."""
     if max_verdicts < 1:
         raise ValueError("max_verdicts must be >= 1")
-    problem = encode(seg, f, floor, carry, thread_timing)
+    problem = encode(seg, f, floor, carry)
     if emit_dir:
         os.makedirs(emit_dir, exist_ok=True)
     blocks: List[str] = []

@@ -2,12 +2,13 @@
 traces, and computations with a bound on how many linearizations a
 computation admits (keeps exhaustive enumeration affordable); plus the
 brute-force references the fast order and boundary search are checked
-against."""
+against, and the (residual, last time) outcomes of one segment over
+every linearization."""
 
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from mtlmon.computation import Computation, ComputationError, Event, build_computation
 from mtlmon.formula import (
@@ -23,8 +24,11 @@ from mtlmon.formula import (
     Until,
     FALSE,
     TRUE,
+    shift_anchored,
+    simplify,
 )
 from mtlmon.oracle import OracleBudgetError, enumerate_linearizations
+from mtlmon.progression import progress
 from mtlmon.semantics import State, TimedTrace
 
 ATOMS = ("p", "q", "r")
@@ -212,4 +216,20 @@ def reference_boundaries(events: Sequence[Event], g: int, l: int, epsilon: int) 
         out.append(max([prev] + [t for t in times if prev < t <= target and safe(t)]))
         prev = out[-1]
     out.append(max(l, prev))
+    return out
+
+
+def oracle_pairs(
+    sub: Computation,
+    phi: Formula,
+    floor: Optional[int] = None,
+    carry: Optional[Mapping[str, State]] = None,
+) -> Set[Tuple[Formula, int]]:
+    """The (residual, last time) outcomes of one branch over one segment,
+    by rewriting each linearization: an event-free gap between the floor
+    and the first time shifts the anchored windows first."""
+    out = set()
+    for lin in enumerate_linearizations(sub, floor=floor, carry=carry):
+        gap = 0 if floor is None else lin.times[0] - floor
+        out.add((simplify(progress(lin.trace, shift_anchored(phi, gap))), lin.times[-1]))
     return out

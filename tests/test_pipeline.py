@@ -12,7 +12,7 @@ from mtlmon import pipeline, smt
 from mtlmon.casegen import gen_random_computation
 from mtlmon.cli import main as cli_main, write_jsonl
 from mtlmon.computation import Event, build_computation
-from mtlmon.formula import TRUE, max_nesting, shift_anchored, simplify
+from mtlmon.formula import TRUE, max_nesting
 from mtlmon.oracle import enumerate_linearizations, oracle_verdicts
 from mtlmon.parser import parse_spec
 from mtlmon.pipeline import (
@@ -22,11 +22,11 @@ from mtlmon.pipeline import (
     ingest,
     monitor,
 )
-from mtlmon.progression import progress
 from mtlmon.semantics import State, Verdict, eval_finite
 from mtlmon.smt import bundled_solver_command
 from support import (
     bounded_computation,
+    oracle_pairs,
     random_events,
     random_flat_formula,
     random_formula,
@@ -177,19 +177,24 @@ class TestMonitor:
 
     def test_engine_agreement(self):
         rng = random.Random(21)
+        inputs = []
         for _ in range(4):
             c = bounded_computation(rng, max_events=5, lin_cap=150, epsilons=(1, 2))
-            events = list(c.events)
-            from support import random_flat_formula
-
-            f = random_flat_formula(rng)
+            inputs.append((list(c.events), c.epsilon, random_flat_formula(rng)))
+        # the second segment starts 10 past its floor: its window bits must
+        # be measured from the floor, or the solver engine reports only ⊤
+        inputs.append((
+            [ev("P1", 0), ev("P1", 10), ev("P1", 12, {"p"}), ev("P1", 14)],
+            2, parse_spec("F[0,13) p"),
+        ))
+        for events, epsilon, f in inputs:
             for g in (1, 2):
                 enum_cfg = MonitorConfig(
-                    epsilon=c.epsilon, segments=g,
+                    epsilon=epsilon, segments=g,
                     branch_cap=512, max_verdicts_per_segment=512,
                 )
                 smt_cfg = MonitorConfig(
-                    epsilon=c.epsilon, segments=g, engine="smt", solver_command=CMD,
+                    epsilon=epsilon, segments=g, engine="smt", solver_command=CMD,
                     branch_cap=512, max_verdicts_per_segment=512,
                 )
                 a = monitor(events, f, enum_cfg)
@@ -216,14 +221,18 @@ class TestMonitor:
         assert capped.truncated
         assert capped.verdicts <= full.verdicts
 
-    @pytest.mark.parametrize("cap", [3, 4, 5])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
     def test_engines_share_the_cap_rule(self, tmp_path, capsys, cap):
-        """The criterion-1 log has 4 distinct outcomes: at caps 3, 4 and 5
-        both engines keep the same outcomes, flag truncation only below 4
-        and give the same exit code."""
+        """The criterion-1 log has 4 distinct outcomes: both engines flag
+        truncation exactly below 4, and each keeps a subset of the uncapped
+        outcomes. The smt engine keeps the sorted first `cap` of the first
+        `cap + 1` outcomes it finds, the enumerate engine the sorted first
+        `cap` of all of them; at caps 3, 4 and 5 the two coincide, so both
+        keep the same outcomes and give the same exit code."""
         trace, spec = TestCli._fig3(tmp_path)
         events = ingest(trace)
         phi = parse_spec("a U[0,6) b")
+        full = monitor(events, phi, MonitorConfig(epsilon=2, max_verdicts_per_segment=512))
         reports, codes = [], []
         for engine in ("enumerate", "smt"):
             cfg = MonitorConfig(epsilon=2, engine=engine, solver_command=CMD,
@@ -234,8 +243,13 @@ class TestMonitor:
                 "--solver-cmd", CMD, "--max-verdicts", str(cap),
             ]))
         capsys.readouterr()
+        for r in reports:
+            assert r.verdicts <= full.verdicts
+            assert set(r.segments[0].branches) <= set(full.segments[0].branches)
         a, b = reports
         assert a.truncated == b.truncated == (cap < 4)
+        if cap < 3:
+            return
         assert a.verdicts == b.verdicts
         assert a.segments[0].branches == b.segments[0].branches
         assert codes[0] == codes[1]
@@ -258,6 +272,9 @@ class TestMonitor:
             MonitorConfig(epsilon=1, engine="smt").validate()
         with pytest.raises(ConfigError):
             MonitorConfig(epsilon=1, boundary="sloppy").validate()
+        for timeout in (float("inf"), float("nan"), 0.0, -1.0):
+            with pytest.raises(ConfigError):
+                MonitorConfig(epsilon=1, timeout=timeout).validate()
 
     def test_report_json_schema(self):
         events = [ev("P", 1), ev("P", 2)]
@@ -306,12 +323,7 @@ class TestCutWalk:
                     monitor(list(comp.events), phi, cfg)
         assert sum(floor is not None for _, _, floor, _, _ in calls) > 500
         for sub, phi, floor, carry, out in calls:
-            want = set()
-            for lin in enumerate_linearizations(sub, floor=floor, carry=carry):
-                gap = 0 if floor is None else lin.times[0] - floor
-                residual = simplify(progress(lin.trace, shift_anchored(phi, gap)))
-                want.add((residual, lin.times[-1]))
-            assert out == want, (str(phi), floor)
+            assert out == oracle_pairs(sub, phi, floor, carry), (str(phi), floor)
 
     def test_verdict_cap_keeps_sorted_prefix(self):
         events = [ev("P1", 1, {"a"}), ev("P1", 4), ev("P2", 2, {"a"}), ev("P2", 5, {"b"})]
@@ -369,9 +381,18 @@ class TestCli:
         capsys.readouterr()
         assert code == 64
 
-    def test_bad_flag_is_usage_error(self, capsys):
+    def test_bad_flag_is_usage_error(self, tmp_path, capsys):
         assert cli_main(["monitor", "--no-such-flag"]) == 64
         capsys.readouterr()
+        trace, spec = self._fig3(tmp_path)
+        for timeout in ("inf", "nan", "0", "-1"):
+            code = cli_main([
+                "--trace", trace, "--spec", spec, "--epsilon", "2",
+                "--engine", "smt", "--solver-cmd", CMD, "--timeout", timeout,
+            ])
+            err = capsys.readouterr().err
+            assert code == 64, timeout
+            assert err.startswith("mtlmon: usage error: ") and "Traceback" not in err
 
     def test_unreadable_file_is_data_error(self, tmp_path, capsys):
         spec = tmp_path / "s.mtl"

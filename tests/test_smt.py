@@ -5,8 +5,8 @@ import pytest
 
 from mtlmon import smt
 from mtlmon.computation import Event, build_computation
-from mtlmon.formula import TRUE, max_nesting
-from mtlmon.oracle import enumerate_linearizations, oracle_progress
+from mtlmon.formula import FALSE, TRUE, max_nesting
+from mtlmon.oracle import enumerate_linearizations
 from mtlmon.parser import parse_spec
 from mtlmon.semantics import State, Verdict, finalize
 from mtlmon.smt import (
@@ -20,7 +20,13 @@ from mtlmon.smt import (
     enumerate_verdicts,
     solve,
 )
-from support import bounded_computation, random_flat_formula, random_formula
+from support import (
+    bounded_computation,
+    oracle_pairs,
+    random_events,
+    random_flat_formula,
+    random_formula,
+)
 
 CMD = bundled_solver_command()
 
@@ -61,9 +67,10 @@ class TestEncode:
         c = fig3_computation()
         text = encode(c, parse_spec("a U[0,6) b")).text
         assert "(set-logic QF_LIA)" in text
-        for sym in ("rho_1_0", "delta_0", "tau_1", "at_0_0", "span", "wit_0"):
+        for sym in ("rho_1_0", "delta_0", "tau_1", "at_0_0", "last", "wit_0"):
             assert f"(declare-const {sym} " in text
-        assert "(declare-const verdict_" not in text
+        for sym in ("verdict_", "first ", "span "):
+            assert f"(declare-const {sym}" not in text
 
     def test_variable_budget_enforced(self, monkeypatch):
         c = fig3_computation()
@@ -78,10 +85,10 @@ class TestEncode:
         refactors of the encoder."""
         digest = hashlib.sha256()
         for c, f in criterion_4_cases(20):
-            problem = encode(c, f, floor=None, carry={}, thread_timing=True)
+            problem = encode(c, f, floor=None, carry={})
             digest.update(problem.text.encode())
         assert digest.hexdigest() == (
-            "6d11922204e512250476c85a8a0e34bd8aebcd0e584c567de9ad17b33f24a605"
+            "1c91e3c6c3d505937d2da9b1956bb600562d71b6c94263c8edd4e7f9fde82bbb"
         )
 
     def test_blocking_sequence_pinned(self, monkeypatch):
@@ -98,10 +105,10 @@ class TestEncode:
 
         monkeypatch.setattr(smt, "blocking_assertion", recording)
         for c, f in criterion_4_cases(8):
-            enumerate_verdicts(c, f, 129, CMD, thread_timing=True)
-        assert len(blocks) == 37
+            enumerate_verdicts(c, f, 129, CMD)
+        assert len(blocks) == 19
         assert hashlib.sha256("\n".join(blocks).encode()).hexdigest() == (
-            "161d2c4995803b06b023585eb042d0010c211990404089296c6646a2edaafb68"
+            "dd6aa8af5ef4a59c40b5b593ed0716f9d8ead622bbd5345b06d434aeca0d06ae"
         )
 
     def test_byte_identical_across_interpreter_runs(self, tmp_path):
@@ -137,7 +144,7 @@ class TestSolve:
     def test_both_verdicts_reachable(self):
         c = fig3_computation()
         en = enumerate_verdicts(c, parse_spec("a U[0,6) b"), 16, CMD)
-        assert {finalize(h) for h in en.formulas} == {Verdict.TOP, Verdict.BOTTOM}
+        assert {finalize(h) for h, _ in en.branches} == {Verdict.TOP, Verdict.BOTTOM}
 
     def test_decoded_model_is_a_real_linearization(self):
         c = fig3_computation()
@@ -179,16 +186,16 @@ class TestEnumerateVerdicts:
         f = parse_spec("a U[0,6) b")
         en = enumerate_verdicts(c, f, 16, CMD)
         assert en.complete
-        assert en.formulas == oracle_progress(c, f)
+        assert set(en.branches) == oracle_pairs(c, f)
 
     def test_swap_prefix_yields_both_shifted_windows(self):
         c = build_computation(
             [ev("apr", 1), ev("apr", 3), ev("ban", 1), ev("ban", 4)], 2
         )
         f = parse_spec("!apr_redeem_bob U[0,8) ban_redeem_alice")
-        en = enumerate_verdicts(c, f, 8, CMD)
-        assert parse_spec("!apr_redeem_bob U[0,4) ban_redeem_alice") in en.formulas
-        assert parse_spec("!apr_redeem_bob U[0,3) ban_redeem_alice") in en.formulas
+        formulas = {g for g, _ in enumerate_verdicts(c, f, 8, CMD).branches}
+        assert parse_spec("!apr_redeem_bob U[0,4) ban_redeem_alice") in formulas
+        assert parse_spec("!apr_redeem_bob U[0,3) ban_redeem_alice") in formulas
 
     def test_inadmissible_model_raises(self):
         # a sat answer whose model names no time for the first step
@@ -201,7 +208,7 @@ class TestEnumerateVerdicts:
         f = parse_spec("a U[0,6) b")
         en = enumerate_verdicts(c, f, 1, CMD)
         assert not en.complete
-        assert len(en.formulas) == 1
+        assert len(en.branches) == 1
 
     def test_flat_random_segments_match_oracle(self):
         rng = random.Random(62)
@@ -210,7 +217,7 @@ class TestEnumerateVerdicts:
             f = random_flat_formula(rng)
             en = enumerate_verdicts(c, f, 64, CMD)
             assert en.complete
-            assert en.formulas == oracle_progress(c, f), str(f)
+            assert set(en.branches) == oracle_pairs(c, f), str(f)
 
     def test_nested_random_segments_match_oracle(self):
         rng = random.Random(63)
@@ -223,16 +230,44 @@ class TestEnumerateVerdicts:
             done += 1
             en = enumerate_verdicts(c, f, 64, CMD)
             assert en.complete
-            assert en.formulas == oracle_progress(c, f), str(f)
+            assert set(en.branches) == oracle_pairs(c, f), str(f)
 
     def test_threaded_timing_tracks_last_times(self):
         c = build_computation([ev("P1", 3, {"q"})], 3)
         f = parse_spec("p U[0,9) q")
-        en = enumerate_verdicts(c, f, 16, CMD, thread_timing=True)
+        en = enumerate_verdicts(c, f, 16, CMD)
         assert en.complete
         # single event, window {1..5}: the witness fires at each time
-        assert {last for _, last in en.branches} == {1, 2, 3, 4, 5}
-        assert en.formulas == {TRUE}
+        assert set(en.branches) == {(TRUE, t) for t in (1, 2, 3, 4, 5)}
+
+    def test_outcomes_with_a_floor_equal_oracle(self):
+        """With a floor, the windows are measured from it. By hand: with
+        floor 0, p at time 4 lies inside F[0,5) and p at 5 or 6 does not,
+        whatever the first time is, so both residuals occur at every last
+        time. Then logs of 3-4 events on 1-2 processes that start a few
+        units past a drawn floor, with flat specs. Measuring the windows
+        from the first time instead loses outcomes on the 2nd and the 30th
+        drawn log."""
+        hand = build_computation([ev("P1", 3), ev("P1", 5, {"p"}), ev("P1", 7)], 2)
+        spec = parse_spec("F[0,5) p")
+        assert oracle_pairs(hand, spec, 0) == {
+            (g, last) for g in (TRUE, FALSE) for last in (6, 7, 8)
+        }
+        cases = [(hand, spec, 0)]
+        rng = random.Random(2)
+        for _ in range(40):
+            eps = rng.choice((1, 2, 3))
+            evs = random_events(
+                rng, rng.randrange(1, 3), rng.randrange(3, 5), spread=2 * eps + 1, prop_rate=0.5
+            )
+            late = rng.randrange(2, 7)
+            c = build_computation([Event(e.process, e.local_time + late, e.payload) for e in evs], eps)
+            f = random_flat_formula(rng)
+            cases.append((c, f, rng.randrange(0, min(e.local_time for e in c.events) + 1)))
+        for c, f, floor in cases:
+            en = enumerate_verdicts(c, f, 256, CMD, floor=floor)
+            assert en.complete
+            assert set(en.branches) == oracle_pairs(c, f, floor), (str(f), floor)
 
     def test_blocking_assertion_mentions_signature(self):
         c = fig3_computation()
