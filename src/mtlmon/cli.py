@@ -7,9 +7,11 @@
 0 every linearization satisfies the spec; 1 some linearization violates
 it; 2 the run was truncated without finding a violation; 64 usage errors;
 65 unreadable, undecodable or malformed inputs; 69 the solver timed out,
-could not be run, answered unknown or returned an unusable model; 70 the
-engine exhausted its budget (lattice states, or the solver engine's
-boolean variables).
+could not be run, stopped answering, answered unknown or returned an
+unusable model; 70 the engine exhausted its budget (lattice states, or the
+solver engine's boolean variables); 73 a --emit-smt file or directory
+could not be written. Codes 65, 69, 70 and 73 come with one
+`mtlmon: ...` line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_UNAVAILABLE = 69
 EX_SOFTWARE = 70
+EX_CANTCREAT = 73
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,6 +200,9 @@ def cmd_monitor(args) -> int:
     except (SolverTimeoutError, SolverCrashError, ModelDecodeError) as exc:
         print(f"mtlmon: solver error: {exc}", file=sys.stderr)
         return EX_UNAVAILABLE
+    except OSError as exc:  # monitor writes no files but the --emit-smt ones
+        print(f"mtlmon: cannot write --emit-smt files: {exc}", file=sys.stderr)
+        return EX_CANTCREAT
     if args.format == "json":
         json.dump(report.to_json(), sys.stdout, indent=2)
         print()

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import shlex
 import time as _time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -87,8 +88,13 @@ class MonitorConfig:
             raise ConfigError("segments must be >= 1")
         if self.engine not in (ENGINE_ENUMERATE, ENGINE_SMT):
             raise ConfigError(f"unknown engine {self.engine!r}")
-        if self.engine == ENGINE_SMT and not self.solver_command:
-            raise ConfigError("engine 'smt' requires a solver command")
+        if self.engine == ENGINE_SMT:
+            try:
+                argv = shlex.split(self.solver_command or "")
+            except ValueError as exc:
+                raise ConfigError(f"cannot split the solver command: {exc}") from None
+            if not argv:
+                raise ConfigError("engine 'smt' requires a solver command")
         if self.boundary not in (BOUNDARY_EXACT, BOUNDARY_WINDOW):
             raise ConfigError(f"unknown boundary mode {self.boundary!r}")
         if self.max_verdicts_per_segment < 1 or self.branch_cap < 1:

@@ -1,21 +1,28 @@
 """A small SMT-LIB v2 solver for quantifier-free boolean + linear integer
 problems over finite domains.
 
-Reads a problem on standard input, prints ``sat``/``unsat``/``unknown`` on
-the first line and, for sat, a ``(model ...)`` block with one define-fun
-per declared constant. Intended as a drop-in solver command for the
-monitor's encoder output; any SMT-LIB-conformant solver can be used
-instead. Integer constants must be given finite bounds by the asserted
-constraints (the encoder always does this), otherwise the solver answers
-``unknown``.
+Reads commands on standard input and executes each complete top-level
+form as it arrives, so it can be driven interactively: every
+``check-sat`` prints ``sat``/``unsat``/``unknown`` on one line, every
+``get-model`` prints a ``(model ...)`` block with one define-fun per
+declared constant, and both are flushed at once. Assertions persist, so
+a client can add one and ask again (SMT-LIB incremental use, as with
+``z3 -in``). Intended as a drop-in solver command for the monitor's
+encoder output; any SMT-LIB-conformant solver can be used instead.
+Integer constants must be given finite bounds by the asserted constraints
+(the encoder always does this), otherwise the solver answers ``unknown``.
 
-Supported forms: set-logic/set-option/set-info (ignored), declare-const,
-declare-fun with zero arity, assert, check-sat, get-model, exit. Terms:
-true false, integer literals, (- k), and or not => = ite < <= > >= + - *.
+Supported forms: set-logic/set-option/set-info/exit (ignored),
+declare-const, declare-fun with zero arity, assert, check-sat, get-model.
+Terms: true false, integer literals, (- k), and or not => = ite < <= > >=
++ - *.
 
-Search is chronological backtracking in declaration order with watched
-re-evaluation, unit propagation on equalities/implications/clauses, and
-dedicated pruning for boolean cardinality sums.
+Each assertion is compiled once, when it is added: literals become Python
+values, and ``=`` over booleans becomes its own operator ``iff``. Each
+check-sat searches anew: chronological backtracking in declaration order
+with watched re-evaluation, unit propagation on
+equalities/implications/clauses, and dedicated pruning for boolean
+cardinality sums.
 """
 
 from __future__ import annotations
@@ -56,34 +63,56 @@ def tokenize(text: str):
     return out
 
 
+class Reader:
+    """Builds s-expressions from tokens fed in pieces; `feed` returns the
+    top-level forms completed so far."""
+
+    def __init__(self):
+        self.stack = [[]]
+
+    def feed(self, tokens):
+        stack = self.stack
+        for tok in tokens:
+            if tok == "(":
+                stack.append([])
+            elif tok == ")":
+                if len(stack) == 1:
+                    raise Unsupported("unbalanced parentheses")
+                done = stack.pop()
+                stack[-1].append(tuple(done))
+            else:
+                stack[-1].append(tok)
+        forms, stack[0] = stack[0], []
+        return forms
+
+    @property
+    def open(self) -> bool:
+        return len(self.stack) > 1
+
+
 def parse_sexprs(tokens):
-    stack = [[]]
-    for tok in tokens:
-        if tok == "(":
-            stack.append([])
-        elif tok == ")":
-            done = stack.pop()
-            stack[-1].append(tuple(done))
-        else:
-            stack[-1].append(tok)
-    if len(stack) != 1:
+    reader = Reader()
+    forms = reader.feed(tokens)
+    if reader.open:
         raise Unsupported("unbalanced parentheses")
-    return stack[0]
+    return forms
 
 
 # ---------------------------------------------------------------------------
 # Problem representation
 # ---------------------------------------------------------------------------
 
+BOOL_OPS = ("not", "and", "or", "=>", "<", "<=", ">", ">=", "=", "iff")
+
 
 class Problem:
     def __init__(self):
         self.var_order = []  # declaration order
         self.var_sort = {}  # name -> "Bool" | "Int"
-        self.asserts = []  # flattened top-level assertions (terms)
+        self.asserts = []  # compiled, flattened top-level assertions
         self.watch = {}  # var -> set of assertion indices
         self.card = {}  # assertion index -> (tuple of bool vars, int const)
-        self.bounds = {}  # int var -> [lo, hi]
+        self.bounds = {}  # int var -> (lo, hi)
 
     def declare(self, name, sort):
         if sort not in ("Bool", "Int"):
@@ -91,96 +120,108 @@ class Problem:
         self.var_order.append(name)
         self.var_sort[name] = sort
         if sort == "Int":
-            self.bounds[name] = [-BIG, BIG]
+            self.bounds[name] = (-BIG, BIG)
 
     def add_assert(self, term):
+        self._add(self.compile(term)[0])
+
+    def compile(self, term):
+        """(compiled term, sort). Compiled terms hold declared names as
+        strings, literals as bool and int, and operators as the head of a
+        tuple; ``=`` over booleans becomes ``iff``."""
+        if isinstance(term, str):
+            if term == "true":
+                return True, "Bool"
+            if term == "false":
+                return False, "Bool"
+            sort = self.var_sort.get(term)
+            if sort is not None:
+                return term, sort
+            try:
+                return int(term), "Int"
+            except ValueError:
+                raise Unsupported(f"undeclared symbol {term!r}") from None
+        if not term or not isinstance(term[0], str):
+            raise Unsupported(f"bad term {term!r}")
+        op = term[0]
+        args = [self.compile(sub) for sub in term[1:]]
+        if op == "-" and len(args) == 1 and type(args[0][0]) is int:
+            return -args[0][0], "Int"
+        if op == "=" and args and args[0][1] == "Bool":
+            op = "iff"
+        sort = "Bool" if op in BOOL_OPS else "Int"
+        if op == "ite" and len(args) > 1:
+            sort = args[1][1]
+        return (op, *(t for t, _ in args)), sort
+
+    def _add(self, term):
         # flatten top-level conjunctions so unit rules see the conjuncts
-        if isinstance(term, tuple) and term and term[0] == "and":
+        if type(term) is tuple and term[0] == "and":
             for sub in term[1:]:
-                self.add_assert(sub)
+                self._add(sub)
             return
         idx = len(self.asserts)
         self.asserts.append(term)
-        for v in term_vars(term, self.var_sort):
+        for v in term_vars(term, set()):
             self.watch.setdefault(v, set()).add(idx)
-        card = cardinality_shape(term, self.var_sort)
+        card = cardinality_shape(term)
         if card:
             self.card[idx] = card
         self._infer_bounds(term)
 
     def _infer_bounds(self, term):
-        if not isinstance(term, tuple) or len(term) != 3:
+        if type(term) is not tuple or len(term) != 3:
             return
         op, a, b = term
         if op not in ("<", "<=", ">", ">=", "="):
             return
-        if isinstance(b, str) and self.var_sort.get(b) == "Int":
+        if type(b) is str and self.var_sort[b] == "Int":
             a, b = b, a
             op = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}[op]
-        if not (isinstance(a, str) and self.var_sort.get(a) == "Int"):
-            return
-        c = const_int(b)
-        if c is None:
+        if not (type(a) is str and self.var_sort[a] == "Int" and type(b) is int):
             return
         lo, hi = self.bounds[a]
         if op == ">=":
-            lo = max(lo, c)
+            lo = max(lo, b)
         elif op == ">":
-            lo = max(lo, c + 1)
+            lo = max(lo, b + 1)
         elif op == "<=":
-            hi = min(hi, c)
+            hi = min(hi, b)
         elif op == "<":
-            hi = min(hi, c - 1)
+            hi = min(hi, b - 1)
         else:
-            lo, hi = max(lo, c), min(hi, c)
-        self.bounds[a] = [lo, hi]
+            lo, hi = max(lo, b), min(hi, b)
+        self.bounds[a] = (lo, hi)
 
 
-def const_int(t):
-    if isinstance(t, str):
-        try:
-            return int(t)
-        except ValueError:
-            return None
-    if isinstance(t, tuple) and len(t) == 2 and t[0] == "-":
-        inner = const_int(t[1])
-        return None if inner is None else -inner
-    return None
-
-
-def term_vars(term, sorts, acc=None):
-    if acc is None:
-        acc = set()
-    if isinstance(term, str):
-        if term in sorts:
-            acc.add(term)
-    else:
-        for sub in term[1:] if term and isinstance(term[0], str) else term:
-            term_vars(sub, sorts, acc)
+def term_vars(term, acc):
+    if type(term) is str:
+        acc.add(term)
+    elif type(term) is tuple:
+        for sub in term[1:]:
+            term_vars(sub, acc)
     return acc
 
 
-def cardinality_shape(term, sorts):
+def cardinality_shape(term):
     """Detect (= (+ (ite b 1 0) ...) K) and return (bool vars, K)."""
-    if not (isinstance(term, tuple) and len(term) == 3 and term[0] == "="):
+    if not (type(term) is tuple and len(term) == 3 and term[0] == "="):
         return None
-    lhs, rhs = term[1], term[2]
-    k = const_int(rhs)
-    if k is None:
-        k = const_int(lhs)
-        lhs = rhs
-    if k is None or not (isinstance(lhs, tuple) and lhs and lhs[0] == "+"):
+    lhs, k = term[1], term[2]
+    if type(k) is not int:
+        lhs, k = k, lhs
+    if type(k) is not int or not (type(lhs) is tuple and lhs[0] == "+"):
         return None
     bools = []
     for part in lhs[1:]:
         if (
-            isinstance(part, tuple)
+            type(part) is tuple
             and len(part) == 4
             and part[0] == "ite"
-            and isinstance(part[1], str)
-            and sorts.get(part[1]) == "Bool"
-            and const_int(part[2]) == 1
-            and const_int(part[3]) == 0
+            and type(part[1]) is str
+            and type(part[2]) is int
+            and type(part[3]) is int
+            and (part[2], part[3]) == (1, 0)
         ):
             bools.append(part[1])
         else:
@@ -189,26 +230,24 @@ def cardinality_shape(term, sorts):
 
 
 # ---------------------------------------------------------------------------
-# Three-valued / interval evaluation
+# Three-valued / interval evaluation over compiled terms
 # ---------------------------------------------------------------------------
 
 
-def eval_bool(term, asg, bounds, sorts):
+def eval_bool(term, asg, bounds):
     """True / False / None (unknown)."""
-    if term == "true":
-        return True
-    if term == "false":
-        return False
-    if isinstance(term, str):
+    if type(term) is str:
         return asg.get(term)
+    if type(term) is bool:
+        return term
     op = term[0]
     if op == "not":
-        v = eval_bool(term[1], asg, bounds, sorts)
+        v = eval_bool(term[1], asg, bounds)
         return None if v is None else (not v)
     if op == "and":
         unknown = False
         for sub in term[1:]:
-            v = eval_bool(sub, asg, bounds, sorts)
+            v = eval_bool(sub, asg, bounds)
             if v is False:
                 return False
             if v is None:
@@ -217,39 +256,38 @@ def eval_bool(term, asg, bounds, sorts):
     if op == "or":
         unknown = False
         for sub in term[1:]:
-            v = eval_bool(sub, asg, bounds, sorts)
+            v = eval_bool(sub, asg, bounds)
             if v is True:
                 return True
             if v is None:
                 unknown = True
         return None if unknown else False
     if op == "=>":
-        a = eval_bool(term[1], asg, bounds, sorts)
+        a = eval_bool(term[1], asg, bounds)
         if a is False:
             return True
-        b = eval_bool(term[2], asg, bounds, sorts)
+        b = eval_bool(term[2], asg, bounds)
         if b is True:
             return True
         if a is True and b is False:
             return False
         return None
+    if op == "iff":
+        a = eval_bool(term[1], asg, bounds)
+        b = eval_bool(term[2], asg, bounds)
+        if a is None or b is None:
+            return None
+        return a == b
     if op == "ite":
-        c = eval_bool(term[1], asg, bounds, sorts)
+        c = eval_bool(term[1], asg, bounds)
         if c is None:
-            x = eval_bool(term[2], asg, bounds, sorts)
-            y = eval_bool(term[3], asg, bounds, sorts)
+            x = eval_bool(term[2], asg, bounds)
+            y = eval_bool(term[3], asg, bounds)
             return x if x == y else None
-        return eval_bool(term[2 if c else 3], asg, bounds, sorts)
+        return eval_bool(term[2 if c else 3], asg, bounds)
     if op in ("<", "<=", ">", ">=", "="):
-        # '=' over booleans is also legal
-        if op == "=" and is_bool_term(term[1], sorts):
-            a = eval_bool(term[1], asg, bounds, sorts)
-            b = eval_bool(term[2], asg, bounds, sorts)
-            if a is None or b is None:
-                return None
-            return a == b
-        alo, ahi = eval_int(term[1], asg, bounds, sorts)
-        blo, bhi = eval_int(term[2], asg, bounds, sorts)
+        alo, ahi = eval_int(term[1], asg, bounds)
+        blo, bhi = eval_int(term[2], asg, bounds)
         if op == "<":
             if ahi < blo:
                 return True
@@ -279,58 +317,47 @@ def eval_bool(term, asg, bounds, sorts):
     raise Unsupported(f"boolean operator {op!r}")
 
 
-def is_bool_term(term, sorts):
-    if term in ("true", "false"):
-        return True
-    if isinstance(term, str):
-        return sorts.get(term) == "Bool"
-    return term[0] in ("not", "and", "or", "=>", "<", "<=", ">", ">=", "=") or (
-        term[0] == "ite" and is_bool_term(term[2], sorts)
-    )
-
-
-def eval_int(term, asg, bounds, sorts):
+def eval_int(term, asg, bounds):
     """Interval [lo, hi] of an arithmetic term under the partial assignment."""
-    c = const_int(term)
-    if c is not None:
-        return c, c
-    if isinstance(term, str):
+    if type(term) is int:
+        return term, term
+    if type(term) is str:
         v = asg.get(term)
         if v is not None:
             return v, v
-        return tuple(bounds[term])
+        return bounds[term]
     op = term[0]
     if op == "+":
         lo = hi = 0
         for sub in term[1:]:
-            l, h = eval_int(sub, asg, bounds, sorts)
+            l, h = eval_int(sub, asg, bounds)
             lo += l
             hi += h
         return lo, hi
     if op == "-":
         if len(term) == 2:
-            l, h = eval_int(term[1], asg, bounds, sorts)
+            l, h = eval_int(term[1], asg, bounds)
             return -h, -l
-        lo, hi = eval_int(term[1], asg, bounds, sorts)
+        lo, hi = eval_int(term[1], asg, bounds)
         for sub in term[2:]:
-            l, h = eval_int(sub, asg, bounds, sorts)
+            l, h = eval_int(sub, asg, bounds)
             lo, hi = lo - h, hi - l
         return lo, hi
     if op == "*":
         lo = hi = 1
         for sub in term[1:]:
-            l, h = eval_int(sub, asg, bounds, sorts)
+            l, h = eval_int(sub, asg, bounds)
             cands = (lo * l, lo * h, hi * l, hi * h)
             lo, hi = min(cands), max(cands)
         return lo, hi
     if op == "ite":
-        cond = eval_bool(term[1], asg, bounds, sorts)
+        cond = eval_bool(term[1], asg, bounds)
         if cond is True:
-            return eval_int(term[2], asg, bounds, sorts)
+            return eval_int(term[2], asg, bounds)
         if cond is False:
-            return eval_int(term[3], asg, bounds, sorts)
-        l1, h1 = eval_int(term[2], asg, bounds, sorts)
-        l2, h2 = eval_int(term[3], asg, bounds, sorts)
+            return eval_int(term[3], asg, bounds)
+        l1, h1 = eval_int(term[2], asg, bounds)
+        l2, h2 = eval_int(term[3], asg, bounds)
         return min(l1, l2), max(h1, h2)
     raise Unsupported(f"arithmetic operator {op!r}")
 
@@ -380,9 +407,7 @@ class Solver:
 
     def _all_satisfied(self) -> bool:
         p = self.p
-        return all(
-            eval_bool(t, self.asg, p.bounds, p.var_sort) is True for t in p.asserts
-        )
+        return all(eval_bool(t, self.asg, p.bounds) is True for t in p.asserts)
 
     def _assign(self, var, val) -> bool:
         self.asg[var] = val
@@ -404,7 +429,7 @@ class Solver:
             if card:
                 ok = self._check_card(card, forced)
             else:
-                status = eval_bool(term, self.asg, p.bounds, p.var_sort)
+                status = eval_bool(term, self.asg, p.bounds)
                 if status is False:
                     return False
                 ok = True
@@ -438,36 +463,36 @@ class Solver:
     def _unit(self, term, forced):
         """Derive forced assignments from an assertion that must hold."""
         p = self.p
-        if isinstance(term, str):
+        if type(term) is str:
             forced.append((term, True))
             return
         op = term[0]
-        if op == "not" and isinstance(term[1], str):
+        if op == "not" and type(term[1]) is str:
             forced.append((term[1], False))
-        elif op == "=" and len(term) == 3:
+        elif op in ("=", "iff") and len(term) == 3:
             for x, other in ((term[1], term[2]), (term[2], term[1])):
-                if isinstance(x, str) and x in p.var_sort and x not in self.asg:
-                    if p.var_sort[x] == "Bool":
-                        v = eval_bool(other, self.asg, p.bounds, p.var_sort)
+                if type(x) is str and x not in self.asg:
+                    if op == "iff":
+                        v = eval_bool(other, self.asg, p.bounds)
                         if v is not None:
                             forced.append((x, v))
                     else:
-                        lo, hi = eval_int(other, self.asg, p.bounds, p.var_sort)
+                        lo, hi = eval_int(other, self.asg, p.bounds)
                         if lo == hi:
                             forced.append((x, lo))
                     return
         elif op == "=>":
-            a = eval_bool(term[1], self.asg, p.bounds, p.var_sort)
+            a = eval_bool(term[1], self.asg, p.bounds)
             if a is True:
                 self._unit(term[2], forced)
             else:
-                b = eval_bool(term[2], self.asg, p.bounds, p.var_sort)
+                b = eval_bool(term[2], self.asg, p.bounds)
                 if b is False:
                     self._unit(neg(term[1]), forced)
         elif op == "or":
             unknowns = []
             for sub in term[1:]:
-                v = eval_bool(sub, self.asg, p.bounds, p.var_sort)
+                v = eval_bool(sub, self.asg, p.bounds)
                 if v is True:
                     return
                 if v is None:
@@ -479,7 +504,7 @@ class Solver:
 
 
 def neg(term):
-    if isinstance(term, tuple) and term and term[0] == "not":
+    if type(term) is tuple and term[0] == "not":
         return term[1]
     return ("not", term)
 
@@ -489,16 +514,21 @@ def neg(term):
 # ---------------------------------------------------------------------------
 
 
-def run(text: str) -> str:
-    problem = Problem()
-    lines = []
-    status, model = None, None
-    for form in parse_sexprs(tokenize(text)):
+class Executor:
+    """Executes top-level commands in order against one growing problem."""
+
+    def __init__(self):
+        self.problem = Problem()
+        self.status, self.model = None, None
+
+    def execute(self, form):
+        """Run one command; returns its output line(s) without the final
+        newline, or None for a command that prints nothing."""
         if not isinstance(form, tuple) or not form:
             raise Unsupported(f"bad top-level form {form!r}")
-        head = form[0]
+        head, problem = form[0], self.problem
         if head in ("set-logic", "set-option", "set-info", "exit"):
-            continue
+            return None
         if head == "declare-const":
             problem.declare(form[1], form[2])
         elif head == "declare-fun":
@@ -508,16 +538,15 @@ def run(text: str) -> str:
         elif head == "assert":
             problem.add_assert(form[1])
         elif head == "check-sat":
-            status, model = Solver(problem).solve()
-            lines.append(status)
+            self.status, self.model = Solver(problem).solve()
+            return self.status
         elif head == "get-model":
-            if status != "sat":
-                lines.append("(error \"model is not available\")")
-                continue
+            if self.status != "sat":
+                return "(error \"model is not available\")"
             out = ["(model"]
             for v in problem.var_order:
                 sort = problem.var_sort[v]
-                val = model.get(v)
+                val = self.model.get(v)
                 if val is None:  # unconstrained: pick a default in bounds
                     val = False if sort == "Bool" else problem.bounds[v][0]
                 if sort == "Bool":
@@ -526,16 +555,30 @@ def run(text: str) -> str:
                     txt = str(val) if val >= 0 else f"(- {-val})"
                 out.append(f"  (define-fun {v} () {sort} {txt})")
             out.append(")")
-            lines.append("\n".join(out))
+            return "\n".join(out)
         else:
             raise Unsupported(f"unsupported command {head!r}")
-    return "\n".join(lines) + ("\n" if lines else "")
+        return None
+
+
+def run(text: str) -> str:
+    """Execute a whole script; returns everything it prints."""
+    executor = Executor()
+    outs = (executor.execute(form) for form in parse_sexprs(tokenize(text)))
+    return "".join(out + "\n" for out in outs if out is not None)
 
 
 def main() -> int:
-    text = sys.stdin.read()
+    executor, reader = Executor(), Reader()
     try:
-        sys.stdout.write(run(text))
+        for line in sys.stdin:
+            for form in reader.feed(tokenize(line)):
+                out = executor.execute(form)
+                if out is not None:
+                    sys.stdout.write(out + "\n")
+                    sys.stdout.flush()
+        if reader.open:
+            raise Unsupported("unbalanced parentheses")
     except Unsupported as exc:
         sys.stdout.write(f"unknown\n; {exc}\n")
         return 1

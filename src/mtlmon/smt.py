@@ -8,6 +8,13 @@ blocking assertion over the bits that determine the outcome (residual and
 last time), until the solver answers unsat. An encoding that would declare
 more than VAR_BUDGET boolean variables is refused.
 
+Each enumeration (one segment and branch) runs one solver process, a
+SolverSession, in SMT-LIB incremental use: the problem is sent once, then
+each round sends only its new blocking assertion and (check-sat), and
+(get-model) only after sat. The solver must answer each command as it
+arrives. Each round is still stated as its full standalone query, the text
+--emit-smt writes; the session sends the part the solver does not hold.
+
 Symbol scheme (stable across runs for identical inputs):
 
     rho_<step>_<event_index>   Bool   event is in the cut at this step
@@ -29,9 +36,13 @@ first - floor, and for o, d >= 0, o lies in iv.shift(d) iff o + d lies in iv.
 from __future__ import annotations
 
 import os
+import re
+import selectors
 import shlex
 import subprocess
 import sys
+import tempfile
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -87,7 +98,7 @@ class ModelDecodeError(RuntimeError):
 
 def bundled_solver_command() -> str:
     """Command line for the reference solver shipped with this package."""
-    return f"{sys.executable} -m mtlmon.refsolver"
+    return f"{shlex.quote(sys.executable)} -m mtlmon.refsolver"
 
 
 # ---------------------------------------------------------------------------
@@ -461,33 +472,154 @@ class SolverResult:
     model: Optional[Dict[str, int]] = None  # bools decoded as 0/1
 
 
-def run_solver(text: str, solver_command: str, timeout: float = DEFAULT_TIMEOUT) -> str:
-    argv = shlex.split(solver_command)
-    try:
-        proc = subprocess.run(
-            argv,
-            input=text.encode(),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            timeout=timeout,
-        )
-    except subprocess.TimeoutExpired as exc:
-        raise SolverTimeoutError(f"solver exceeded {timeout}s") from exc
-    except OSError as exc:
-        raise SolverCrashError(f"cannot run solver {argv[0]!r}: {exc}") from exc
-    out = proc.stdout.decode(errors="replace")
-    if not out.strip():
-        raise SolverCrashError(
-            f"solver produced no output (exit {proc.returncode}): "
-            f"{proc.stderr.decode(errors='replace')[:200]}"
-        )
-    return out
+QUERY_END = "(check-sat)\n(get-model)\n"  # how every standalone query ends
+_CHUNK = 1 << 16
+_SEXPR_MARKS = re.compile(rb'[()"]')
+
+
+class SolverSession:
+    """One solver process that keeps its assertions across the rounds of
+    one enumeration: the SMT-LIB incremental use of `z3 -in` or
+    `cvc5 --incremental --lang smt2`.
+
+    Entering the `with` block starts the process; leaving it, on any exit,
+    kills and reaps it. The solver's standard error goes to a temporary
+    file, which cannot fill up and stall the solver the way an undrained
+    pipe can. `run_solver` drives the rounds; `sent` is the assertion text
+    the solver holds.
+    """
+
+    def __init__(self, command: str):
+        self.argv = shlex.split(command)
+        self.sent = ""
+        self._out = bytearray()  # read from the solver and not yet consumed
+        self._eof = False
+
+    def __enter__(self) -> "SolverSession":
+        self._err = tempfile.TemporaryFile()
+        try:
+            self._proc = subprocess.Popen(
+                self.argv,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=self._err,
+                bufsize=0,
+            )
+        except OSError as exc:
+            self._err.close()
+            raise SolverCrashError(f"cannot run solver {self.argv[0]!r}: {exc}") from exc
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        os.set_blocking(self._proc.stdout.fileno(), False)
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(self._proc.stdout, selectors.EVENT_READ)
+        return self
+
+    def __exit__(self, *exc_info):
+        self._sel.close()
+        self._proc.kill()
+        self._proc.wait()
+        self._proc.stdin.close()
+        self._proc.stdout.close()
+        self._err.close()
+
+    def exchange(self, data: bytes, reply_end, deadline: float) -> bytes:
+        """Write `data`, then read until `reply_end(buffer)` gives the end
+        of one reply, and return that reply. Reads while it writes, so a
+        solver that prints early cannot stall both sides on full pipes.
+        Raises SolverTimeoutError once `deadline` (a time.monotonic value)
+        passes, and SolverCrashError when the solver closes its output
+        before the reply is complete."""
+        pending = memoryview(data)
+        if pending:
+            self._sel.register(self._proc.stdin, selectors.EVENT_WRITE)
+        while True:
+            if not pending:
+                end = reply_end(self._out)
+                if end is not None:
+                    reply = bytes(self._out[:end])
+                    del self._out[:end]
+                    return reply
+            if self._eof:
+                raise SolverCrashError(self._crash_message(deadline))
+            wait = deadline - time.monotonic()
+            if wait <= 0:
+                raise SolverTimeoutError("solver exceeded the per-query timeout")
+            for key, _events in self._sel.select(wait):
+                if key.fileobj is self._proc.stdout:
+                    chunk = os.read(key.fd, _CHUNK)
+                    self._out += chunk
+                    self._eof = not chunk
+                    continue
+                try:
+                    pending = pending[os.write(key.fd, pending[:_CHUNK]):]
+                except BrokenPipeError:  # it stopped reading: see what it said
+                    pending = pending[:0]
+                if not pending:
+                    self._sel.unregister(self._proc.stdin)
+
+    def _crash_message(self, deadline: float) -> str:
+        try:
+            code = self._proc.wait(max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            code = None
+        self._err.seek(0)
+        err = " ".join(self._err.read(200).decode(errors="replace").split())
+        return f"solver closed its output without an answer (exit {code}): {err}"
+
+
+def _line_end(buf: bytearray) -> Optional[int]:
+    """End of the first line in `buf` that is not blank."""
+    i = buf.find(b"\n", len(buf) - len(buf.lstrip()))
+    return None if i < 0 else i + 1
+
+
+def _sexpr_end(buf: bytearray) -> Optional[int]:
+    """End of the first balanced s-expression in `buf`, None until it is
+    complete. Parentheses inside string literals do not count."""
+    depth, quoted = 0, False
+    for mark in _SEXPR_MARKS.finditer(buf):
+        ch = mark.group()
+        if ch == b'"':
+            quoted = not quoted
+        elif quoted:
+            continue
+        elif ch == b"(":
+            depth += 1
+        else:
+            depth -= 1
+            if depth <= 0:
+                return mark.end()
+    return None
+
+
+def run_solver(text: str, session: SolverSession, timeout: float = DEFAULT_TIMEOUT) -> str:
+    """Answer one round in `session` and return what the solver prints for
+    `text` alone: the status line, then the model after sat.
+
+    `text` is the round's standalone query: the session's assertions plus
+    the new ones, then QUERY_END. Only the new assertions and (check-sat)
+    are sent, and (get-model) only after sat. `timeout` bounds the writes
+    as well as the reads."""
+    body = text[: -len(QUERY_END)]
+    if not (text.endswith(QUERY_END) and body.startswith(session.sent)):
+        raise ValueError("query does not extend the solver session's assertions")
+    deadline = time.monotonic() + timeout
+    data = (body[len(session.sent):] + "(check-sat)\n").encode()
+    session.sent = body
+    status = session.exchange(data, _line_end, deadline).decode(errors="replace").strip()
+    if status != "sat":
+        return status + "\n"
+    model = session.exchange(b"(get-model)\n", _sexpr_end, deadline)
+    return f"sat\n{model.decode(errors='replace').strip()}\n"
 
 
 def _parse_model(text: str) -> Dict[str, int]:
-    from .refsolver import parse_sexprs, tokenize  # reuse the s-expression reader
+    from .refsolver import Unsupported, parse_sexprs, tokenize  # reuse the reader
 
-    forms = parse_sexprs(tokenize(text))
+    try:
+        forms = parse_sexprs(tokenize(text))
+    except Unsupported as exc:
+        raise ModelDecodeError(f"unreadable model: {exc}") from None
     model: Dict[str, int] = {}
 
     def visit(form):
@@ -518,31 +650,26 @@ def _parse_model(text: str) -> Dict[str, int]:
 
 def solve(
     problem: SmtProblem,
-    solver_command: str,
+    session: SolverSession,
     timeout: float = DEFAULT_TIMEOUT,
     blocks: Sequence[str] = (),
     emit_path: Optional[str] = None,
 ) -> SolverResult:
-    """Run one query: the problem, then the blocking assertions, then
-    check-sat. `emit_path`, when given, receives a copy of the query."""
-    text = problem.text + "".join(b + "\n" for b in blocks)
-    text += "(check-sat)\n(get-model)\n"
+    """Run one round in `session`: the problem, then the blocking
+    assertions, then check-sat. `emit_path`, when given, receives the
+    round's standalone query."""
+    text = problem.text + "".join(b + "\n" for b in blocks) + QUERY_END
     if emit_path:
         with open(emit_path, "w") as fh:
             fh.write(text)
-    out = run_solver(text, solver_command, timeout)
-    lines = [ln.strip() for ln in out.splitlines() if ln.strip()]
-    status = lines[0]
+    status, _, model = run_solver(text, session, timeout).partition("\n")
     if status == "unsat":
         return SolverResult("unsat")
     if status == "unknown":
         raise SolverCrashError("solver answered unknown")
     if status != "sat":
         raise SolverCrashError(f"unrecognized solver verdict {status!r}")
-    rest = "\n".join(lines[1:])
-    if not rest:
-        raise ModelDecodeError("sat result carried no model")
-    return SolverResult("sat", _parse_model(rest))
+    return SolverResult("sat", _parse_model(model))
 
 
 @dataclass(frozen=True)
@@ -657,18 +784,19 @@ def enumerate_verdicts(
     found: List[Tuple[Formula, int]] = []
     seen: Set[Tuple[Formula, int]] = set()
     queries = 0
-    while True:
-        emit_path = emit_dir and os.path.join(emit_dir, f"{emit_tag}_q{queries}.smt2")
-        result = solve(problem, solver_command, timeout, blocks, emit_path)
-        queries += 1
-        if result.status == "unsat":
-            return Enumeration(tuple(found), True, queries)
-        decoded = decode_linearization(problem, result.model)
-        formula, _first, last = replay(problem, decoded)
-        key = (formula, last)
-        if key not in seen:
-            seen.add(key)
-            found.append(key)
-        if len(found) >= max_verdicts:
-            return Enumeration(tuple(found), False, queries)
-        blocks.append(blocking_assertion(problem, result.model))
+    with SolverSession(solver_command) as session:
+        while True:
+            emit_path = emit_dir and os.path.join(emit_dir, f"{emit_tag}_q{queries}.smt2")
+            result = solve(problem, session, timeout, blocks, emit_path)
+            queries += 1
+            if result.status == "unsat":
+                return Enumeration(tuple(found), True, queries)
+            decoded = decode_linearization(problem, result.model)
+            formula, _first, last = replay(problem, decoded)
+            key = (formula, last)
+            if key not in seen:
+                seen.add(key)
+                found.append(key)
+            if len(found) >= max_verdicts:
+                return Enumeration(tuple(found), False, queries)
+            blocks.append(blocking_assertion(problem, result.model))

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -380,6 +381,14 @@ class TestCli:
         ])
         capsys.readouterr()
         assert code == 64
+        for blank in (" ", "'unclosed"):
+            code = cli_main([
+                "--trace", trace, "--spec", spec, "--epsilon", "2", "--engine", "smt",
+                "--solver-cmd", blank,
+            ])
+            err = capsys.readouterr().err
+            assert code == 64, blank
+            assert err.startswith("mtlmon: usage error: ") and len(err.strip().splitlines()) == 1
 
     def test_bad_flag_is_usage_error(self, tmp_path, capsys):
         assert cli_main(["monitor", "--no-such-flag"]) == 64
@@ -464,6 +473,48 @@ class TestCli:
         assert code == 69
         assert err.startswith("mtlmon: solver error: ") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_solver_timeout_bounds_writing(self, tmp_path, capsys):
+        """A solver that never reads cannot stall the write of a problem
+        larger than a pipe buffer past the timeout."""
+        trace = tmp_path / "wide.jsonl"
+        trace.write_text("".join(
+            json.dumps({"proc": p, "ts": 3 * i, "props": ["a" if i % 2 else "b"]}) + "\n"
+            for p in ("P1", "P2") for i in range(8)
+        ))
+        spec = tmp_path / "until.mtl"
+        spec.write_text("a U[0,6) b\n")
+        comp = build_computation(ingest([str(trace)]), 2)
+        assert len(smt.encode(comp, parse_spec("a U[0,6) b")).text) > 64 * 1024
+        t0 = time.monotonic()
+        code = cli_main([
+            "--trace", str(trace), "--spec", str(spec), "--epsilon", "2",
+            "--engine", "smt", "--solver-cmd", "sleep 5", "--timeout", "0.2",
+        ])
+        elapsed = time.monotonic() - t0
+        err = capsys.readouterr().err
+        assert code == 69
+        assert err.startswith("mtlmon: solver error: ") and len(err.strip().splitlines()) == 1
+        assert elapsed < 2.5
+
+    @pytest.mark.parametrize("where", ["under-a-file", "onto-a-directory"])
+    def test_unwritable_emit_smt_exits_73(self, tmp_path, capsys, where):
+        trace, spec = self._fig3(tmp_path)
+        blocker = tmp_path / "blocker"
+        if where == "under-a-file":
+            blocker.write_text("")
+            dump = blocker / "x"
+        else:  # the first query file's name is taken by a directory
+            (blocker / "seg1_b0_q0.smt2").mkdir(parents=True)
+            dump = blocker
+        code = cli_main([
+            "--trace", trace, "--spec", spec, "--epsilon", "2",
+            "--engine", "smt", "--solver-cmd", CMD, "--emit-smt", str(dump),
+        ])
+        err = capsys.readouterr().err
+        assert code == 73
+        assert err.startswith("mtlmon: cannot write --emit-smt files: ")
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
     def test_emit_smt_writes_queries(self, tmp_path, capsys):
         trace, spec = self._fig3(tmp_path)

@@ -1,9 +1,11 @@
 import hashlib
 import random
+import subprocess
+import sys
 
 import pytest
 
-from mtlmon import smt
+from mtlmon import refsolver, smt
 from mtlmon.computation import Event, build_computation
 from mtlmon.formula import FALSE, TRUE, max_nesting
 from mtlmon.oracle import enumerate_linearizations
@@ -13,6 +15,8 @@ from mtlmon.smt import (
     ModelDecodeError,
     SegmentTooLargeError,
     SolverCrashError,
+    SolverSession,
+    SolverTimeoutError,
     blocking_assertion,
     bundled_solver_command,
     decode_linearization,
@@ -149,7 +153,8 @@ class TestSolve:
     def test_decoded_model_is_a_real_linearization(self):
         c = fig3_computation()
         problem = encode(c, parse_spec("a U[0,6) b"))
-        result = solve(problem, CMD)
+        with SolverSession(CMD) as session:
+            result = solve(problem, session)
         decoded = decode_linearization(problem, result.model)
         reference = {
             (tuple(l.events), l.times) for l in enumerate_linearizations(c)
@@ -160,24 +165,98 @@ class TestSolve:
     def test_malformed_output_raises(self):
         c = build_computation([ev("P1", 1)], 1)
         problem = encode(c, TRUE)
-        with pytest.raises(SolverCrashError):
-            solve(problem, "true")  # exits 0 with no output
-        with pytest.raises(SolverCrashError):
-            solve(problem, "echo gibberish")
-        with pytest.raises(SolverCrashError):
-            solve(problem, "echo unknown")
+        for command in ("true", "echo gibberish", "echo unknown"):  # true: no output
+            with pytest.raises(SolverCrashError):
+                with SolverSession(command) as session:
+                    solve(problem, session)
+        with pytest.raises(SolverCrashError, match=r"\(exit 3\): Traceback line$"):
+            with SolverSession("sh -c 'printf \"Traceback\\nline\\n\" >&2; exit 3'") as session:
+                solve(problem, session)
 
     def test_missing_solver_raises(self):
-        c = build_computation([ev("P1", 1)], 1)
         with pytest.raises(SolverCrashError):
-            solve(encode(c, TRUE), "/nonexistent/solver-binary")
+            with SolverSession("/nonexistent/solver-binary"):
+                pass
 
     def test_slow_solver_raises_timeout(self):
-        from mtlmon.smt import SolverTimeoutError
-
         c = build_computation([ev("P1", 1)], 1)
         with pytest.raises(SolverTimeoutError):
-            solve(encode(c, TRUE), "sleep 30", timeout=0.2)
+            with SolverSession("sleep 30") as session:
+                solve(encode(c, TRUE), session, timeout=0.2)
+
+    def test_session_answers_equal_standalone_runs(self, monkeypatch):
+        """Every round the session answers, on the first cases of the
+        criterion-4 recipe, is byte for byte what the bundled solver
+        prints for the round's standalone query, the text --emit-smt
+        writes. After unsat the session asks for no model, so there the
+        standalone answer's first line, the status, is compared."""
+        rounds = []
+        ask = smt.run_solver
+
+        def checked(text, session, timeout=smt.DEFAULT_TIMEOUT):
+            rounds.append(ask(text, session, timeout))
+            expected = refsolver.run(text)
+            if not expected.startswith("sat\n"):
+                expected = expected.split("\n", 1)[0] + "\n"
+            assert rounds[-1] == expected
+            return rounds[-1]
+
+        monkeypatch.setattr(smt, "run_solver", checked)
+        for c, f in criterion_4_cases(8):
+            enumerate_verdicts(c, f, 129, CMD)
+        assert len(rounds) == 27
+        assert sum(r.startswith("sat\n(model\n") for r in rounds) == 19
+
+    def test_bundled_command_survives_a_space_in_the_interpreter_path(
+        self, tmp_path, monkeypatch
+    ):
+        spaced = tmp_path / "my py"
+        spaced.mkdir()
+        (spaced / "python3").symlink_to(sys.executable)
+        monkeypatch.setattr(sys, "executable", str(spaced / "python3"))
+        command = bundled_solver_command()
+        en = enumerate_verdicts(fig3_computation(), parse_spec("a U[0,6) b"), 16, command)
+        assert {finalize(h) for h, _ in en.branches} == {Verdict.TOP, Verdict.BOTTOM}
+
+
+class TestSessionLifetime:
+    """The solver process ends with its enumeration, however that ends."""
+
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        procs = []
+
+        class Recording(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                procs.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recording)
+        return procs
+
+    @pytest.mark.parametrize(
+        "command, cap, timeout, error",
+        [
+            pytest.param(CMD, 16, 60, None, id="unsat"),
+            pytest.param(CMD, 1, 60, None, id="cap"),
+            pytest.param("sleep 30", 16, 0.2, SolverTimeoutError, id="timeout"),
+            pytest.param("sh -c 'echo gibberish; exec sleep 30'", 16, 60, SolverCrashError, id="crash"),
+            pytest.param(
+                "sh -c \"printf 'sat\\n(model (define-fun rho_1_0 () Bool true))\\n'; exec sleep 30\"",
+                16, 60, ModelDecodeError, id="decode",
+            ),
+        ],
+    )
+    def test_no_solver_outlives_its_enumeration(self, spawned, command, cap, timeout, error):
+        c, f = fig3_computation(), parse_spec("a U[0,6) b")
+        if error is None:
+            en = enumerate_verdicts(c, f, cap, command, timeout=timeout)
+            assert en.complete == (cap > 1)
+        else:
+            with pytest.raises(error):
+                enumerate_verdicts(c, f, cap, command, timeout=timeout)
+        assert len(spawned) == 1
+        assert spawned[0].poll() is not None
 
 
 class TestEnumerateVerdicts:
@@ -272,7 +351,8 @@ class TestEnumerateVerdicts:
     def test_blocking_assertion_mentions_signature(self):
         c = fig3_computation()
         problem = encode(c, parse_spec("a U[0,6) b"))
-        result = solve(problem, CMD)
+        with SolverSession(CMD) as session:
+            result = solve(problem, session)
         block = blocking_assertion(problem, result.model)
         assert block.startswith("(assert (not")
         assert "wit_0" in block
