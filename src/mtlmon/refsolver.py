@@ -17,12 +17,24 @@ declare-const, declare-fun with zero arity, assert, check-sat, get-model.
 Terms: true false, integer literals, (- k), and or not => = ite < <= > >=
 + - *.
 
-Each assertion is compiled once, when it is added: literals become Python
-values, and ``=`` over booleans becomes its own operator ``iff``. Each
-check-sat searches anew: chronological backtracking in declaration order
-with watched re-evaluation, unit propagation on
+Each assertion is compiled once, when it is added: its sorts and argument
+counts are checked, literals become Python values, and ``=`` over booleans
+becomes its own operator ``iff``. Malformed input (a missing argument, a
+sort mismatch, a symbol declared twice) is refused like unsupported input:
+``unknown``, a ``; reason`` line, exit status 1.
+
+The search is chronological backtracking in declaration order (false before
+true, integers ascending) with watched re-evaluation, unit propagation on
 equalities/implications/clauses, and dedicated pruning for boolean
-cardinality sums.
+cardinality sums. It therefore answers the lexicographically least model.
+An assertion can only shrink the set of models, so the least model after it
+is never below the last one: each check-sat resumes from the last ``sat``
+model, taken as an inclusive lower bound, and skips every assignment below
+it. A declaration, or any answer but ``sat``, drops that bound. The answers
+are the same as those of a search from scratch.
+
+Run it as a bare script (``python -I -S refsolver.py``): it imports only
+``sys``.
 """
 
 from __future__ import annotations
@@ -102,7 +114,36 @@ def parse_sexprs(tokens):
 # Problem representation
 # ---------------------------------------------------------------------------
 
-BOOL_OPS = ("not", "and", "or", "=>", "<", "<=", ">", ">=", "=", "iff")
+# operator -> (argument sort, result sort, argument count); a count of None
+# means one or more. `=` and `ite` take their sorts from their arguments.
+SIGNATURES = {
+    "not": ("Bool", "Bool", 1),
+    "and": ("Bool", "Bool", None),
+    "or": ("Bool", "Bool", None),
+    "=>": ("Bool", "Bool", 2),
+    "<": ("Int", "Bool", 2),
+    "<=": ("Int", "Bool", 2),
+    ">": ("Int", "Bool", 2),
+    ">=": ("Int", "Bool", 2),
+    "+": ("Int", "Int", None),
+    "-": ("Int", "Int", None),
+    "*": ("Int", "Int", None),
+}
+
+
+def signature(op, sorts):
+    """(argument sorts, result sort) that `op` needs, given the argument
+    sorts it got."""
+    if op == "=":
+        arg = sorts[0] if sorts else "Int"
+        return [arg, arg], "Bool"
+    if op == "ite":
+        arg = sorts[1] if len(sorts) > 1 else "Int"
+        return ["Bool", arg, arg], arg
+    if op not in SIGNATURES:
+        raise Unsupported(f"unsupported operator {op!r}")
+    arg, result, count = SIGNATURES[op]
+    return [arg] * (count or max(1, len(sorts))), result
 
 
 class Problem:
@@ -115,6 +156,10 @@ class Problem:
         self.bounds = {}  # int var -> (lo, hi)
 
     def declare(self, name, sort):
+        if not isinstance(name, str):
+            raise Unsupported(f"bad symbol {name!r}")
+        if name in self.var_sort:
+            raise Unsupported(f"symbol {name!r} is already declared")
         if sort not in ("Bool", "Int"):
             raise Unsupported(f"unsupported sort {sort}")
         self.var_order.append(name)
@@ -123,7 +168,10 @@ class Problem:
             self.bounds[name] = (-BIG, BIG)
 
     def add_assert(self, term):
-        self._add(self.compile(term)[0])
+        term, sort = self.compile(term)
+        if sort != "Bool":
+            raise Unsupported(f"assertion of sort {sort}")
+        self._add(term)
 
     def compile(self, term):
         """(compiled term, sort). Compiled terms hold declared names as
@@ -145,13 +193,15 @@ class Problem:
             raise Unsupported(f"bad term {term!r}")
         op = term[0]
         args = [self.compile(sub) for sub in term[1:]]
+        sorts = [s for _, s in args]
+        want, sort = signature(op, sorts)
+        if sorts != want:
+            got = " ".join(sorts) or "nothing"
+            raise Unsupported(f"{op!r} takes {' '.join(want)}, given {got}")
         if op == "-" and len(args) == 1 and type(args[0][0]) is int:
             return -args[0][0], "Int"
-        if op == "=" and args and args[0][1] == "Bool":
+        if op == "=" and want[0] == "Bool":
             op = "iff"
-        sort = "Bool" if op in BOOL_OPS else "Int"
-        if op == "ite" and len(args) > 1:
-            sort = args[1][1]
         return (op, *(t for t, _ in args)), sort
 
     def _add(self, term):
@@ -368,8 +418,12 @@ def eval_int(term, asg, bounds):
 
 
 class Solver:
-    def __init__(self, problem: Problem):
+    """Finds the lexicographically least model of `problem` that is not
+    below `floor`, a full assignment (None for no bound)."""
+
+    def __init__(self, problem: Problem, floor=None):
         self.p = problem
+        self.floor = floor
         self.asg = {}
         self.trail = []
 
@@ -381,26 +435,35 @@ class Solver:
                 return "unsat", None
         if not self._propagate(range(len(self.p.asserts))):
             return "unsat", None
-        if self._search(0):
+        if self._search(0, self.floor is not None):
             return "sat", dict(self.asg)
         return "unsat", None
 
-    def _search(self, pos) -> bool:
-        order = self.p.var_order
+    def _search(self, pos, tight) -> bool:
+        """Assign order[pos:]. While `tight`, the values of order[:pos] equal
+        the floor's: a value below the floor's prunes the branch, and the
+        first value above it lifts the bound."""
+        order, asg, floor = self.p.var_order, self.asg, self.floor
         n = len(order)
-        while pos < n and order[pos] in self.asg:
+        while pos < n and order[pos] in asg:
+            if tight:
+                val, least = asg[order[pos]], floor[order[pos]]
+                if val < least:
+                    return False
+                tight = val == least
             pos += 1
         if pos == n:
             return self._all_satisfied()
         var = order[pos]
+        least = floor[var] if tight else None
         if self.p.var_sort[var] == "Bool":
-            values = (False, True)
+            values = (True,) if least else (False, True)
         else:
             lo, hi = self.p.bounds[var]
-            values = range(lo, hi + 1)
+            values = range(lo if least is None else max(lo, least), hi + 1)
         for val in values:
             mark = len(self.trail)
-            if self._assign(var, val) and self._search(pos + 1):
+            if self._assign(var, val) and self._search(pos + 1, val == least):
                 return True
             self._undo(mark)
         return False
@@ -514,12 +577,18 @@ def neg(term):
 # ---------------------------------------------------------------------------
 
 
+# command -> number of arguments
+COMMANDS = {"declare-const": 2, "declare-fun": 3, "assert": 1, "check-sat": 0, "get-model": 0}
+
+
 class Executor:
-    """Executes top-level commands in order against one growing problem."""
+    """Executes top-level commands in order against one growing problem.
+    `floor` is the last sat model while no declaration has followed it."""
 
     def __init__(self):
         self.problem = Problem()
         self.status, self.model = None, None
+        self.floor = None
 
     def execute(self, form):
         """Run one command; returns its output line(s) without the final
@@ -529,16 +598,23 @@ class Executor:
         head, problem = form[0], self.problem
         if head in ("set-logic", "set-option", "set-info", "exit"):
             return None
+        if head not in COMMANDS:
+            raise Unsupported(f"unsupported command {head!r}")
+        if len(form) - 1 != COMMANDS[head]:
+            raise Unsupported(f"{head} takes {COMMANDS[head]} arguments, given {len(form) - 1}")
         if head == "declare-const":
             problem.declare(form[1], form[2])
+            self.floor = None
         elif head == "declare-fun":
             if form[2] != ():
                 raise Unsupported("only zero-arity declare-fun is supported")
             problem.declare(form[1], form[3])
+            self.floor = None
         elif head == "assert":
             problem.add_assert(form[1])
         elif head == "check-sat":
-            self.status, self.model = Solver(problem).solve()
+            self.status, self.model = Solver(problem, self.floor).solve()
+            self.floor = self.model
             return self.status
         elif head == "get-model":
             if self.status != "sat":
@@ -556,8 +632,6 @@ class Executor:
                 out.append(f"  (define-fun {v} () {sort} {txt})")
             out.append(")")
             return "\n".join(out)
-        else:
-            raise Unsupported(f"unsupported command {head!r}")
         return None
 
 

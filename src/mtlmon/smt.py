@@ -97,8 +97,14 @@ class ModelDecodeError(RuntimeError):
 
 
 def bundled_solver_command() -> str:
-    """Command line for the reference solver shipped with this package."""
-    return f"{shlex.quote(sys.executable)} -m mtlmon.refsolver"
+    """Command line for the reference solver shipped with this package: this
+    interpreter runs refsolver.py, by absolute path, as a bare script. `-I`
+    ignores the PYTHON* variables and the user's site directory, and `-S`
+    skips `site`; refsolver.py imports only `sys`, so the child needs neither
+    an installed mtlmon nor src/ on PYTHONPATH, and it starts in a fraction
+    of the time of `python -m mtlmon.refsolver`."""
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "refsolver.py")
+    return f"{shlex.quote(sys.executable)} -I -S {shlex.quote(script)}"
 
 
 # ---------------------------------------------------------------------------

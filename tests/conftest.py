@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-# The bundled solver runs as `python -m mtlmon.refsolver` in a child
-# process; from a source checkout the child needs src/ on its path too.
+# The bundled solver command runs refsolver.py as a bare script and needs no
+# PYTHONPATH. The tests that start `python -m mtlmon.refsolver` themselves
+# do: from a source checkout that child needs src/ on its path.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p

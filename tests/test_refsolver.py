@@ -1,10 +1,15 @@
 import os
 import select
+import shlex
 import subprocess
 import sys
 import time
 
-from mtlmon.refsolver import run
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mtlmon.refsolver import Executor, Solver, parse_sexprs, run, tokenize
+from mtlmon.smt import bundled_solver_command
 
 
 def solve(text: str) -> str:
@@ -102,6 +107,130 @@ class TestSolver:
         )
         assert out.splitlines()[0] == "sat"
         assert "(- " in out  # negative value printed in SMT-LIB form
+
+
+def _int(k: int) -> str:
+    return str(k) if k >= 0 else f"(- {-k})"
+
+
+class TestResume:
+    """Each check-sat resumes from the last sat model, yet answers exactly
+    what a fresh search of the declarations and assertions so far answers."""
+
+    @staticmethod
+    def literal(data, sorts):
+        name = data.draw(st.sampled_from(sorted(sorts)))
+        if sorts[name] == "Bool":
+            return data.draw(st.sampled_from([name, f"(not {name})"]))
+        k = _int(data.draw(st.integers(-3, 4)))
+        return data.draw(st.sampled_from(
+            [f"(<= {name} {k})", f"(>= {name} {k})", f"(= {name} {k})", f"(not (= {name} {k}))"]
+        ))
+
+    @staticmethod
+    def kept_by(model, data, sorts):
+        """An assertion that `model` satisfies."""
+        name = data.draw(st.sampled_from(sorted(model)))
+        val = model[name]
+        if sorts[name] == "Bool":
+            return name if val else f"(not {name})"
+        op = data.draw(st.sampled_from(["<=", ">=", "="]))
+        return f"({op} {name} {_int(val)})"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_answers_equal_fresh_runs(self, data):
+        executor, script, sorts = Executor(), [], {}
+
+        def send(command: str):
+            script.append(command)
+            (form,) = parse_sexprs(tokenize(command))
+            assert executor.execute(form) is None
+
+        def declare():
+            name = f"v{len(sorts)}"
+            sorts[name] = data.draw(st.sampled_from(["Bool", "Int"]))
+            send(f"(declare-const {name} {sorts[name]})")
+            if sorts[name] == "Int":
+                lo = data.draw(st.integers(-3, 1))
+                send(f"(assert (>= {name} {_int(lo)}))")
+                send(f"(assert (<= {name} {_int(lo + data.draw(st.integers(0, 4)))}))")
+
+        def check():
+            answers = [executor.execute(("check-sat",))]
+            if answers[0] == "sat":
+                answers.append(executor.execute(("get-model",)))
+            asked = "(check-sat)" + "(get-model)" * (len(answers) - 1)
+            assert "".join(a + "\n" for a in answers) == run("".join(script) + asked)
+
+        for _ in range(data.draw(st.integers(1, 3))):
+            declare()
+        check()
+        for _ in range(data.draw(st.integers(1, 24))):
+            step = data.draw(st.sampled_from(["assert", "assert", "kept", "declare", "check"]))
+            if step == "declare":
+                declare()
+            elif step == "kept" and executor.status == "sat":
+                clause = [self.kept_by(executor.model, data, sorts)]
+                clause += [self.literal(data, sorts) for _ in range(data.draw(st.integers(0, 1)))]
+                send(f"(assert (or {' '.join(clause)}))")
+            elif step != "check":
+                clause = [self.literal(data, sorts) for _ in range(data.draw(st.integers(1, 3)))]
+                send(f"(assert (or {' '.join(clause)}))")
+            check()
+
+    def test_resumed_search_makes_fewer_decisions(self, monkeypatch):
+        """A later check-sat starts at the last model instead of re-walking
+        the values below it. (The squares keep the bounds from narrowing.)"""
+        calls = []
+        assign = Solver._assign
+        monkeypatch.setattr(Solver, "_assign", lambda s, v, x: calls.append(v) or assign(s, v, x))
+        forms = parse_sexprs(tokenize(
+            "(declare-const x Int)(assert (>= x 0))(assert (<= x 50))"
+            "(check-sat)(assert (> (* x x) 400))(check-sat)(assert (> (* x x) 900))(check-sat)"
+        ))
+        executor = Executor()
+        for form in forms[:-1]:
+            executor.execute(form)
+        calls.clear()
+        assert executor.execute(forms[-1]) == "sat"
+        resumed = len(calls)
+        calls.clear()
+        assert Solver(executor.problem).solve() == ("sat", executor.model) == ("sat", {"x": 31})
+        assert resumed < len(calls)
+
+
+class TestMalformedInput:
+    """Malformed input is refused like unsupported input: `unknown`, one
+    reason line, exit status 1, no traceback."""
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            "(declare-const x)",
+            "(assert)",
+            "(declare-const x Int)(assert (= x (ite)))(check-sat)",
+            "(declare-const x Int)(declare-const x Int)(check-sat)",
+            "(declare-const b Bool)(declare-fun b () Bool)",
+            "(declare-const x Int)(assert (+ x 1))",
+            "(declare-const b Bool)(assert (< b 1))",
+            "(declare-const b Bool)(assert (=> b b b))",
+            "(check-sat 1)",
+        ],
+        ids=["declare-no-sort", "assert-nothing", "ite-no-args", "redeclare-const",
+             "redeclare-fun", "int-assertion", "bool-compared", "implies-three", "check-sat-arg"],
+    )
+    def test_refused_with_unknown(self, script):
+        proc = subprocess.run(
+            shlex.split(bundled_solver_command()),
+            input=script.encode(),
+            capture_output=True,
+            timeout=30,
+        )
+        lines = proc.stdout.decode().splitlines()
+        assert proc.returncode == 1
+        assert lines[-2] == "unknown" and lines[-1].startswith("; ")
+        assert proc.stderr == b""
 
 
 class TestProcessInterface:

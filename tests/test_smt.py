@@ -219,6 +219,16 @@ class TestSolve:
         assert {finalize(h) for h, _ in en.branches} == {Verdict.TOP, Verdict.BOTTOM}
 
 
+    def test_bundled_command_needs_no_pythonpath(self, monkeypatch):
+        """The bundled solver runs as a bare script, so a caller that puts
+        src/ on sys.path but not on PYTHONPATH can still start it."""
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        en = enumerate_verdicts(
+            fig3_computation(), parse_spec("a U[0,6) b"), 16, bundled_solver_command()
+        )
+        assert {finalize(h) for h, _ in en.branches} == {Verdict.TOP, Verdict.BOTTOM}
+
+
 class TestSessionLifetime:
     """The solver process ends with its enumeration, however that ends."""
 
