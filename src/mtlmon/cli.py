@@ -17,6 +17,7 @@ could not be written. Codes 65, 69, 70 and 73 come with one
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -58,6 +59,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+# built once per process: parsing does not change the parser, and the
+# in-process auditor calls `main` once per log
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="mtlmon", description=__doc__)
     sub = top.add_subparsers(dest="command")

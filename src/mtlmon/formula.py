@@ -1,7 +1,11 @@
 """MTL formula AST: half-open integer intervals, connectives, timed operators.
 
-All nodes are frozen dataclasses, so structural equality and hashing come
-for free and formulas can live in sets (verdict sets, branch dedup).
+All nodes are frozen dataclasses with structural equality. Each node
+computes its hash once, from the field tuple its class names in `_fields`,
+and caches it, so hashing a formula is O(1) after the first time: the
+rewrite memo and the branch sets key on whole formulas. Hashes of
+strings vary between processes, which is harmless because formulas are
+never pickled.
 Construction goes through the smart constructors (`mk_not`, `mk_or`, ...)
 which constant-fold; `simplify` re-normalizes arbitrary trees with the
 same rules, so simplify(progressed output) is the identity.
@@ -62,9 +66,23 @@ def in_interval(tau_i: int, tau_0: int, iv: Interval) -> bool:
 
 
 class Formula:
-    """Base class; subclasses are frozen dataclasses."""
+    """Base class; subclasses are frozen dataclasses that take `__hash__`
+    from here instead of generating one, which would rehash the whole
+    subtree on every call."""
 
     __slots__ = ()
+
+    def _fields(self) -> tuple:
+        """The fields the hash covers; none for a constant."""
+        return ()
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((type(self), self._fields()))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __str__(self) -> str:
         from .parser import format_formula
@@ -77,17 +95,22 @@ class Formula:
 
 @dataclass(frozen=True, repr=False)
 class TrueF(Formula):
-    pass
+    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True, repr=False)
 class FalseF(Formula):
-    pass
+    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True, repr=False)
 class Atom(Formula):
     name: str
+
+    __hash__ = Formula.__hash__
+
+    def _fields(self) -> tuple:
+        return (self.name,)
 
 
 @dataclass(frozen=True, repr=False)
@@ -98,10 +121,20 @@ class SumAtom(Formula):
     from_party: str
     offset: int = 0
 
+    __hash__ = Formula.__hash__
+
+    def _fields(self) -> tuple:
+        return (self.to_party, self.from_party, self.offset)
+
 
 @dataclass(frozen=True, repr=False)
 class Not(Formula):
     operand: Formula
+
+    __hash__ = Formula.__hash__
+
+    def _fields(self) -> tuple:
+        return (self.operand,)
 
 
 @dataclass(frozen=True, repr=False)
@@ -109,17 +142,32 @@ class Or(Formula):
     left: Formula
     right: Formula
 
+    __hash__ = Formula.__hash__
+
+    def _fields(self) -> tuple:
+        return (self.left, self.right)
+
 
 @dataclass(frozen=True, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
+    __hash__ = Formula.__hash__
+
+    def _fields(self) -> tuple:
+        return (self.left, self.right)
+
 
 @dataclass(frozen=True, repr=False)
 class Implies(Formula):
     left: Formula
     right: Formula
+
+    __hash__ = Formula.__hash__
+
+    def _fields(self) -> tuple:
+        return (self.left, self.right)
 
 
 @dataclass(frozen=True, repr=False)
@@ -128,17 +176,32 @@ class Until(Formula):
     interval: Interval
     right: Formula
 
+    __hash__ = Formula.__hash__
+
+    def _fields(self) -> tuple:
+        return (self.left, self.interval, self.right)
+
 
 @dataclass(frozen=True, repr=False)
 class Eventually(Formula):
     interval: Interval
     operand: Formula
 
+    __hash__ = Formula.__hash__
+
+    def _fields(self) -> tuple:
+        return (self.interval, self.operand)
+
 
 @dataclass(frozen=True, repr=False)
 class Globally(Formula):
     interval: Interval
     operand: Formula
+
+    __hash__ = Formula.__hash__
+
+    def _fields(self) -> tuple:
+        return (self.interval, self.operand)
 
 
 TRUE = TrueF()

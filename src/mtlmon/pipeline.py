@@ -8,13 +8,16 @@ segment's lattice of consistent cuts one event per layer, stepping the
 pending formula over one frontier state per edge, so linearizations that
 reach the same (cut, last time, formula) state share the rest of the
 work; the outcome set equals the rewrite over every admissible
-linearization. The floor carries the previous segment's last timestamp so
-times never decrease across the boundary, and any event-free gap between
-the floor and a segment's first time shifts the branch's anchored windows
-before rewriting. Branches that collapse to a constant freeze
-immediately and join the final verdict set. Per-process latest payloads
-(the carry) seed each segment's frontier merging; they depend only on
-which events earlier segments consumed, not on how they interleaved.
+linearization. Each one-state rewrite goes through one memo per `monitor`
+call, keyed by (frontier state, pending formula, gap), so every branch of
+every segment steps a given key once. The floor carries the previous
+segment's last timestamp so times never decrease across the boundary, and
+any event-free gap between the floor and a segment's first time shifts
+the branch's anchored windows before rewriting. Branches that collapse to
+a constant freeze immediately and join the final verdict set. Per-process
+latest payloads (the carry) seed each segment's frontier merging; they
+depend only on which events earlier segments consumed, not on how they
+interleaved.
 
 Segment boundaries come in two flavors:
 
@@ -58,6 +61,9 @@ BOUNDARY_EXACT = "exact"
 BOUNDARY_WINDOW = "window"
 
 STATE_BUDGET = 10**6  # cut-lattice states one branch may visit per segment
+
+# step(frontier state, pending formula, gap) -> rewritten formula
+Rewrites = Dict[Tuple[State, Formula, int], Formula]
 
 
 class IngestError(ValueError):
@@ -297,6 +303,7 @@ def monitor(events: Sequence[Event], f: Formula, cfg: MonitorConfig) -> MonitorR
     truncated = False
     seg_reports: List[SegmentReport] = []
     carry: Dict[str, State] = {}
+    rewrites: Rewrites = {}  # shared by every walk of this call
 
     times = [e.local_time for e in comp.events]  # ascending: events sort by time
     prev_theta = -1
@@ -314,7 +321,7 @@ def monitor(events: Sequence[Event], f: Formula, cfg: MonitorConfig) -> MonitorR
                     frozen.add(verdict)
                     continue
                 pairs, complete = _progress_branch(
-                    sub, phi, floor, carry, cfg, index, ordinal
+                    sub, phi, floor, carry, cfg, index, ordinal, rewrites
                 )
                 if not complete:
                     truncated = True
@@ -352,6 +359,7 @@ def _progress_branch(
     cfg: MonitorConfig,
     seg_index: int,
     ordinal: int,
+    rewrites: Rewrites,
 ) -> Tuple[Set[Tuple[Formula, int]], bool]:
     """The (rewritten formula, last time) outcomes of one branch over one
     segment, plus a completeness flag. Both engines flag the result
@@ -359,7 +367,8 @@ def _progress_branch(
     exist, and then keep that many in sorted order: the enumerate engine
     the sorted first of all outcomes, the smt engine, which stops after
     one outcome past the cap, the sorted first of those it found. The kept
-    outcomes of a truncated result may therefore differ between engines."""
+    outcomes of a truncated result may therefore differ between engines.
+    The smt engine does not read the rewrite memo."""
     cap = cfg.max_verdicts_per_segment
     if cfg.engine == ENGINE_SMT:
         # one outcome past the cap tells "exactly cap" from "more than cap"
@@ -376,7 +385,7 @@ def _progress_branch(
         )
         out = set(enum.branches)
     else:
-        out = _walk_cuts(sub, phi, floor, carry)
+        out = _walk_cuts(sub, phi, floor, carry, rewrites)
     if len(out) > cap:
         keep = sorted(out, key=lambda p: (str(p[0]), p[1]))
         return set(keep[:cap]), False
@@ -388,6 +397,7 @@ def _walk_cuts(
     phi: Formula,
     floor: Optional[int],
     carry: Dict[str, State],
+    rewrites: Rewrites,
 ) -> Set[Tuple[Formula, int]]:
     """Every (residual, last time) outcome of one branch over one segment,
     by a walk over the lattice of consistent cuts, one event per layer.
@@ -398,8 +408,15 @@ def _walk_cuts(
     its skew window and steps the pending formula over the frontier with
     elapsed t' - t. Linearizations that reach the same state share all
     later work, so the cost follows the number of distinct states rather
-    than the number of linearizations. Raises OracleBudgetError when more
-    than STATE_BUDGET states are visited.
+    than the number of linearizations. Raises OracleBudgetError when this
+    branch visits more than STATE_BUDGET states.
+
+    Each step goes through `rewrites`, the memo of the whole `monitor`
+    call, keyed by (frontier state, pending formula, gap): `step` reads
+    nothing else, so one rewrite serves every cut, branch and segment
+    that meets the same key. Frontier states are keyed by cut and stay
+    local to this walk, since cuts name events of this segment only and
+    the carry changes between segments.
     """
     events = sub.events
     procs = sub.processes
@@ -439,13 +456,11 @@ def _walk_cuts(
             st = frontiers[cut] = merge_frontier(latest)
         return st
 
-    steps: Dict[Tuple[Tuple[int, ...], Formula, int], Formula] = {}
-
-    def advance(cut, f: Formula, gap: int) -> Formula:
-        key = (cut, f, gap)
-        out = steps.get(key)
+    def advance(st: State, f: Formula, gap: int) -> Formula:
+        key = (st, f, gap)
+        out = rewrites.get(key)
         if out is None:
-            out = steps[key] = step(frontier(cut), f, gap)
+            out = rewrites[key] = step(st, f, gap)
         return out
 
     visited = 0
@@ -465,10 +480,13 @@ def _walk_cuts(
     for _ in range(1, len(events)):
         nxt_layer: Dict[Tuple[Tuple[int, ...], int], Set[Formula]] = {}
         for (cut, t), fs in layer.items():
+            st = frontier(cut)
             for nxt, t2 in successors(cut, t):
                 succ = nxt_layer.setdefault((nxt, t2), set())
                 for f in fs:
-                    succ.add(advance(cut, f, t2 - t))
+                    succ.add(advance(st, f, t2 - t))
         layer = nxt_layer
         count(layer)
-    return {(advance(cut, f, 0), t) for (cut, t), fs in layer.items() for f in fs}
+    return {
+        (advance(frontier(cut), f, 0), t) for (cut, t), fs in layer.items() for f in fs
+    }

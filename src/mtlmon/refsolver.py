@@ -21,7 +21,8 @@ Each assertion is compiled once, when it is added: its sorts and argument
 counts are checked, literals become Python values, and ``=`` over booleans
 becomes its own operator ``iff``. Malformed input (a missing argument, a
 sort mismatch, a symbol declared twice) is refused like unsupported input:
-``unknown``, a ``; reason`` line, exit status 1.
+``unknown``, a ``; reason`` line, exit status 1. So is a term nested too
+deeply for the recursive compiler.
 
 The search is chronological backtracking in declaration order (false before
 true, integers ascending) with watched re-evaluation, unit propagation on
@@ -655,6 +656,9 @@ def main() -> int:
             raise Unsupported("unbalanced parentheses")
     except Unsupported as exc:
         sys.stdout.write(f"unknown\n; {exc}\n")
+        return 1
+    except RecursionError:  # the compiler and evaluator recurse on term depth
+        sys.stdout.write("unknown\n; terms nested too deeply\n")
         return 1
     return 0
 

@@ -49,6 +49,9 @@ class State:
     def __post_init__(self):
         object.__setattr__(self, "props", frozenset(self.props))
         object.__setattr__(self, "variables", dict(self.variables))
+        # hashed once: the cut walk's rewrite memo keys on frontier states
+        key = (self.props, tuple(sorted(self.variables.items())))
+        object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other):
         return (
@@ -58,7 +61,7 @@ class State:
         )
 
     def __hash__(self):
-        return hash((self.props, tuple(sorted(self.variables.items()))))
+        return self._hash
 
     def holds(self, f: Formula) -> bool:
         """Truth of a propositional Atom / SumAtom in this state."""

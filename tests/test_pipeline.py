@@ -13,7 +13,18 @@ from mtlmon import pipeline, smt
 from mtlmon.casegen import gen_random_computation
 from mtlmon.cli import main as cli_main, write_jsonl
 from mtlmon.computation import Event, build_computation
-from mtlmon.formula import TRUE, max_nesting
+from mtlmon.formula import (
+    TRUE,
+    Atom,
+    Interval,
+    SumAtom,
+    max_nesting,
+    mk_and,
+    mk_eventually,
+    mk_globally,
+    mk_implies,
+    mk_not,
+)
 from mtlmon.oracle import enumerate_linearizations, oracle_verdicts
 from mtlmon.parser import parse_spec
 from mtlmon.pipeline import (
@@ -299,8 +310,8 @@ class TestCutWalk:
         calls = []
         walk = pipeline._walk_cuts
 
-        def recording(sub, phi, floor, carry):
-            out = walk(sub, phi, floor, carry)
+        def recording(sub, phi, floor, carry, rewrites):
+            out = walk(sub, phi, floor, carry, rewrites)
             calls.append((sub, phi, floor, dict(carry), out))
             return out
 
@@ -325,6 +336,54 @@ class TestCutWalk:
         assert sum(floor is not None for _, _, floor, _, _ in calls) > 500
         for sub, phi, floor, carry, out in calls:
             assert out == oracle_pairs(sub, phi, floor, carry), (str(phi), floor)
+
+    def test_each_rewrite_is_stepped_once_per_run(self, monkeypatch):
+        """Skew-random recipe, 18 events at eps 2 in 4 segments (segment 3
+        leaves 62 branches): the walks of all branches and segments step no
+        (frontier state, formula, gap) twice, and the report equals the
+        one the per-linearization rewrite gives."""
+        comp = gen_random_computation(2, processes=2, events=18, epsilon=2, max_gap=6)
+        phi = parse_spec("G[0,40) (p -> F[0,12) q)")
+        cfg = MonitorConfig(
+            epsilon=2, segments=4, branch_cap=512, max_verdicts_per_segment=512
+        )
+        keys = []
+        real_step = pipeline.step
+
+        def counting(st, f, gap):
+            keys.append((st, f, gap))
+            return real_step(st, f, gap)
+
+        monkeypatch.setattr(pipeline, "step", counting)
+        report = monitor(list(comp.events), phi, cfg)
+        assert len(report.segments[2].branches) == 62
+        assert len(keys) == len(set(keys))
+
+        monkeypatch.setattr(
+            pipeline, "_walk_cuts",
+            lambda sub, phi, floor, carry, rewrites: oracle_pairs(sub, phi, floor, carry),
+        )
+        ref = monitor(list(comp.events), phi, cfg)
+        assert report.verdicts == ref.verdicts
+        assert report.truncated == ref.truncated
+        assert [s.branches for s in report.segments] == [s.branches for s in ref.segments]
+
+    def test_memo_keys_hash_by_structure(self):
+        a = State(frozenset({"p"}), {"to_B": 3, "from_A": 1})
+        b = State(frozenset({"p"}), {"from_A": 1, "to_B": 3})
+        assert list(a.variables) != list(b.variables)
+        assert a == b and hash(a) == hash(b)
+        parsed = parse_spec("G[0,40) (p -> F[0,12) q) & !(sum(to:B) >= sum(from:A) + 2)")
+        built = mk_and(
+            mk_globally(
+                Interval(0, 40),
+                mk_implies(Atom("p"), mk_eventually(Interval(0, 12), Atom("q"))),
+            ),
+            mk_not(SumAtom("B", "A", 2)),
+        )
+        assert parsed is not built
+        assert parsed == built and hash(parsed) == hash(built)
+        assert {(a, parsed, 3): 1}[(b, built, 3)] == 1
 
     def test_verdict_cap_keeps_sorted_prefix(self):
         events = [ev("P1", 1, {"a"}), ev("P1", 4), ev("P2", 2, {"a"}), ev("P2", 5, {"b"})]
@@ -389,6 +448,34 @@ class TestCli:
             err = capsys.readouterr().err
             assert code == 64, blank
             assert err.startswith("mtlmon: usage error: ") and len(err.strip().splitlines()) == 1
+
+    def test_successive_calls_are_independent(self, tmp_path, capsys):
+        """The parser is built once per process; each call still sees only
+        its own --trace list and --format."""
+        trace, spec = self._fig3(tmp_path)
+        argv = ["--trace", trace, "--spec", spec, "--epsilon", "2", "--format", "json"]
+        def untimed(out):
+            report = json.loads(out)
+            for seg in report["segments"]:
+                del seg["ms"]
+            return report
+
+        assert cli_main(argv) == 1
+        first = untimed(capsys.readouterr().out)
+        assert first["verdicts"] == ["false", "true"]
+        # b holds first on every ordering, and the fig3 events stay out
+        p1, p2 = tmp_path / "p1.jsonl", tmp_path / "p2.jsonl"
+        p1.write_text(json.dumps({"proc": "P1", "ts": 1, "props": ["b"]}) + "\n")
+        p2.write_text(json.dumps({"proc": "P2", "ts": 5}) + "\n")
+        code = cli_main(["--trace", str(p1), "--trace", str(p2), "--spec", spec,
+                         "--epsilon", "2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("verdicts: ⊤\n") and "segment 1 (local times 0..5, 2 events" in out
+        assert cli_main(["--trace", trace, "--spec", spec]) == 64
+        assert "--epsilon" in capsys.readouterr().err
+        assert cli_main(argv) == 1
+        assert untimed(capsys.readouterr().out) == first
 
     def test_bad_flag_is_usage_error(self, tmp_path, capsys):
         assert cli_main(["monitor", "--no-such-flag"]) == 64

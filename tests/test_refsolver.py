@@ -216,9 +216,11 @@ class TestMalformedInput:
             "(declare-const b Bool)(assert (< b 1))",
             "(declare-const b Bool)(assert (=> b b b))",
             "(check-sat 1)",
+            "(declare-const b Bool)(assert " + "(not " * 5000 + "b" + ")" * 5001 + "(check-sat)",
         ],
         ids=["declare-no-sort", "assert-nothing", "ite-no-args", "redeclare-const",
-             "redeclare-fun", "int-assertion", "bool-compared", "implies-three", "check-sat-arg"],
+             "redeclare-fun", "int-assertion", "bool-compared", "implies-three", "check-sat-arg",
+             "nested-5000"],
     )
     def test_refused_with_unknown(self, script):
         proc = subprocess.run(
