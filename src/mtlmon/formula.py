@@ -6,6 +6,7 @@ and caches it, so hashing a formula is O(1) after the first time: the
 rewrite memo and the branch sets key on whole formulas. Hashes of
 strings vary between processes, which is harmless because formulas are
 never pickled.
+
 Construction goes through the smart constructors (`mk_not`, `mk_or`, ...)
 which constant-fold; `simplify` re-normalizes arbitrary trees with the
 same rules, so simplify(progressed output) is the identity.
