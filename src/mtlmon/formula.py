@@ -3,13 +3,21 @@
 All nodes are frozen dataclasses with structural equality. Each node
 computes its hash once, from the field tuple its class names in `_fields`,
 and caches it, so hashing a formula is O(1) after the first time: the
-rewrite memo and the branch sets key on whole formulas. Hashes of
-strings vary between processes, which is harmless because formulas are
-never pickled.
+rewrite memo and the branch sets key on whole formulas. A node also
+formats itself once and caches the text, since branch formulas are
+sorted and reported by their text. Hashes of strings vary between
+processes, which is harmless because formulas are never pickled.
 
-Construction goes through the smart constructors (`mk_not`, `mk_or`, ...)
-which constant-fold; `simplify` re-normalizes arbitrary trees with the
-same rules, so simplify(progressed output) is the identity.
+Normal form. Construction goes through the smart constructors (`mk_not`,
+`mk_or`, ...), which constant-fold; `mk_and` and `mk_or` also flatten
+nested operands of their own connective into one right-nested chain and
+drop repeated operands, keeping the first occurrence. A formula is
+normalized when `simplify` returns it unchanged; `simplify` rebuilds an
+arbitrary tree bottom-up with the same constructors. Whatever the
+constructors build from normalized operands is normalized again, so the
+rewrite (`progression.step`) and `shift_anchored` map normalized formulas
+to normalized formulas, and callers that normalize once up front
+(`pipeline.monitor`, `progression.progress`) never normalize again.
 """
 
 from __future__ import annotations
@@ -69,7 +77,7 @@ def in_interval(tau_i: int, tau_0: int, iv: Interval) -> bool:
 class Formula:
     """Base class; subclasses are frozen dataclasses that take `__hash__`
     from here instead of generating one, which would rehash the whole
-    subtree on every call."""
+    subtree on every call. The hash and the text are cached on the node."""
 
     __slots__ = ()
 
@@ -86,9 +94,14 @@ class Formula:
             return h
 
     def __str__(self) -> str:
-        from .parser import format_formula
+        try:
+            return self._str
+        except AttributeError:
+            from .parser import format_formula
 
-        return format_formula(self)
+            text = format_formula(self)
+            object.__setattr__(self, "_str", text)
+            return text
 
     def __repr__(self) -> str:
         return f"<{self.__class__.__name__} {self}>"
@@ -243,38 +256,32 @@ def _flatten(f: Formula, cls) -> Iterable[Formula]:
 
 def mk_or(*fs: Formula) -> Formula:
     """Disjunction of any number of operands; folds constants, dedups, flattens."""
-    seen = []
+    seen = {}  # insertion-ordered: the first occurrence keeps its place
     for f in fs:
         for g in _flatten(f, Or):
             if isinstance(g, TrueF):
                 return TRUE
-            if isinstance(g, FalseF):
-                continue
-            if g not in seen:
-                seen.append(g)
-    if not seen:
-        return FALSE
-    out = seen[-1]
-    for g in reversed(seen[:-1]):
-        out = Or(g, out)
-    return out
+            if not isinstance(g, FalseF):
+                seen[g] = None
+    return _chain(Or, list(seen)) if seen else FALSE
 
 
 def mk_and(*fs: Formula) -> Formula:
-    seen = []
+    seen = {}
     for f in fs:
         for g in _flatten(f, And):
             if isinstance(g, FalseF):
                 return FALSE
-            if isinstance(g, TrueF):
-                continue
-            if g not in seen:
-                seen.append(g)
-    if not seen:
-        return TRUE
-    out = seen[-1]
-    for g in reversed(seen[:-1]):
-        out = And(g, out)
+            if not isinstance(g, TrueF):
+                seen[g] = None
+    return _chain(And, list(seen)) if seen else TRUE
+
+
+def _chain(cls, gs) -> Formula:
+    """Right-nested chain of a binary connective over a non-empty list."""
+    out = gs[-1]
+    for g in reversed(gs[:-1]):
+        out = cls(g, out)
     return out
 
 

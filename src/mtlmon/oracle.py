@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .computation import Computation, Event, time_window
-from .formula import Formula, simplify
+from .formula import Formula
 from .progression import progress
 from .semantics import State, TimedTrace, Verdict, eval_finite
 
@@ -126,5 +126,5 @@ def oracle_progress(c: Computation, f: Formula, budget: int = DEFAULT_BUDGET) ->
     linearization of a computation."""
     out: Set[Formula] = set()
     for lin in enumerate_linearizations(c, budget=budget):
-        out.add(simplify(progress(lin.trace, f)))
+        out.add(progress(lin.trace, f))
     return out

@@ -23,6 +23,7 @@ parse_spec(format_formula(f)) is structurally equal to f.
 
 from __future__ import annotations
 
+import functools
 import re
 import warnings
 
@@ -46,6 +47,7 @@ from .formula import (
 
 
 MAX_DEPTH = 64
+SPEC_CACHE_SIZE = 64  # distinct spec texts whose parse is kept per process
 
 
 class SpecSyntaxError(ValueError):
@@ -249,6 +251,11 @@ class _Parser:
         return SumAtom(to_party, from_party, offset)
 
 
+# cached by text: an auditor checks the same few specs against many logs,
+# and a repeated spec then yields the identical formula object, so memo
+# lookups keyed on it compare by identity. A syntax error raises and is
+# not cached; an empty-interval warning is issued on the first parse only.
+@functools.lru_cache(maxsize=SPEC_CACHE_SIZE)
 def parse_spec(text: str) -> Formula:
     """Parse a spec-grammar string into a formula AST."""
     parser = _Parser(_tokenize(text))

@@ -8,12 +8,19 @@ segment's lattice of consistent cuts one event per layer, stepping the
 pending formula over one frontier state per edge, so linearizations that
 reach the same (cut, last time, formula) state share the rest of the
 work; the outcome set equals the rewrite over every admissible
-linearization. Each one-state rewrite goes through one memo per `monitor`
-call, keyed by (frontier state, pending formula, gap), so every branch of
-every segment steps a given key once. The floor carries the previous
-segment's last timestamp so times never decrease across the boundary, and
-any event-free gap between the floor and a segment's first time shifts
-the branch's anchored windows before rewriting. Branches that collapse to
+linearization. Each one-state rewrite goes through one memo per process,
+keyed by (frontier state, pending formula, gap): every branch of every
+segment, and every later call that meets the same key, reads one rewrite.
+Within one `monitor` call the memo is never evicted, so each key is
+stepped at most once per run; at the end of a call that leaves it holding
+more than REWRITE_LIMIT entries, it is dropped whole. The memo keeps one
+object per distinct frontier state and rewritten formula (hash-consing),
+and the input formula is normalized once per distinct formula, so a
+repeated spec reaches the memo as the same object and lookups mostly
+compare by identity. The floor carries the previous segment's last
+timestamp so times never decrease across the boundary, and any event-free
+gap between the floor and a segment's first time shifts the branch's
+anchored windows before rewriting. Branches that collapse to
 a constant freeze immediately and join the final verdict set. Per-process
 latest payloads (the carry) seed each segment's frontier merging; they
 depend only on which events earlier segments consumed, not on how they
@@ -34,6 +41,7 @@ Segment boundaries come in two flavors:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import shlex
@@ -61,9 +69,22 @@ BOUNDARY_EXACT = "exact"
 BOUNDARY_WINDOW = "window"
 
 STATE_BUDGET = 10**6  # cut-lattice states one branch may visit per segment
+# rewrite-memo entries kept between calls; about 0.3 KB each on the
+# criterion-8 log, so at most about 5 MB stay alive between calls
+REWRITE_LIMIT = 1 << 14
+NORMAL_CACHE_SIZE = 64  # distinct input formulas whose normal form is kept
 
-# step(frontier state, pending formula, gap) -> rewritten formula
-Rewrites = Dict[Tuple[State, Formula, int], Formula]
+# step(frontier state, pending formula, gap) -> rewritten formula, shared
+# by every walk in the process (see the module docstring)
+_rewrites: Dict[Tuple[State, Formula, int], Formula] = {}
+# one object per distinct frontier state and rewritten formula, so the memo
+# keeps no equal copies alive; dropped together with the memo
+_terms: Dict[object, object] = {}
+
+
+def _shared(x):
+    """The first object equal to x that the memo has met, else x."""
+    return _terms.setdefault(x, x)
 
 
 class IngestError(ValueError):
@@ -298,52 +319,62 @@ def monitor(events: Sequence[Event], f: Formula, cfg: MonitorConfig) -> MonitorR
         raise ConfigError(f"length {l} below the last event time {comp.length}")
 
     thetas = consumption_boundaries(comp.events, cfg.segments, l, cfg.epsilon, cfg.boundary)
-    branches: Dict[Tuple[Formula, Optional[int]], None] = {(simplify(f), None): None}
+    branches: Dict[Tuple[Formula, Optional[int]], None] = {(_normalized(f), None): None}
     frozen: Set[Verdict] = set()
     truncated = False
     seg_reports: List[SegmentReport] = []
     carry: Dict[str, State] = {}
-    rewrites: Rewrites = {}  # shared by every walk of this call
 
     times = [e.local_time for e in comp.events]  # ascending: events sort by time
     prev_theta = -1
-    for index, theta in enumerate(thetas, start=1):
-        consumed = range(bisect_right(times, prev_theta), bisect_right(times, theta))
-        report = SegmentReport(index, prev_theta + 1, theta, len(consumed))
-        t0 = _time.perf_counter()
-        if consumed:
-            sub = comp.restrict(consumed)
-            new_branches: Dict[Tuple[Formula, Optional[int]], None] = {}
-            ordered = sorted(branches, key=lambda b: (str(b[0]), b[1] if b[1] is not None else -1))
-            for ordinal, (phi, floor) in enumerate(ordered):
-                verdict = formula_verdict(phi)
-                if verdict is not None:
-                    frozen.add(verdict)
-                    continue
-                pairs, complete = _progress_branch(
-                    sub, phi, floor, carry, cfg, index, ordinal, rewrites
+    try:
+        for index, theta in enumerate(thetas, start=1):
+            consumed = range(bisect_right(times, prev_theta), bisect_right(times, theta))
+            report = SegmentReport(index, prev_theta + 1, theta, len(consumed))
+            t0 = _time.perf_counter()
+            if consumed:
+                sub = comp.restrict(consumed)
+                new_branches: Dict[Tuple[Formula, Optional[int]], None] = {}
+                ordered = sorted(
+                    branches, key=lambda b: (str(b[0]), b[1] if b[1] is not None else -1)
                 )
-                if not complete:
+                for ordinal, (phi, floor) in enumerate(ordered):
+                    verdict = formula_verdict(phi)
+                    if verdict is not None:
+                        frozen.add(verdict)
+                        continue
+                    pairs, complete = _progress_branch(sub, phi, floor, carry, cfg, index, ordinal)
+                    if not complete:
+                        truncated = True
+                    for pair in pairs:
+                        new_branches[pair] = None
+                branches = new_branches
+                if len(branches) > cfg.branch_cap:
+                    keep = sorted(branches, key=lambda b: (str(b[0]), b[1]))[: cfg.branch_cap]
+                    branches = {b: None for b in keep}
                     truncated = True
-                for pair in pairs:
-                    new_branches[pair] = None
-            branches = new_branches
-            if len(branches) > cfg.branch_cap:
-                keep = sorted(branches, key=lambda b: (str(b[0]), b[1]))[: cfg.branch_cap]
-                branches = {b: None for b in keep}
-                truncated = True
-            for proc, st in _segment_carry(sub).items():
-                carry[proc] = st
-        report.ms = (_time.perf_counter() - t0) * 1000.0
-        report.branches = sorted({str(phi) for phi, _ in branches})
-        seg_reports.append(report)
-        prev_theta = theta
+                for proc, st in _segment_carry(sub).items():
+                    carry[proc] = st
+            report.ms = (_time.perf_counter() - t0) * 1000.0
+            report.branches = sorted({str(phi) for phi, _ in branches})
+            seg_reports.append(report)
+            prev_theta = theta
+    finally:
+        if len(_rewrites) > REWRITE_LIMIT:
+            _rewrites.clear()
+            _terms.clear()
 
     final: Set[Verdict] = set(frozen)
     for phi, _floor in branches:
         v = formula_verdict(phi)
         final.add(v if v is not None else finalize(phi))
     return MonitorReport(final, seg_reports, truncated)
+
+
+@functools.lru_cache(maxsize=NORMAL_CACHE_SIZE)
+def _normalized(f: Formula) -> Formula:
+    """The normal form of an input formula, one per distinct formula."""
+    return simplify(f)
 
 
 def _segment_carry(sub: Computation) -> Dict[str, State]:
@@ -359,7 +390,6 @@ def _progress_branch(
     cfg: MonitorConfig,
     seg_index: int,
     ordinal: int,
-    rewrites: Rewrites,
 ) -> Tuple[Set[Tuple[Formula, int]], bool]:
     """The (rewritten formula, last time) outcomes of one branch over one
     segment, plus a completeness flag. Both engines flag the result
@@ -385,7 +415,7 @@ def _progress_branch(
         )
         out = set(enum.branches)
     else:
-        out = _walk_cuts(sub, phi, floor, carry, rewrites)
+        out = _walk_cuts(sub, phi, floor, carry)
     if len(out) > cap:
         keep = sorted(out, key=lambda p: (str(p[0]), p[1]))
         return set(keep[:cap]), False
@@ -397,7 +427,6 @@ def _walk_cuts(
     phi: Formula,
     floor: Optional[int],
     carry: Dict[str, State],
-    rewrites: Rewrites,
 ) -> Set[Tuple[Formula, int]]:
     """Every (residual, last time) outcome of one branch over one segment,
     by a walk over the lattice of consistent cuts, one event per layer.
@@ -411,12 +440,18 @@ def _walk_cuts(
     than the number of linearizations. Raises OracleBudgetError when this
     branch visits more than STATE_BUDGET states.
 
-    Each step goes through `rewrites`, the memo of the whole `monitor`
-    call, keyed by (frontier state, pending formula, gap): `step` reads
-    nothing else, so one rewrite serves every cut, branch and segment
-    that meets the same key. Frontier states are keyed by cut and stay
-    local to this walk, since cuts name events of this segment only and
-    the carry changes between segments.
+    `phi` is normalized, and so is every formula the walk builds from it.
+    Each step goes through `_rewrites`, the memo of the whole process,
+    keyed by (frontier state, pending formula, gap): `step` reads nothing
+    else, so one rewrite serves every cut, branch and segment of this
+    call and of later calls that meet the same key. `monitor` evicts the
+    memo only between calls, when it holds more than REWRITE_LIMIT
+    entries, so within one call each key is stepped at most once. Frontier
+    states and rewrites enter the memo through `_shared`, so equal ones
+    are one object.
+    Frontier states are keyed by cut and stay local to this walk, since
+    cuts name events of this segment only and the carry changes between
+    segments.
     """
     events = sub.events
     procs = sub.processes
@@ -453,14 +488,14 @@ def _walk_cuts(
             for k, c in enumerate(cut):
                 if c:
                     latest[procs[k]] = events[streams[k][c - 1]].payload
-            st = frontiers[cut] = merge_frontier(latest)
+            st = frontiers[cut] = _shared(merge_frontier(latest))
         return st
 
     def advance(st: State, f: Formula, gap: int) -> Formula:
         key = (st, f, gap)
-        out = rewrites.get(key)
+        out = _rewrites.get(key)
         if out is None:
-            out = rewrites[key] = step(st, f, gap)
+            out = _rewrites[key] = _shared(step(st, f, gap))
         return out
 
     visited = 0
@@ -475,7 +510,7 @@ def _walk_cuts(
     layer: Dict[Tuple[Tuple[int, ...], int], Set[Formula]] = {}
     for cut, t in successors((0,) * len(procs), 0 if floor is None else floor):
         gap = 0 if floor is None else t - floor
-        layer[(cut, t)] = {simplify(shift_anchored(phi, gap))}
+        layer[(cut, t)] = {shift_anchored(phi, gap)}
     count(layer)
     for _ in range(1, len(events)):
         nxt_layer: Dict[Tuple[Tuple[int, ...], int], Set[Formula]] = {}

@@ -7,6 +7,7 @@ both verdict engines; everything else is differentially tested against it.
 from __future__ import annotations
 
 import enum
+import types
 from dataclasses import dataclass, field
 from typing import FrozenSet, Mapping, Optional, Tuple
 
@@ -24,7 +25,6 @@ from .formula import (
     TrueF,
     Until,
     in_interval,
-    simplify,
 )
 
 
@@ -41,14 +41,18 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """One observed state: propositions that hold plus integer variables."""
+    """One observed state: propositions that hold plus integer variables.
+
+    Immutable: `variables` is a read-only view of a private copy, because
+    states are keys of the process-wide rewrite memo and a state changed
+    after a call would corrupt the entries later calls read."""
 
     props: FrozenSet[str] = frozenset()
     variables: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "props", frozenset(self.props))
-        object.__setattr__(self, "variables", dict(self.variables))
+        object.__setattr__(self, "variables", types.MappingProxyType(dict(self.variables)))
         # hashed once: the cut walk's rewrite memo keys on frontier states
         key = (self.props, tuple(sorted(self.variables.items())))
         object.__setattr__(self, "_hash", hash(key))
@@ -194,10 +198,12 @@ def _finalize(f: Formula) -> bool:
 
 
 def formula_verdict(f: Formula) -> Optional[Verdict]:
-    """Verdict of a constant formula, None if the formula is residual."""
-    g = simplify(f)
-    if isinstance(g, TrueF):
+    """Verdict of a constant formula, None if the formula is residual.
+
+    Takes a normalized formula (see `formula`), which is constant exactly
+    when it is TRUE or FALSE itself."""
+    if isinstance(f, TrueF):
         return Verdict.TOP
-    if isinstance(g, FalseF):
+    if isinstance(f, FalseF):
         return Verdict.BOTTOM
     return None

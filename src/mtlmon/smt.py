@@ -735,7 +735,7 @@ def replay(problem: SmtProblem, decoded: DecodedModel) -> Tuple[Formula, int, in
     trace = TimedTrace(tuple(states), decoded.times)
     gap = 0 if problem.floor is None else decoded.times[0] - problem.floor
     g = shift_anchored(problem.formula, gap)
-    return simplify(progress(trace, g)), decoded.times[0], decoded.times[-1]
+    return progress(trace, g), decoded.times[0], decoded.times[-1]
 
 
 def blocking_assertion(problem: SmtProblem, model: Mapping[str, int]) -> str:

@@ -1,23 +1,30 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mtlmon.formula import (
     EMPTY,
     FALSE,
     TRUE,
+    And,
     Atom,
     Eventually,
     Globally,
+    Implies,
     Interval,
     Not,
     Or,
+    SumAtom,
+    Until,
     in_interval,
+    mk_and,
+    mk_or,
     shift_anchored,
     simplify,
 )
-from mtlmon.semantics import eval_finite
+from mtlmon.progression import step
+from mtlmon.semantics import State, eval_finite
 from support import random_formula, random_trace
 
 
@@ -108,3 +115,76 @@ class TestShiftAnchored:
         assert shift_anchored(f, 5) == FALSE
         g = Globally(Interval(1, 4), Atom("p"))
         assert shift_anchored(g, 9) == TRUE
+
+
+intervals = st.builds(
+    lambda start, width: Interval(start, None if width is None else start + width),
+    st.integers(0, 3), st.integers(0, 6) | st.none(),
+)
+# constants fold whole subtrees away, so they are drawn less often
+leaves = st.sampled_from(
+    [Atom("p"), Atom("q"), Atom("r"), SumAtom("B", "A", 0), SumAtom("B", "A", 2)]
+) | st.sampled_from([TRUE, FALSE])
+# arbitrary trees, not normalized: constants, repeats and nested chains
+formulas = st.recursive(
+    leaves,
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(Or, sub, sub),
+        st.builds(And, sub, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Until, sub, intervals, sub),
+        st.builds(Eventually, intervals, sub),
+        st.builds(Globally, intervals, sub),
+    ),
+    max_leaves=10,
+)
+states = st.builds(
+    State,
+    st.frozensets(st.sampled_from(["p", "q", "r"])),
+    st.fixed_dictionaries({"to_B": st.integers(0, 4), "from_A": st.integers(0, 4)}),
+)
+
+
+def _flatten(f, cls):
+    return _flatten(f.left, cls) + _flatten(f.right, cls) if isinstance(f, cls) else [f]
+
+
+def _list_dedup(cls, unit, zero, fs):
+    """The dedup `mk_and`/`mk_or` made before: a scan over a list."""
+    seen = []
+    for f in fs:
+        for g in _flatten(f, cls):
+            if isinstance(g, type(zero)):
+                return zero
+            if not isinstance(g, type(unit)) and g not in seen:
+                seen.append(g)
+    if not seen:
+        return unit
+    out = seen[-1]
+    for g in reversed(seen[:-1]):
+        out = cls(g, out)
+    return out
+
+
+class TestNormalForm:
+    """The contract the callers of `step` and `shift_anchored` rely on
+    when they normalize once up front and never again."""
+
+    @settings(max_examples=300)
+    @given(formulas, states, st.integers(0, 8), st.integers(0, 8))
+    def test_step_and_shift_keep_normal_form(self, f, state, gap, t):
+        f = simplify(f)
+        out = step(state, f, gap)
+        assert simplify(out) == out
+        shifted = shift_anchored(f, t)
+        assert simplify(shifted) == shifted
+
+    @given(st.lists(formulas, max_size=6))
+    def test_dedup_keeps_first_occurrence_order(self, fs):
+        pool = fs + fs[::2]  # repeats, some inside nested chains
+        assert mk_and(*pool) == _list_dedup(And, TRUE, FALSE, pool)
+        assert mk_or(*pool) == _list_dedup(Or, FALSE, TRUE, pool)
+        nested = [Or(a, b) for a, b in zip(pool, pool[1:])] + [And(a, a) for a in pool]
+        assert mk_and(*nested) == _list_dedup(And, TRUE, FALSE, nested)
+        assert mk_or(*nested) == _list_dedup(Or, FALSE, TRUE, nested)

@@ -18,6 +18,21 @@ from support import random_formula
 
 
 class TestParse:
+    def test_parse_is_cached_by_text(self):
+        text = "G[0,40) (p -> F[0,12) q) & sum(to:B) >= sum(from:A) + 2"
+        f = parse_spec(text)
+        assert parse_spec(text) is f
+        assert parse_spec(text + " ") == f
+
+    def test_syntax_errors_are_not_cached(self):
+        before = parse_spec.cache_info()
+        for _ in range(3):
+            with pytest.raises(SpecSyntaxError):
+                parse_spec("G[0,40) (p -> ")
+        after = parse_spec.cache_info()
+        assert after.misses == before.misses + 3  # each call parsed again
+        assert after.currsize == before.currsize
+
     def test_until_with_negated_left(self):
         f = parse_spec("!apr_redeem_bob U[0,8) ban_redeem_alice")
         assert f == Until(Not(Atom("apr_redeem_bob")), Interval(0, 8),

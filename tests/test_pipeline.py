@@ -9,9 +9,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtlmon import pipeline, smt
+from mtlmon import casegen, pipeline, smt
 from mtlmon.casegen import gen_random_computation
-from mtlmon.cli import main as cli_main, write_jsonl
+from mtlmon.cli import event_to_json, main as cli_main, write_jsonl
 from mtlmon.computation import Event, build_computation
 from mtlmon.formula import (
     TRUE,
@@ -310,8 +310,8 @@ class TestCutWalk:
         calls = []
         walk = pipeline._walk_cuts
 
-        def recording(sub, phi, floor, carry, rewrites):
-            out = walk(sub, phi, floor, carry, rewrites)
+        def recording(sub, phi, floor, carry):
+            out = walk(sub, phi, floor, carry)
             calls.append((sub, phi, floor, dict(carry), out))
             return out
 
@@ -361,7 +361,7 @@ class TestCutWalk:
 
         monkeypatch.setattr(
             pipeline, "_walk_cuts",
-            lambda sub, phi, floor, carry, rewrites: oracle_pairs(sub, phi, floor, carry),
+            lambda sub, phi, floor, carry: oracle_pairs(sub, phi, floor, carry),
         )
         ref = monitor(list(comp.events), phi, cfg)
         assert report.verdicts == ref.verdicts
@@ -385,6 +385,22 @@ class TestCutWalk:
         assert parsed == built and hash(parsed) == hash(built)
         assert {(a, parsed, 3): 1}[(b, built, 3)] == 1
 
+    def test_memo_keys_are_immutable(self):
+        """States key the process-wide memo, so their variables cannot be
+        changed after construction; they still read like a dict."""
+        totals = {"to_B": 3, "from_A": 1}
+        st_ = State(frozenset({"p"}), totals)
+        with pytest.raises(TypeError):
+            st_.variables["to_B"] = 9
+        totals["to_B"] = 9  # the state holds its own copy
+        assert st_.variables == {"to_B": 3, "from_A": 1}
+        assert st_ == State(frozenset({"p"}), {"from_A": 1, "to_B": 3})
+        assert hash(st_) == hash((frozenset({"p"}), (("from_A", 1), ("to_B", 3))))
+        assert event_to_json(Event("P1", 4, st_)) == {
+            "proc": "P1", "ts": 4, "kind": "local", "msg": None,
+            "props": ["p"], "vars": {"from_A": 1, "to_B": 3},
+        }
+
     def test_verdict_cap_keeps_sorted_prefix(self):
         events = [ev("P1", 1, {"a"}), ev("P1", 4), ev("P2", 2, {"a"}), ev("P2", 5, {"b"})]
         phi = parse_spec("a U[0,6) b")
@@ -399,6 +415,75 @@ class TestCutWalk:
         monkeypatch.setattr(pipeline, "STATE_BUDGET", 3)
         with pytest.raises(pipeline.OracleBudgetError):
             monitor(events, phi, MonitorConfig(epsilon=2))
+
+
+def _untimed(report: dict) -> dict:
+    """A JSON report without the per-segment wall times."""
+    for seg in report["segments"]:
+        del seg["ms"]
+    return report
+
+
+class TestProcessCaches:
+    """The rewrite memo, the spec parse and the input normalization are
+    kept per process; counted without timing."""
+
+    def test_each_key_is_stepped_once_per_process(self, tmp_path, capsys, monkeypatch):
+        """16 swap-grid logs x 1 spec through the in-process CLI: the logs
+        share one memo, so `step` runs once per distinct key over all
+        calls, and every report equals the one of a cold memo."""
+        params = casegen.ProtocolParams(delta=10, epsilon=1)
+        spec = tmp_path / "alice_hedged_2p.mtl"
+        spec.write_text(str(casegen.spec_library(10)["alice_hedged_2p"]) + "\n")
+        argvs = []
+        for vec in casegen.enumerate_two_party_executions()[::64]:
+            path = str(tmp_path / f"{vec}.jsonl")
+            write_jsonl(casegen.gen_two_party_log(vec, params), path)
+            argvs.append(["--trace", path, "--spec", str(spec), "--epsilon", "1",
+                          "--format", "json"])
+        assert len(argvs) == 16
+
+        def reports(clear_each):
+            out = []
+            for argv in argvs:
+                if clear_each:
+                    pipeline._rewrites.clear()
+                code = cli_main(argv)
+                out.append((code, _untimed(json.loads(capsys.readouterr().out))))
+            return out
+
+        keys = []
+        real_step = pipeline.step
+
+        def counting(st, f, gap):
+            keys.append((st, f, gap))
+            return real_step(st, f, gap)
+
+        monkeypatch.setattr(pipeline, "step", counting)
+        cold = reports(clear_each=True)
+        cold_calls, keys[:] = len(keys), []
+        pipeline._rewrites.clear()
+        shared = reports(clear_each=False)
+        assert shared == cold
+        assert len(keys) == len(set(keys))
+        assert 0 < len(keys) < cold_calls
+
+    def test_memo_is_dropped_above_the_limit(self, monkeypatch):
+        comp = gen_random_computation(2, processes=2, events=12, epsilon=2, max_gap=6)
+        phi = parse_spec("G[0,40) (p -> F[0,12) q)")
+        cfg = MonitorConfig(epsilon=2, segments=3)
+        pipeline._rewrites.clear()
+        kept = _untimed(monitor(list(comp.events), phi, cfg).to_json())
+        assert 1 < len(pipeline._rewrites) <= pipeline.REWRITE_LIMIT
+        # equal rewrites and frontier states are kept as one object each
+        for part in ((st for st, _, _ in pipeline._rewrites), pipeline._rewrites.values()):
+            objs = list(part)
+            assert len({id(x) for x in objs}) == len(set(objs))
+        monkeypatch.setattr(pipeline, "REWRITE_LIMIT", 1)
+        pipeline._rewrites.clear()
+        dropped = _untimed(monitor(list(comp.events), phi, cfg).to_json())
+        assert pipeline._rewrites == {} and pipeline._terms == {}
+        assert dropped == kept
 
 
 class TestCli:
@@ -454,14 +539,8 @@ class TestCli:
         its own --trace list and --format."""
         trace, spec = self._fig3(tmp_path)
         argv = ["--trace", trace, "--spec", spec, "--epsilon", "2", "--format", "json"]
-        def untimed(out):
-            report = json.loads(out)
-            for seg in report["segments"]:
-                del seg["ms"]
-            return report
-
         assert cli_main(argv) == 1
-        first = untimed(capsys.readouterr().out)
+        first = _untimed(json.loads(capsys.readouterr().out))
         assert first["verdicts"] == ["false", "true"]
         # b holds first on every ordering, and the fig3 events stay out
         p1, p2 = tmp_path / "p1.jsonl", tmp_path / "p2.jsonl"
@@ -475,7 +554,7 @@ class TestCli:
         assert cli_main(["--trace", trace, "--spec", spec]) == 64
         assert "--epsilon" in capsys.readouterr().err
         assert cli_main(argv) == 1
-        assert untimed(capsys.readouterr().out) == first
+        assert _untimed(json.loads(capsys.readouterr().out)) == first
 
     def test_bad_flag_is_usage_error(self, tmp_path, capsys):
         assert cli_main(["monitor", "--no-such-flag"]) == 64
