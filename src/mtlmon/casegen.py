@@ -39,9 +39,6 @@ PREMIUM_BAN = 2  # alice's premium on the banana chain
 class ProtocolParams:
     delta: int = 500
     epsilon: int = 1
-    asset: int = ASSET
-    premium_apr: int = PREMIUM_APR
-    premium_ban: int = PREMIUM_BAN
 
 
 @dataclass(frozen=True)
@@ -140,24 +137,24 @@ def gen_two_party_log(
         return step * d + (1 if vec.late(step) else -1)
 
     if vec.attempted(1):
-        ban.emit(when(1), ["ban.premium_deposited_alice"], from_alice=params.premium_ban)
+        ban.emit(when(1), ["ban.premium_deposited_alice"], from_alice=PREMIUM_BAN)
     if vec.attempted(2):
-        apr.emit(when(2), ["apr.premium_deposited_bob"], from_bob=params.premium_apr)
+        apr.emit(when(2), ["apr.premium_deposited_bob"], from_bob=PREMIUM_APR)
     if vec.attempted(3):
-        apr.emit(when(3), ["apr.asset_escrowed_alice"], from_alice=params.asset)
+        apr.emit(when(3), ["apr.asset_escrowed_alice"], from_alice=ASSET)
     if vec.attempted(4):
-        ban.emit(when(4), ["ban.asset_escrowed_bob"], from_bob=params.asset)
+        ban.emit(when(4), ["ban.asset_escrowed_bob"], from_bob=ASSET)
     if vec.attempted(5):
         ban.emit(
             when(5),
             ["ban.asset_redeemed_alice", "ban.premium_refunded_alice"],
-            to_alice=params.asset + params.premium_ban,
+            to_alice=ASSET + PREMIUM_BAN,
         )
     if vec.attempted(6):
         apr.emit(
             when(6),
             ["apr.asset_redeemed_bob", "apr.premium_refunded_bob"],
-            to_bob=params.asset + params.premium_apr,
+            to_bob=ASSET + PREMIUM_APR,
         )
 
     # timeout resolution: each chain settles whatever was not redeemed; a
@@ -166,20 +163,20 @@ def gen_two_party_log(
     ban_moves: Dict[str, int] = {}
     if vec.attempted(4) and not vec.attempted(5):
         ban_props.append("ban.asset_refunded_any")
-        ban_moves["to_bob"] = params.asset + params.premium_ban
+        ban_moves["to_bob"] = ASSET + PREMIUM_BAN
     elif vec.attempted(1) and not vec.attempted(4):
         ban_props.append("ban.premium_refunded_alice")
-        ban_moves["to_alice"] = params.premium_ban
+        ban_moves["to_alice"] = PREMIUM_BAN
     ban.emit(5 * d + 2, ban_props, **ban_moves)
 
     apr_props = ["apr.all_asset_settled_any"]
     apr_moves: Dict[str, int] = {}
     if vec.attempted(3) and not vec.attempted(6):
         apr_props.append("apr.asset_refunded_any")
-        apr_moves["to_alice"] = params.asset + params.premium_apr
+        apr_moves["to_alice"] = ASSET + PREMIUM_APR
     elif vec.attempted(2) and not vec.attempted(3):
         apr_props.append("apr.premium_refunded_bob")
-        apr_moves["to_bob"] = params.premium_apr
+        apr_moves["to_bob"] = PREMIUM_APR
     apr.emit(6 * d + 2, apr_props, **apr_moves)
 
     return sorted(ban.events + apr.events, key=lambda e: (e.local_time, e.process))
@@ -261,12 +258,13 @@ def gen_three_party_log(
 # Auction (ticket chain / coin chain)
 # ---------------------------------------------------------------------------
 
+WINNER_BID = 100  # bob's bid on the coin chain
+LOSER_BID = 90  # carol's bid on the coin chain
+
 
 def gen_auction_log(
     steps: Optional[Sequence[int]] = None,
     params: ProtocolParams = ProtocolParams(),
-    winner_bid: int = 100,
-    loser_bid: int = 90,
 ) -> List[Event]:
     """Log of one auction run: `steps` = attempt bits for (bob bids,
     carol bids, alice declares). The zero vector yields the setup only."""
@@ -285,9 +283,9 @@ def gen_auction_log(
         return sorted(tckt.events + coin.events, key=lambda e: (e.local_time, e.process))
     bob_bids, carol_bids, declares = (bool(b) for b in steps)
     if carol_bids:
-        coin.emit(d - 2, ["coin.bid_carol"], from_carol=loser_bid)
+        coin.emit(d - 2, ["coin.bid_carol"], from_carol=LOSER_BID)
     if bob_bids:
-        coin.emit(d - 1, ["coin.bid_bob"], from_bob=winner_bid)
+        coin.emit(d - 1, ["coin.bid_bob"], from_bob=WINNER_BID)
     if declares and bob_bids:
         coin.emit(2 * d - 1, ["coin.declaration_alice_sb"])
         tckt.emit(2 * d - 1, ["tckt.declaration_alice_sb"])
@@ -298,18 +296,18 @@ def gen_auction_log(
     tckt_moves: Dict[str, int] = {}
     if declares and bob_bids:
         coin_props += ["coin.redeemBid_any", "coin.refundPremium_any"]
-        coin_moves["to_alice"] = winner_bid + 2
+        coin_moves["to_alice"] = WINNER_BID + 2
         tckt_props.append("tckt.redeemTicket_any")
         tckt_moves["to_bob"] = ASSET
     else:
         if bob_bids:
-            coin_moves["to_bob"] = winner_bid + 1  # bid back plus compensation
+            coin_moves["to_bob"] = WINNER_BID + 1  # bid back plus compensation
             coin_props.append("coin.redeemPremium_any")
         tckt_props.append("tckt.refundTicket_alice")
         tckt_moves["to_alice"] = ASSET
     if carol_bids:
         coin_props.append("coin.refundBid_any")
-        coin_moves["to_carol"] = coin_moves.get("to_carol", 0) + loser_bid
+        coin_moves["to_carol"] = coin_moves.get("to_carol", 0) + LOSER_BID
     coin.emit(4 * d + 1, coin_props, **coin_moves)
     tckt.emit(4 * d + 1, tckt_props, **tckt_moves)
     return sorted(tckt.events + coin.events, key=lambda e: (e.local_time, e.process))
@@ -420,14 +418,15 @@ def spec_library(delta: int = 500) -> Dict[str, Formula]:
 # Random computations for property tests
 # ---------------------------------------------------------------------------
 
+ALPHABET = ("p", "q", "r")
+PROP_RATE = 0.35  # chance that each proposition holds at an event
+
 
 def gen_random_computation(
     seed: int,
     processes: int = 3,
     events: int = 8,
     epsilon: int = 2,
-    alphabet: Sequence[str] = ("p", "q", "r"),
-    prop_rate: float = 0.35,
     message_rate: float = 0.0,
     max_gap: int = 4,
 ) -> Computation:
@@ -441,7 +440,7 @@ def gen_random_computation(
         t = rng.randrange(0, max(2, epsilon))
         count = events // processes + (1 if pi < events % processes else 0)
         for _ in range(count):
-            props = frozenset(a for a in alphabet if rng.random() < prop_rate)
+            props = frozenset(a for a in ALPHABET if rng.random() < PROP_RATE)
             raw.append((f"P{pi + 1}", t, props))
             t += rng.randrange(1, max_gap + 1)
     evs = [Event(p, t, State(props)) for p, t, props in raw]

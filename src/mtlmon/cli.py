@@ -5,13 +5,10 @@
 
 `monitor` may be omitted when the first argument is a flag. Exit codes:
 0 every linearization satisfies the spec; 1 some linearization violates
-it; 2 the run was truncated without finding a violation; 64 usage errors;
-65 unreadable, undecodable or malformed inputs; 69 the solver timed out,
-could not be run, stopped answering, answered unknown or returned an
-unusable model; 70 the engine exhausted its budget (lattice states, or the
-solver engine's boolean variables); 73 a --emit-smt file or directory
-could not be written. Codes 65, 69, 70 and 73 come with one
-`mtlmon: ...` line on stderr and no traceback.
+it; 2 the run was truncated without finding a violation. A failure exits
+with the code of its class in mtlmon/errors.py (64 usage, 65 input, 69
+solver, 70 budget, 73 --emit-smt) and one `mtlmon: ...` line on stderr;
+any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -23,40 +20,26 @@ import sys
 from typing import List, Optional
 
 from . import casegen
-from .computation import ComputationError, Event
-from .oracle import OracleBudgetError
-from .parser import SpecSyntaxError, parse_spec
+from .computation import Event
+from .errors import InputError, MonitorError, UsageError
+from .parser import parse_spec
 from .pipeline import (
     BOUNDARY_EXACT,
     BOUNDARY_WINDOW,
-    ConfigError,
-    IngestError,
     MonitorConfig,
     MonitorReport,
     ingest,
     monitor,
 )
 from .semantics import Verdict
-from .smt import (
-    DEFAULT_TIMEOUT,
-    ModelDecodeError,
-    SegmentTooLargeError,
-    SolverCrashError,
-    SolverTimeoutError,
-)
-
-EX_USAGE = 64
-EX_DATAERR = 65
-EX_UNAVAILABLE = 69
-EX_SOFTWARE = 70
-EX_CANTCREAT = 73
+from .smt import DEFAULT_TIMEOUT
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EX_USAGE)
+        raise SystemExit(UsageError.exit_code)
 
 
 # built once per process: parsing does not change the parser, and the
@@ -159,23 +142,15 @@ def _print_text_report(report: MonitorReport, out):
         print("warning: result truncated; verdict set is a subset", file=out)
 
 
-def cmd_monitor(args) -> int:
+def _read_spec(path: str) -> str:
     try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec_text = fh.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"mtlmon: cannot read spec: {exc}", file=sys.stderr)
-        return EX_DATAERR
-    try:
-        formula = parse_spec(spec_text)
-    except SpecSyntaxError as exc:
-        print(f"mtlmon: spec error: {exc}", file=sys.stderr)
-        return EX_DATAERR
-    try:
-        events = ingest(args.trace)
-    except (IngestError, OSError) as exc:
-        print(f"mtlmon: trace error: {exc}", file=sys.stderr)
-        return EX_DATAERR
+        raise InputError(f"cannot read spec: {exc}") from exc
+
+
+def cmd_monitor(args) -> int:
     cfg = MonitorConfig(
         epsilon=args.epsilon,
         segments=args.segments,
@@ -189,24 +164,12 @@ def cmd_monitor(args) -> int:
         emit_smt_dir=args.emit_smt,
     )
     try:
-        cfg.validate()
-    except ConfigError as exc:
-        print(f"mtlmon: usage error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    try:
-        report = monitor(events, formula, cfg)
-    except (OracleBudgetError, SegmentTooLargeError) as exc:
-        print(f"mtlmon: budget exceeded: {exc}", file=sys.stderr)
-        return EX_SOFTWARE
-    except (ComputationError, ConfigError, ValueError) as exc:
-        print(f"mtlmon: {exc}", file=sys.stderr)
-        return EX_DATAERR
-    except (SolverTimeoutError, SolverCrashError, ModelDecodeError) as exc:
-        print(f"mtlmon: solver error: {exc}", file=sys.stderr)
-        return EX_UNAVAILABLE
-    except OSError as exc:  # monitor writes no files but the --emit-smt ones
-        print(f"mtlmon: cannot write --emit-smt files: {exc}", file=sys.stderr)
-        return EX_CANTCREAT
+        formula = parse_spec(_read_spec(args.spec))
+        report = monitor(ingest(args.trace), formula, cfg)
+    except MonitorError as exc:
+        label = f"{exc.label}: " if exc.label else ""
+        print(f"mtlmon: {label}{exc}", file=sys.stderr)
+        return exc.exit_code
     if args.format == "json":
         json.dump(report.to_json(), sys.stdout, indent=2)
         print()
@@ -271,7 +234,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EX_USAGE
+        return exc.code
     if args.command == "monitor":
         return cmd_monitor(args)
     if args.command == "gen":
@@ -279,9 +242,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             return cmd_gen(args)
         except (ValueError, OSError) as exc:
             print(f"mtlmon: {exc}", file=sys.stderr)
-            return EX_DATAERR
+            return InputError.exit_code
     parser.print_help()
-    return EX_USAGE
+    return UsageError.exit_code
 
 
 if __name__ == "__main__":

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .errors import InputError
 from .semantics import State
 
 
-class ComputationError(ValueError):
+class ComputationError(InputError):
     """The event log cannot form a valid computation (duplicate timestamps,
     dangling message ids, or an ordering cycle)."""
 

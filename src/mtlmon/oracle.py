@@ -15,26 +15,13 @@ from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 from .computation import Computation, Event, time_window
 from .formula import Formula
 from .progression import progress
-from .semantics import State, TimedTrace, Verdict, eval_finite
+from .semantics import State, TimedTrace, Verdict, eval_finite, merge_frontier
 
 DEFAULT_BUDGET = 10**6
 
 
 class OracleBudgetError(RuntimeError):
     """Enumeration exceeded its cap; a truncated oracle is not an oracle."""
-
-
-def merge_frontier(latest: Mapping[str, State]) -> State:
-    """State visible at a cut: union of per-process latest propositions,
-    key-wise sum of per-process latest variable totals."""
-    props: Set[str] = set()
-    variables: Dict[str, int] = {}
-    for proc in sorted(latest):
-        st = latest[proc]
-        props |= st.props
-        for k, v in st.variables.items():
-            variables[k] = variables.get(k, 0) + v
-    return State(frozenset(props), variables)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ import functools
 import re
 import warnings
 
+from .errors import InputError
 from .formula import (
     FALSE,
     TRUE,
@@ -50,7 +51,9 @@ MAX_DEPTH = 64
 SPEC_CACHE_SIZE = 64  # distinct spec texts whose parse is kept per process
 
 
-class SpecSyntaxError(ValueError):
+class SpecSyntaxError(InputError):
+    label = "spec error"
+
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, column {col})")
         self.line = line
@@ -131,6 +134,16 @@ class _Parser:
         self.i += 1
         return tok
 
+    def number(self) -> int:
+        """The value of the next token, which must be an integer."""
+        tok = self.eat(kind="int")
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than Python converts to an int
+            raise SpecSyntaxError(
+                f"integer of {len(tok.text)} digits is too long", tok.line, tok.col
+            ) from None
+
     def at(self, text: str) -> bool:
         return self.cur.text == text
 
@@ -192,13 +205,13 @@ class _Parser:
         if not self.at("["):
             return Interval(0, None)
         tok = self.eat("[")
-        start = int(self.eat(kind="int").text)
+        start = self.number()
         self.eat(",")
         if self.at("inf"):
             self.eat("inf")
             end = None
         else:
-            end = int(self.eat(kind="int").text)
+            end = self.number()
         self.eat(")")
         if end is not None and end <= start:
             warnings.warn(
@@ -247,7 +260,7 @@ class _Parser:
         offset = 0
         if self.at("+"):
             self.eat("+")
-            offset = int(self.eat(kind="int").text)
+            offset = self.number()
         return SumAtom(to_party, from_party, offset)
 
 

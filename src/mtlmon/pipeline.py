@@ -52,15 +52,15 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import smt as smt_backend
 from .computation import Computation, Event, build_computation, time_window
+from .errors import BudgetExceeded, InputError, UsageError
 from .formula import Formula, shift_anchored, simplify
-from .oracle import OracleBudgetError, merge_frontier
 from .progression import step
 
 # perfbench/spans.py wraps these two names on this module to count
 # linearizations and progress calls; the cut walk calls neither.
 from .oracle import enumerate_linearizations  # noqa: F401
 from .progression import progress  # noqa: F401
-from .semantics import State, Verdict, finalize, formula_verdict
+from .semantics import State, Verdict, finalize, formula_verdict, merge_frontier
 
 ENGINE_ENUMERATE = "enumerate"
 ENGINE_SMT = "smt"
@@ -87,11 +87,11 @@ def _shared(x):
     return _terms.setdefault(x, x)
 
 
-class IngestError(ValueError):
-    pass
+class IngestError(InputError):
+    label = "trace error"
 
 
-class ConfigError(ValueError):
+class ConfigError(UsageError):
     pass
 
 
@@ -188,6 +188,8 @@ def ingest(paths) -> List[Event]:
                         records.append(record)
         except UnicodeDecodeError as exc:
             raise IngestError(f"{path}: not UTF-8 text: {exc}") from exc
+        except OSError as exc:
+            raise IngestError(str(exc)) from exc
 
     records.sort(key=lambda r: (r[3], r[2]))
     running: Dict[str, Dict[str, int]] = {}
@@ -312,11 +314,11 @@ def monitor(events: Sequence[Event], f: Formula, cfg: MonitorConfig) -> MonitorR
     """Compute the verdict set of a formula over an event log."""
     cfg.validate()
     if not events:
-        raise ValueError("cannot monitor an empty event log")
+        raise InputError("cannot monitor an empty event log")
     comp = build_computation(events, cfg.epsilon)
     l = cfg.length if cfg.length is not None else comp.length
     if l < comp.length:
-        raise ConfigError(f"length {l} below the last event time {comp.length}")
+        raise InputError(f"length {l} below the last event time {comp.length}")
 
     thetas = consumption_boundaries(comp.events, cfg.segments, l, cfg.epsilon, cfg.boundary)
     branches: Dict[Tuple[Formula, Optional[int]], None] = {(_normalized(f), None): None}
@@ -437,7 +439,7 @@ def _walk_cuts(
     its skew window and steps the pending formula over the frontier with
     elapsed t' - t. Linearizations that reach the same state share all
     later work, so the cost follows the number of distinct states rather
-    than the number of linearizations. Raises OracleBudgetError when this
+    than the number of linearizations. Raises BudgetExceeded when this
     branch visits more than STATE_BUDGET states.
 
     `phi` is normalized, and so is every formula the walk builds from it.
@@ -504,7 +506,7 @@ def _walk_cuts(
         nonlocal visited
         visited += sum(len(fs) for fs in layer.values())
         if visited > STATE_BUDGET:
-            raise OracleBudgetError(f"more than {STATE_BUDGET} lattice states")
+            raise BudgetExceeded(f"more than {STATE_BUDGET} lattice states")
 
     # layer k maps (cut of k events, last time) to its pending formulas
     layer: Dict[Tuple[Tuple[int, ...], int], Set[Formula]] = {}

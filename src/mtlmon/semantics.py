@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import types
 from dataclasses import dataclass, field
-from typing import FrozenSet, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Set, Tuple
 
 from .formula import (
     And,
@@ -76,6 +76,19 @@ class State:
             from_total = self.variables.get(f"from_{f.from_party}", 0)
             return to_total >= from_total + f.offset
         raise TypeError(f"not a state predicate: {f!r}")
+
+
+def merge_frontier(latest: Mapping[str, State]) -> State:
+    """State visible at a cut: union of per-process latest propositions,
+    key-wise sum of per-process latest variable totals."""
+    props: Set[str] = set()
+    variables: Dict[str, int] = {}
+    for proc in sorted(latest):
+        st = latest[proc]
+        props |= st.props
+        for k, v in st.variables.items():
+            variables[k] = variables.get(k, 0) + v
+    return State(frozenset(props), variables)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .computation import Computation, time_window
+from .errors import BudgetExceeded, EmitError, SolverError
 from .formula import (
     And,
     Atom,
@@ -68,31 +69,26 @@ from .formula import (
     shift_anchored,
     simplify,
 )
-from .oracle import merge_frontier
 from .progression import progress
-from .semantics import State, TimedTrace
+from .semantics import State, TimedTrace, merge_frontier
 
 DEFAULT_TIMEOUT = 60.0
 VAR_BUDGET = 5000  # boolean variables one encoding may declare
 
 
-class EncodingError(ValueError):
-    """Formula shape outside the encodable fragment."""
-
-
-class SegmentTooLargeError(ValueError):
+class SegmentTooLargeError(BudgetExceeded):
     """Encoding would exceed the boolean-variable budget."""
 
 
-class SolverCrashError(RuntimeError):
+class SolverCrashError(SolverError):
     pass
 
 
-class SolverTimeoutError(RuntimeError):
+class SolverTimeoutError(SolverError):
     pass
 
 
-class ModelDecodeError(RuntimeError):
+class ModelDecodeError(SolverError):
     pass
 
 
@@ -165,8 +161,6 @@ class _Encoder:
         floor: Optional[int],
         carry: Mapping[str, State],
     ):
-        if len(c) == 0:
-            raise EncodingError("cannot encode an empty segment")
         self.c = c
         self.f = f
         self.floor = floor
@@ -192,6 +186,8 @@ class _Encoder:
             self.tmin = max(self.tmin, floor)
         self.tmax = max(w.stop - 1 for w in self.windows)
         self.base = "tau_1" if floor is None else _int(floor)
+        # the most time any position can lie after the base
+        self.span = max(0, self.tmax - (self.tmin if floor is None else floor))
 
     def _number(self, g: Formula):
         self.nodes.append(g)
@@ -324,12 +320,11 @@ class _Encoder:
             self.sig_bools.extend(
                 f"at_{pos}_{self.atom_id[a]}" for pos in range(self.m) for a in self.atoms
             )
-            lo = self.tmin if self.floor is None else self.floor
             for pos in range(0 if self.floor is not None else 1, self.m):
                 self.declare(f"off_{pos}", "Int")
                 self.add(f"(= off_{pos} {self._elapsed(pos)})")
                 self.add(f"(>= off_{pos} 0)")
-                self.add(f"(<= off_{pos} {max(0, self.tmax - lo)})")
+                self.add(f"(<= off_{pos} {self.span})")
                 self.sig_ints.append(f"off_{pos}")
 
     def encode_summary(self):
@@ -390,14 +385,15 @@ class _Encoder:
                     ]
                 )
                 self._sig_bool(f"guard_{nid}", guard)
-            # shifts past the window's reach all produce the same residual
+            # shifts past the window's reach all produce the same residual,
+            # and no shift exceeds the span
             cap = iv.start if iv.end is None else iv.end
             shift = self._elapsed(m - 1)
             name = f"shout_{nid}"
             self.declare(name, "Int")
             self.add(f"(= {name} (ite (< {shift} {cap}) {shift} {cap}))")
             self.add(f"(>= {name} 0)")
-            self.add(f"(<= {name} {cap})")
+            self.add(f"(<= {name} {min(cap, self.span)})")
             self.sig_ints.append(name)
 
     def _sig_bool(self, name: str, expr: str):
@@ -480,6 +476,9 @@ class SolverResult:
 
 QUERY_END = "(check-sat)\n(get-model)\n"  # how every standalone query ends
 _CHUNK = 1 << 16
+# longest single wait in select(), which rejects waits past the platform's
+# time_t; a longer timeout waits in several rounds
+_MAX_WAIT = 86400.0
 _SEXPR_MARKS = re.compile(rb'[()"]')
 
 
@@ -550,7 +549,7 @@ class SolverSession:
             wait = deadline - time.monotonic()
             if wait <= 0:
                 raise SolverTimeoutError("solver exceeded the per-query timeout")
-            for key, _events in self._sel.select(wait):
+            for key, _events in self._sel.select(min(wait, _MAX_WAIT)):
                 if key.fileobj is self._proc.stdout:
                     chunk = os.read(key.fd, _CHUNK)
                     self._out += chunk
@@ -666,8 +665,11 @@ def solve(
     round's standalone query."""
     text = problem.text + "".join(b + "\n" for b in blocks) + QUERY_END
     if emit_path:
-        with open(emit_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(emit_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise EmitError(str(exc)) from exc
     status, _, model = run_solver(text, session, timeout).partition("\n")
     if status == "unsat":
         return SolverResult("unsat")
@@ -785,7 +787,10 @@ def enumerate_verdicts(
         raise ValueError("max_verdicts must be >= 1")
     problem = encode(seg, f, floor, carry)
     if emit_dir:
-        os.makedirs(emit_dir, exist_ok=True)
+        try:
+            os.makedirs(emit_dir, exist_ok=True)
+        except OSError as exc:
+            raise EmitError(str(exc)) from exc
     blocks: List[str] = []
     found: List[Tuple[Formula, int]] = []
     seen: Set[Tuple[Formula, int]] = set()

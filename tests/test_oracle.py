@@ -8,12 +8,11 @@ from mtlmon.formula import TRUE, Not
 from mtlmon.oracle import (
     OracleBudgetError,
     enumerate_linearizations,
-    merge_frontier,
     oracle_progress,
     oracle_verdicts,
 )
 from mtlmon.parser import parse_spec
-from mtlmon.semantics import State, Verdict
+from mtlmon.semantics import State, Verdict, merge_frontier
 from support import bounded_computation, random_formula
 
 

@@ -13,6 +13,7 @@ from mtlmon import casegen, pipeline, smt
 from mtlmon.casegen import gen_random_computation
 from mtlmon.cli import event_to_json, main as cli_main, write_jsonl
 from mtlmon.computation import Event, build_computation
+from mtlmon.errors import BudgetExceeded
 from mtlmon.formula import (
     TRUE,
     Atom,
@@ -413,7 +414,7 @@ class TestCutWalk:
         events = [ev("P1", 1, {"a"}), ev("P1", 4), ev("P2", 2, {"a"}), ev("P2", 5, {"b"})]
         phi = parse_spec("a U[0,6) b")
         monkeypatch.setattr(pipeline, "STATE_BUDGET", 3)
-        with pytest.raises(pipeline.OracleBudgetError):
+        with pytest.raises(BudgetExceeded):
             monitor(events, phi, MonitorConfig(epsilon=2))
 
 
@@ -601,6 +602,9 @@ class TestCli:
             pytest.param("spec", b"(" * 3000 + b"p" + b")" * 3000, id="spec-parentheses"),
             pytest.param("spec", b"!" * 3000 + b"p", id="spec-negations"),
             pytest.param("spec", b" & ".join([b"p"] * 1500), id="spec-conjuncts"),
+            # more digits than Python converts to an int
+            pytest.param("spec", b"F[0," + b"9" * 5000 + b") p", id="spec-huge-bound"),
+            pytest.param("trace", b"", id="trace-empty"),
         ],
     )
     def test_malformed_input_exits_65(self, tmp_path, capsys, which, content):
@@ -613,6 +617,31 @@ class TestCli:
         assert code == 65
         assert err.startswith("mtlmon: ") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_length_below_last_event_exits_65(self, tmp_path, capsys):
+        trace, spec = self._fig3(tmp_path)
+        code = cli_main(["--trace", trace, "--spec", spec, "--epsilon", "2", "--length", "1"])
+        err = capsys.readouterr().err
+        assert code == 65
+        assert err == "mtlmon: length 1 below the last event time 5\n"
+
+    def test_long_window_engines_agree(self, tmp_path, capsys):
+        """A window far longer than the log: the solver engine bounds the
+        window's shift by the segment's span, not by the window's end."""
+        trace = tmp_path / "two.jsonl"
+        trace.write_text(
+            json.dumps({"proc": "P1", "ts": 1}) + "\n"
+            + json.dumps({"proc": "P1", "ts": 3, "props": ["p"]}) + "\n"
+        )
+        spec = tmp_path / "long.mtl"
+        spec.write_text("F[0,200000000) p\n")
+        argv = ["--trace", str(trace), "--spec", str(spec), "--epsilon", "1", "--format", "json"]
+        reports = []
+        for engine in (["--engine", "enumerate"], ["--engine", "smt", "--solver-cmd", CMD]):
+            assert cli_main(argv + engine) == 0
+            reports.append(_untimed(json.loads(capsys.readouterr().out)))
+        assert reports[0] == reports[1]
+        assert reports[0]["verdicts"] == ["true"]
 
     def test_variable_budget_exits_70(self, tmp_path, capsys, monkeypatch):
         trace, spec = self._fig3(tmp_path)
@@ -639,6 +668,14 @@ class TestCli:
         assert code == 69
         assert err.startswith("mtlmon: solver error: ") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_huge_timeout_is_accepted(self, tmp_path, capsys):
+        trace, spec = self._fig3(tmp_path)
+        code = cli_main([
+            "--trace", trace, "--spec", spec, "--epsilon", "2",
+            "--engine", "smt", "--solver-cmd", CMD, "--timeout", "1e300",
+        ])
+        assert code == 1 and capsys.readouterr().err == ""
 
     def test_solver_timeout_bounds_writing(self, tmp_path, capsys):
         """A solver that never reads cannot stall the write of a problem

@@ -92,7 +92,7 @@ class TestEncode:
             problem = encode(c, f, floor=None, carry={})
             digest.update(problem.text.encode())
         assert digest.hexdigest() == (
-            "1c91e3c6c3d505937d2da9b1956bb600562d71b6c94263c8edd4e7f9fde82bbb"
+            "445faf66a492a996e39a3599b25c94158d6fb979f3753ea82681980384069319"
         )
 
     def test_blocking_sequence_pinned(self, monkeypatch):
