@@ -7,8 +7,9 @@
 0 every linearization satisfies the spec; 1 some linearization violates
 it; 2 the run was truncated without finding a violation. A failure exits
 with the code of its class in mtlmon/errors.py (64 usage, 65 input, 69
-solver, 70 budget, 73 --emit-smt) and one `mtlmon: ...` line on stderr;
-any other exception is a bug and propagates with its traceback.
+solver, 70 budget, 73 --emit-smt) and one `mtlmon: ...` line on stderr.
+Any other exception is a bug: `main` prints its traceback on stderr and
+returns 70, never 1.
 """
 
 from __future__ import annotations
@@ -236,7 +237,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code
     if args.command == "monitor":
-        return cmd_monitor(args)
+        try:
+            return cmd_monitor(args)
+        except Exception:
+            # a bug in mtlmon: Python's own exit 1 would read as a violation
+            import traceback
+
+            traceback.print_exc()
+            return MonitorError.exit_code
     if args.command == "gen":
         try:
             return cmd_gen(args)

@@ -1,8 +1,9 @@
 """Failure contract of `mtlmon monitor`: every failure the monitor reports is
 a MonitorError, and its class decides the exit code and the label of the
 one `mtlmon: <label>: <message>` line on stderr (`mtlmon: <message>` when
-the label is empty). Codes follow sysexits.h. Any other exception is a bug
-and propagates with its traceback.
+the label is empty). Codes follow sysexits.h. Any other exception is a bug:
+`cli.main` prints its traceback and exits with MonitorError.exit_code, 70
+(EX_SOFTWARE), so that a crash never exits 1, the code of a violation.
 
     UsageError      64  a flag value the monitor cannot run with
     InputError      65  an unreadable, undecodable or malformed trace or spec

@@ -73,9 +73,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_KEYWORDS = {"true", "false", "F", "G", "U", "inf", "sum"}
-
-
 class _Token:
     __slots__ = ("kind", "text", "line", "col")
 

@@ -4,15 +4,21 @@ either verdict engine, finalize, and report the verdict set.
 
 Branch threading: a branch is a pair (formula, time floor). Each segment
 rewrites every live branch over its events. The enumerate engine walks the
-segment's lattice of consistent cuts one event per layer, stepping the
-pending formula over one frontier state per edge, so linearizations that
-reach the same (cut, last time, formula) state share the rest of the
-work; the outcome set equals the rewrite over every admissible
-linearization. Each one-state rewrite goes through one memo per process,
-keyed by (frontier state, pending formula, gap): every branch of every
-segment, and every later call that meets the same key, reads one rewrite.
+segment's lattice of consistent cuts once, one event per layer, for all
+live branches together: a state is (cut, last time, pending formula) and
+carries a bitmask of the branches that reach it, so linearizations, and
+branches, that reach the same state share the rest of the work. Each
+(cut, last time) is expanded once per segment, and each of its pending
+formulas is stepped once per gap, however many enabled events land at the
+same time. Each branch's outcome set, the states whose mask holds its
+bit, equals the rewrite over every admissible linearization, and the
+state budget counts each branch's own states. Each one-state rewrite, and
+each first-layer shift of a branch's anchored windows, goes through one
+memo per process, keyed by (frontier state, pending formula, gap), with
+no state for a shift: every branch of every segment, and every later call
+that meets the same key, reads one result.
 Within one `monitor` call the memo is never evicted, so each key is
-stepped at most once per run; at the end of a call that leaves it holding
+computed at most once per run; at the end of a call that leaves it holding
 more than REWRITE_LIMIT entries, it is dropped whole. The memo keeps one
 object per distinct frontier state and rewritten formula (hash-consing),
 and the input formula is normalized once per distinct formula, so a
@@ -24,7 +30,7 @@ anchored windows before rewriting. Branches that collapse to
 a constant freeze immediately and join the final verdict set. Per-process
 latest payloads (the carry) seed each segment's frontier merging; they
 depend only on which events earlier segments consumed, not on how they
-interleaved.
+interleaved. The smt engine runs one solver enumeration per live branch.
 
 Segment boundaries come in two flavors:
 
@@ -47,7 +53,9 @@ import math
 import shlex
 import time as _time
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import ge, getitem
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import smt as smt_backend
@@ -74,9 +82,10 @@ STATE_BUDGET = 10**6  # cut-lattice states one branch may visit per segment
 REWRITE_LIMIT = 1 << 14
 NORMAL_CACHE_SIZE = 64  # distinct input formulas whose normal form is kept
 
-# step(frontier state, pending formula, gap) -> rewritten formula, shared
-# by every walk in the process (see the module docstring)
-_rewrites: Dict[Tuple[State, Formula, int], Formula] = {}
+# step(frontier state, pending formula, gap) -> rewritten formula, and
+# (None, formula, gap) -> shift_anchored(formula, gap), shared by every
+# walk in the process (see the module docstring)
+_rewrites: Dict[Tuple[Optional[State], Formula, int], Formula] = {}
 # one object per distinct frontier state and rewritten formula, so the memo
 # keeps no equal copies alive; dropped together with the memo
 _terms: Dict[object, object] = {}
@@ -336,16 +345,18 @@ def monitor(events: Sequence[Event], f: Formula, cfg: MonitorConfig) -> MonitorR
             t0 = _time.perf_counter()
             if consumed:
                 sub = comp.restrict(consumed)
-                new_branches: Dict[Tuple[Formula, Optional[int]], None] = {}
                 ordered = sorted(
                     branches, key=lambda b: (str(b[0]), b[1] if b[1] is not None else -1)
                 )
+                live = []
                 for ordinal, (phi, floor) in enumerate(ordered):
                     verdict = formula_verdict(phi)
-                    if verdict is not None:
+                    if verdict is None:
+                        live.append((ordinal, phi, floor))
+                    else:
                         frozen.add(verdict)
-                        continue
-                    pairs, complete = _progress_branch(sub, phi, floor, carry, cfg, index, ordinal)
+                new_branches: Dict[Tuple[Formula, Optional[int]], None] = {}
+                for pairs, complete in _progress_segment(sub, live, carry, cfg, index):
                     if not complete:
                         truncated = True
                     for pair in pairs:
@@ -384,54 +395,60 @@ def _segment_carry(sub: Computation) -> Dict[str, State]:
     return {p: sub.events[s[-1]].payload for p, s in zip(sub.processes, sub.streams)}
 
 
-def _progress_branch(
+def _progress_segment(
     sub: Computation,
-    phi: Formula,
-    floor: Optional[int],
+    live: Sequence[Tuple[int, Formula, Optional[int]]],
     carry: Dict[str, State],
     cfg: MonitorConfig,
     seg_index: int,
-    ordinal: int,
-) -> Tuple[Set[Tuple[Formula, int]], bool]:
-    """The (rewritten formula, last time) outcomes of one branch over one
-    segment, plus a completeness flag. Both engines flag the result
-    incomplete exactly when more than `max_verdicts_per_segment` outcomes
-    exist, and then keep that many in sorted order: the enumerate engine
-    the sorted first of all outcomes, the smt engine, which stops after
-    one outcome past the cap, the sorted first of those it found. The kept
-    outcomes of a truncated result may therefore differ between engines.
-    The smt engine does not read the rewrite memo."""
+) -> List[Tuple[Set[Tuple[Formula, int]], bool]]:
+    """The (rewritten formula, last time) outcomes of each live branch
+    (ordinal, formula, floor) over one segment, each with a completeness
+    flag. Both engines flag a branch's result incomplete exactly when more
+    than `max_verdicts_per_segment` outcomes exist, and then keep that
+    many in sorted order: the enumerate engine the sorted first of all
+    outcomes, the smt engine, which stops after one outcome past the cap,
+    the sorted first of those it found. The kept outcomes of a truncated
+    result may therefore differ between engines. The enumerate engine
+    walks the segment once for all branches; the smt engine runs one
+    enumeration per branch and does not read the rewrite memo."""
     cap = cfg.max_verdicts_per_segment
     if cfg.engine == ENGINE_SMT:
-        # one outcome past the cap tells "exactly cap" from "more than cap"
-        enum = smt_backend.enumerate_verdicts(
-            sub,
-            phi,
-            cap + 1,
-            cfg.solver_command,
-            floor=floor,
-            carry=carry,
-            timeout=cfg.timeout,
-            emit_dir=cfg.emit_smt_dir,
-            emit_tag=f"seg{seg_index}_b{ordinal}",
-        )
-        out = set(enum.branches)
+        outs = [
+            # one outcome past the cap tells "exactly cap" from "more than cap"
+            set(smt_backend.enumerate_verdicts(
+                sub,
+                phi,
+                cap + 1,
+                cfg.solver_command,
+                floor=floor,
+                carry=carry,
+                timeout=cfg.timeout,
+                emit_dir=cfg.emit_smt_dir,
+                emit_tag=f"seg{seg_index}_b{ordinal}",
+            ).branches)
+            for ordinal, phi, floor in live
+        ]
     else:
-        out = _walk_cuts(sub, phi, floor, carry)
-    if len(out) > cap:
-        keep = sorted(out, key=lambda p: (str(p[0]), p[1]))
-        return set(keep[:cap]), False
-    return out, True
+        outs = _walk_cuts(sub, [(phi, floor) for _, phi, floor in live], carry)
+    results = []
+    for out in outs:
+        if len(out) > cap:
+            keep = sorted(out, key=lambda p: (str(p[0]), p[1]))
+            results.append((set(keep[:cap]), False))
+        else:
+            results.append((out, True))
+    return results
 
 
 def _walk_cuts(
     sub: Computation,
-    phi: Formula,
-    floor: Optional[int],
+    branches: Sequence[Tuple[Formula, Optional[int]]],
     carry: Dict[str, State],
-) -> Set[Tuple[Formula, int]]:
-    """Every (residual, last time) outcome of one branch over one segment,
-    by a walk over the lattice of consistent cuts, one event per layer.
+) -> List[Set[Tuple[Formula, int]]]:
+    """Every (residual, last time) outcome of each branch (formula, floor)
+    over one segment: one set per branch, in order, from one walk over
+    the segment's lattice of consistent cuts, one event per layer.
 
     A state is (cut, last time, pending formula): the cut as per-process
     prefix lengths, and the formula not yet progressed over the cut's
@@ -439,21 +456,32 @@ def _walk_cuts(
     its skew window and steps the pending formula over the frontier with
     elapsed t' - t. Linearizations that reach the same state share all
     later work, so the cost follows the number of distinct states rather
-    than the number of linearizations. Raises BudgetExceeded when this
-    branch visits more than STATE_BUDGET states.
+    than the number of linearizations.
 
-    `phi` is normalized, and so is every formula the walk builds from it.
-    Each step goes through `_rewrites`, the memo of the whole process,
-    keyed by (frontier state, pending formula, gap): `step` reads nothing
-    else, so one rewrite serves every cut, branch and segment of this
-    call and of later calls that meet the same key. `monitor` evicts the
-    memo only between calls, when it holds more than REWRITE_LIMIT
-    entries, so within one call each key is stepped at most once. Frontier
-    states and rewrites enter the memo through `_shared`, so equal ones
-    are one object.
-    Frontier states are keyed by cut and stay local to this walk, since
-    cuts name events of this segment only and the carry changes between
-    segments.
+    The branches share the walk. A layer maps (cut, last time) to
+    {pending formula: bitmask of the branches that reach it}, and where
+    states meet their masks are OR-ed; a branch's outcomes are those whose
+    mask holds its bit. Only the first layer depends on a branch: it holds
+    the branch's formula with its anchored windows shifted by the
+    event-free gap from the floor. Each (cut, time) is expanded once, and
+    each of its pending formulas is stepped once per gap: every enabled
+    event that lands at the same time shares the result. Raises
+    BudgetExceeded when some branch visits more than STATE_BUDGET states,
+    counting for each branch the states whose mask holds its bit; the
+    masks are counted per branch only once the states of all branches
+    together pass the budget.
+
+    Every formula is normalized. Each step goes through `_rewrites`, the
+    memo of the whole process, keyed by (frontier state, pending formula,
+    gap), and so does each first-layer shift, keyed by (None, formula,
+    gap): neither reads anything else, so one result serves every cut,
+    branch and segment of this call and of later calls that meet the same
+    key. `monitor` evicts the memo only between calls, when it holds more
+    than REWRITE_LIMIT entries, so within one call each key is computed at
+    most once. Frontier states and results enter the memo through
+    `_shared`, so equal ones are one object. Frontier states are keyed by
+    cut and stay local to this walk, since cuts name events of this
+    segment only and the carry changes between segments.
     """
     events = sub.events
     procs = sub.processes
@@ -462,24 +490,26 @@ def _walk_cuts(
     # process as its clock names
     need = sub.clock
     windows = [time_window(e, sub.epsilon) for e in events]
+    # ends[k][c]: the latest time the c-th event of process k may take; a
+    # process with no event left bounds nothing
+    top = max(w[-1] for w in windows)
+    ends = [[windows[i][-1] for i in s] + [top] for s in streams]
 
-    def successors(cut, t):
-        """(cut, time) pairs reached by adding one enabled event at or
-        after t, skipping times that leave some remaining event no room."""
+    def moves(cut):
+        """(next cut, earliest, latest time) of each event enabled at cut;
+        the latest time leaves every remaining event room."""
+        out = []
         for k, stream in enumerate(streams):
-            if cut[k] == len(stream):
+            c = cut[k]
+            if c == len(stream):
                 continue
-            i = stream[cut[k]]
-            if any(c < m for c, m in zip(cut, need[i])):
+            i = stream[c]
+            if not all(map(ge, cut, need[i])):
                 continue
-            nxt = cut[:k] + (cut[k] + 1,) + cut[k + 1:]
-            hi = min(
-                (windows[s[c]][-1] for s, c in zip(streams, nxt) if c < len(s)),
-                default=windows[i][-1],
-            )
-            for t2 in windows[i]:
-                if t <= t2 <= hi:
-                    yield nxt, t2
+            nxt = cut[:k] + (c + 1,) + cut[k + 1:]
+            w = windows[i]
+            out.append((nxt, w.start, min(w[-1], *map(getitem, ends, nxt))))
+        return out
 
     frontiers: Dict[Tuple[int, ...], State] = {}
 
@@ -493,37 +523,69 @@ def _walk_cuts(
             st = frontiers[cut] = _shared(merge_frontier(latest))
         return st
 
-    def advance(st: State, f: Formula, gap: int) -> Formula:
+    def advance(st: Optional[State], f: Formula, gap: int) -> Formula:
+        """f stepped over st with elapsed gap; shifted by gap when st is None."""
         key = (st, f, gap)
         out = _rewrites.get(key)
         if out is None:
-            out = _rewrites[key] = _shared(step(st, f, gap))
+            g = shift_anchored(f, gap) if st is None else step(st, f, gap)
+            out = _rewrites[key] = _shared(g)
         return out
 
-    visited = 0
+    masks: List[int] = []  # the mask of each visited state not yet in `visited`
+    visited = [0] * len(branches)  # states per branch, not counting `masks`
+    folded = 0  # states of all branches together, not counting `masks`
 
     def count(layer):
-        nonlocal visited
-        visited += sum(len(fs) for fs in layer.values())
-        if visited > STATE_BUDGET:
-            raise BudgetExceeded(f"more than {STATE_BUDGET} lattice states")
+        nonlocal folded
+        for fs in layer.values():
+            masks.extend(fs.values())
+        # no branch passes the budget before all of them together do
+        if folded + len(masks) > STATE_BUDGET:
+            for m, n in Counter(masks).items():
+                for b in range(len(branches)):
+                    if m >> b & 1:
+                        visited[b] += n
+            folded += len(masks)
+            masks.clear()
+            if max(visited) > STATE_BUDGET:
+                raise BudgetExceeded(f"more than {STATE_BUDGET} lattice states")
 
-    # layer k maps (cut of k events, last time) to its pending formulas
-    layer: Dict[Tuple[Tuple[int, ...], int], Set[Formula]] = {}
-    for cut, t in successors((0,) * len(procs), 0 if floor is None else floor):
-        gap = 0 if floor is None else t - floor
-        layer[(cut, t)] = {shift_anchored(phi, gap)}
+    # layer k maps (cut of k events, last time) to {pending formula: mask}
+    layer: Dict[Tuple[Tuple[int, ...], int], Dict[Formula, int]] = {}
+    first = moves((0,) * len(procs))
+    for b, (phi, floor) in enumerate(branches):
+        for nxt, lo, hi in first:
+            for t in range(lo if floor is None else max(floor, lo), hi + 1):
+                f = advance(None, phi, 0 if floor is None else t - floor)
+                fs = layer.setdefault((nxt, t), {})
+                fs[f] = fs.get(f, 0) | 1 << b
     count(layer)
     for _ in range(1, len(events)):
-        nxt_layer: Dict[Tuple[Tuple[int, ...], int], Set[Formula]] = {}
+        nxt_layer: Dict[Tuple[Tuple[int, ...], int], Dict[Formula, int]] = {}
         for (cut, t), fs in layer.items():
             st = frontier(cut)
-            for nxt, t2 in successors(cut, t):
-                succ = nxt_layer.setdefault((nxt, t2), set())
-                for f in fs:
-                    succ.add(advance(st, f, t2 - t))
+            stepped: Dict[int, Dict[Formula, int]] = {}  # gap -> {rewrite: mask}
+            for nxt, lo, hi in moves(cut):
+                for t2 in range(max(t, lo), hi + 1):
+                    out = stepped.get(t2 - t)
+                    if out is None:
+                        out = stepped[t2 - t] = {}
+                        for f, m in fs.items():
+                            g = advance(st, f, t2 - t)
+                            out[g] = out.get(g, 0) | m
+                    succ = nxt_layer.get((nxt, t2))
+                    if succ is None:
+                        nxt_layer[(nxt, t2)] = out.copy()
+                    else:
+                        for g, m in out.items():
+                            succ[g] = succ.get(g, 0) | m
         layer = nxt_layer
         count(layer)
-    return {
-        (advance(frontier(cut), f, 0), t) for (cut, t), fs in layer.items() for f in fs
-    }
+    final: Dict[Tuple[Formula, int], int] = {}  # (residual, last time) -> mask
+    for (cut, t), fs in layer.items():
+        st = frontier(cut)
+        for f, m in fs.items():
+            key = (advance(st, f, 0), t)
+            final[key] = final.get(key, 0) | m
+    return [{o for o, m in final.items() if m >> b & 1} for b in range(len(branches))]

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtlmon import casegen, pipeline, smt
+from mtlmon import casegen, cli, pipeline, smt
 from mtlmon.casegen import gen_random_computation
 from mtlmon.cli import event_to_json, main as cli_main, write_jsonl
 from mtlmon.computation import Event, build_computation
@@ -306,15 +306,17 @@ class TestCutWalk:
 
     def test_outcomes_equal_oracle_per_call(self, monkeypatch):
         """Criterion-4 recipe in window mode with g in {1, 2, 3}, so that
-        floors and carries occur: every walk's (residual, last time) set
-        equals the rewrite over each linearization."""
+        floors and carries occur: each branch's (residual, last time) set
+        from every walk equals the rewrite over each linearization."""
         calls = []
         walk = pipeline._walk_cuts
 
-        def recording(sub, phi, floor, carry):
-            out = walk(sub, phi, floor, carry)
-            calls.append((sub, phi, floor, dict(carry), out))
-            return out
+        def recording(sub, branches, carry):
+            outs = walk(sub, branches, carry)
+            assert len(outs) == len(branches)
+            for (phi, floor), out in zip(branches, outs):
+                calls.append((sub, phi, floor, dict(carry), out))
+            return outs
 
         monkeypatch.setattr(pipeline, "_walk_cuts", recording)
         rng = random.Random(30303)
@@ -362,7 +364,9 @@ class TestCutWalk:
 
         monkeypatch.setattr(
             pipeline, "_walk_cuts",
-            lambda sub, phi, floor, carry: oracle_pairs(sub, phi, floor, carry),
+            lambda sub, branches, carry: [
+                oracle_pairs(sub, phi, floor, carry) for phi, floor in branches
+            ],
         )
         ref = monitor(list(comp.events), phi, cfg)
         assert report.verdicts == ref.verdicts
@@ -416,6 +420,40 @@ class TestCutWalk:
         monkeypatch.setattr(pipeline, "STATE_BUDGET", 3)
         with pytest.raises(BudgetExceeded):
             monitor(events, phi, MonitorConfig(epsilon=2))
+
+    def test_budget_counts_states_per_branch(self, monkeypatch):
+        """On a one-process chain at eps 1 each branch visits one state per
+        layer, 4 in all, and the two branches never share a state: the
+        walk visits 8 states, 4 for each branch."""
+        sub = build_computation([ev("P1", t) for t in (1, 2, 3, 4)], 1)
+        branches = [(pipeline._normalized(parse_spec(s)), floor)
+                    for s, floor in (("F[0,50) q", None), ("F[0,60) r", 0))]
+        monkeypatch.setattr(pipeline, "STATE_BUDGET", 4)
+        outs = pipeline._walk_cuts(sub, branches, {})
+        assert outs == [oracle_pairs(sub, phi, floor) for phi, floor in branches]
+        monkeypatch.setattr(pipeline, "STATE_BUDGET", 3)
+        for walked in (branches[:1], branches[1:], branches):
+            with pytest.raises(BudgetExceeded):
+                pipeline._walk_cuts(sub, walked, {})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_shared_walk_equals_oracle_per_branch(self, seed):
+        """2-4 branches with distinct formulas and floors, and a carry:
+        each branch's outcome set is the rewrite over every linearization
+        of the segment."""
+        rng = random.Random(seed)
+        sub = bounded_computation(rng, max_events=5, epsilons=(1, 2), lin_cap=150)
+        carry = {p: State(frozenset(rng.sample(("p", "q", "r"), 1))) for p in ("P1", "P9")}
+        k = rng.randrange(2, 5)
+        start = min(e.local_time for e in sub.events)
+        floors = rng.sample([None] + list(range(start + sub.epsilon + 2)), k)
+        formulas = set()
+        while len(formulas) < k:
+            formulas.add(pipeline._normalized(random_formula(rng, 2, constants=False)))
+        branches = list(zip(sorted(formulas, key=str), floors))
+        outs = pipeline._walk_cuts(sub, branches, carry)
+        assert outs == [oracle_pairs(sub, phi, floor, carry) for phi, floor in branches]
 
 
 def _untimed(report: dict) -> dict:
@@ -579,6 +617,20 @@ class TestCli:
         ])
         capsys.readouterr()
         assert code == 65
+
+    def test_bug_exits_70_with_traceback(self, tmp_path, capsys, monkeypatch):
+        """An exception outside MonitorError is a bug, not a violation."""
+        trace, spec = self._fig3(tmp_path)
+
+        def crash(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "monitor", crash)
+        code = cli_main(["--trace", trace, "--spec", spec, "--epsilon", "2"])
+        out, err = capsys.readouterr()
+        assert code == 70
+        assert "Traceback" in err and "RuntimeError: boom" in err
+        assert out == ""
 
     def test_budget_exhaustion_exits_70(self, tmp_path, capsys, monkeypatch):
         trace, spec = self._fig3(tmp_path)
