@@ -164,13 +164,8 @@ def cmd_monitor(args) -> int:
         boundary=args.boundary,
         emit_smt_dir=args.emit_smt,
     )
-    try:
-        formula = parse_spec(_read_spec(args.spec))
-        report = monitor(ingest(args.trace), formula, cfg)
-    except MonitorError as exc:
-        label = f"{exc.label}: " if exc.label else ""
-        print(f"mtlmon: {label}{exc}", file=sys.stderr)
-        return exc.exit_code
+    formula = parse_spec(_read_spec(args.spec))
+    report = monitor(ingest(args.trace), formula, cfg)
     if args.format == "json":
         json.dump(report.to_json(), sys.stdout, indent=2)
         print()
@@ -186,44 +181,47 @@ def cmd_monitor(args) -> int:
 def cmd_gen(args) -> int:
     import os
 
-    if args.generator == "two-party":
-        vec = casegen.ExecutionVector.from_string(args.vector)
-        events = casegen.gen_two_party_log(vec, casegen.ProtocolParams(delta=args.delta))
-        write_jsonl(events, args.out)
-    elif args.generator == "grid":
-        os.makedirs(args.out, exist_ok=True)
-        params = casegen.ProtocolParams(delta=args.delta)
-        for i, vec in enumerate(casegen.enumerate_two_party_executions()):
-            path = os.path.join(args.out, f"two_party_{i:04d}_{vec}.jsonl")
-            write_jsonl(casegen.gen_two_party_log(vec, params), path)
-        print(f"wrote 1024 logs to {args.out}")
-    elif args.generator == "three-party":
-        attempts = [int(ch) for ch in args.attempts]
-        events = casegen.gen_three_party_log(
-            attempts, casegen.ProtocolParams(delta=args.delta)
-        )
-        write_jsonl(events, args.out)
-    elif args.generator == "auction":
-        steps = [int(ch) for ch in args.steps]
-        events = casegen.gen_auction_log(
-            steps, casegen.ProtocolParams(delta=args.delta)
-        )
-        write_jsonl(events, args.out)
-    elif args.generator == "random":
-        comp = casegen.gen_random_computation(
-            args.seed,
-            processes=args.processes,
-            events=args.events,
-            epsilon=args.epsilon,
-            message_rate=args.messages,
-        )
-        write_jsonl(comp.events, args.out)
-    elif args.generator == "specs":
-        os.makedirs(args.out, exist_ok=True)
-        for name, formula in casegen.spec_library(args.delta).items():
-            with open(os.path.join(args.out, f"{name}.mtl"), "w") as fh:
-                fh.write(str(formula) + "\n")
-        print(f"wrote spec library to {args.out}")
+    try:
+        if args.generator == "two-party":
+            vec = casegen.ExecutionVector.from_string(args.vector)
+            events = casegen.gen_two_party_log(vec, casegen.ProtocolParams(delta=args.delta))
+            write_jsonl(events, args.out)
+        elif args.generator == "grid":
+            os.makedirs(args.out, exist_ok=True)
+            params = casegen.ProtocolParams(delta=args.delta)
+            for i, vec in enumerate(casegen.enumerate_two_party_executions()):
+                path = os.path.join(args.out, f"two_party_{i:04d}_{vec}.jsonl")
+                write_jsonl(casegen.gen_two_party_log(vec, params), path)
+            print(f"wrote 1024 logs to {args.out}")
+        elif args.generator == "three-party":
+            attempts = [int(ch) for ch in args.attempts]
+            events = casegen.gen_three_party_log(
+                attempts, casegen.ProtocolParams(delta=args.delta)
+            )
+            write_jsonl(events, args.out)
+        elif args.generator == "auction":
+            steps = [int(ch) for ch in args.steps]
+            events = casegen.gen_auction_log(
+                steps, casegen.ProtocolParams(delta=args.delta)
+            )
+            write_jsonl(events, args.out)
+        elif args.generator == "random":
+            comp = casegen.gen_random_computation(
+                args.seed,
+                processes=args.processes,
+                events=args.events,
+                epsilon=args.epsilon,
+                message_rate=args.messages,
+            )
+            write_jsonl(comp.events, args.out)
+        elif args.generator == "specs":
+            os.makedirs(args.out, exist_ok=True)
+            for name, formula in casegen.spec_library(args.delta).items():
+                with open(os.path.join(args.out, f"{name}.mtl"), "w") as fh:
+                    fh.write(str(formula) + "\n")
+            print(f"wrote spec library to {args.out}")
+    except (ValueError, OSError) as exc:  # a bad vector or an unwritable --out
+        raise InputError(str(exc)) from exc
     return 0
 
 
@@ -236,23 +234,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code
-    if args.command == "monitor":
-        try:
-            return cmd_monitor(args)
-        except Exception:
-            # a bug in mtlmon: Python's own exit 1 would read as a violation
-            import traceback
+    command = {"monitor": cmd_monitor, "gen": cmd_gen}.get(args.command)
+    if command is None:
+        parser.print_help()
+        return UsageError.exit_code
+    try:
+        return command(args)
+    except MonitorError as exc:
+        label = f"{exc.label}: " if exc.label else ""
+        print(f"mtlmon: {label}{exc}", file=sys.stderr)
+        return exc.exit_code
+    except Exception:
+        # a bug in mtlmon: Python's own exit 1 would read as a violation
+        import traceback
 
-            traceback.print_exc()
-            return MonitorError.exit_code
-    if args.command == "gen":
-        try:
-            return cmd_gen(args)
-        except (ValueError, OSError) as exc:
-            print(f"mtlmon: {exc}", file=sys.stderr)
-            return InputError.exit_code
-    parser.print_help()
-    return UsageError.exit_code
+        traceback.print_exc()
+        return MonitorError.exit_code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Failure contract of `mtlmon monitor`: every failure the monitor reports is
+"""Failure contract of `mtlmon`: every failure `monitor` or `gen` reports is
 a MonitorError, and its class decides the exit code and the label of the
 one `mtlmon: <label>: <message>` line on stderr (`mtlmon: <message>` when
 the label is empty). Codes follow sysexits.h. Any other exception is a bug:

@@ -9,9 +9,10 @@ sorted and reported by their text. Hashes of strings vary between
 processes, which is harmless because formulas are never pickled.
 
 Normal form. Construction goes through the smart constructors (`mk_not`,
-`mk_or`, ...), which constant-fold; `mk_and` and `mk_or` also flatten
-nested operands of their own connective into one right-nested chain and
-drop repeated operands, keeping the first occurrence. A formula is
+`mk_or`, ...), which constant-fold; `mk_and` and `mk_or` also splice the
+operands of nested nodes of their own connective into one flat operand
+tuple, so a conjunction of k obligations is one `And` node, and drop
+repeated operands, keeping the first occurrence. A formula is
 normalized when `simplify` returns it unchanged; `simplify` rebuilds an
 arbitrary tree bottom-up with the same constructors. Whatever the
 constructors build from normalized operands is normalized again, so the
@@ -23,7 +24,7 @@ to normalized formulas, and callers that normalize once up front
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -151,26 +152,31 @@ class Not(Formula):
         return (self.operand,)
 
 
-@dataclass(frozen=True, repr=False)
-class Or(Formula):
-    left: Formula
-    right: Formula
+@dataclass(frozen=True, init=False, repr=False)
+class _Junction(Formula):
+    """An n-ary connective over a tuple of two or more operands, built as
+    `And(a, b, c)`. The node keeps the operands as given; `mk_and` and
+    `mk_or` build the flat, folded form."""
+
+    args: Tuple[Formula, ...]
 
     __hash__ = Formula.__hash__
 
-    def _fields(self) -> tuple:
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True, repr=False)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-    __hash__ = Formula.__hash__
+    def __init__(self, *args: Formula):
+        if len(args) < 2:
+            raise ValueError(f"{type(self).__name__} needs two or more operands")
+        object.__setattr__(self, "args", args)
 
     def _fields(self) -> tuple:
-        return (self.left, self.right)
+        return self.args
+
+
+class Or(_Junction):
+    pass
+
+
+class And(_Junction):
+    pass
 
 
 @dataclass(frozen=True, repr=False)
@@ -226,7 +232,9 @@ def operands(f: Formula) -> Tuple[Formula, ...]:
     """Immediate subformulas, left before right; none for a leaf."""
     if isinstance(f, (Not, Eventually, Globally)):
         return (f.operand,)
-    if isinstance(f, (Or, And, Implies, Until)):
+    if isinstance(f, _Junction):
+        return f.args
+    if isinstance(f, (Implies, Until)):
         return (f.left, f.right)
     return ()
 
@@ -246,43 +254,35 @@ def mk_not(f: Formula) -> Formula:
     return Not(f)
 
 
-def _flatten(f: Formula, cls) -> Iterable[Formula]:
-    if isinstance(f, cls):
-        yield from _flatten(f.left, cls)
-        yield from _flatten(f.right, cls)
-    else:
-        yield f
-
-
 def mk_or(*fs: Formula) -> Formula:
     """Disjunction of any number of operands; folds constants, dedups, flattens."""
-    seen = {}  # insertion-ordered: the first occurrence keeps its place
-    for f in fs:
-        for g in _flatten(f, Or):
-            if isinstance(g, TrueF):
-                return TRUE
-            if not isinstance(g, FalseF):
-                seen[g] = None
-    return _chain(Or, list(seen)) if seen else FALSE
+    return mk_junction(Or, fs)
 
 
 def mk_and(*fs: Formula) -> Formula:
-    seen = {}
-    for f in fs:
-        for g in _flatten(f, And):
-            if isinstance(g, FalseF):
-                return FALSE
-            if not isinstance(g, TrueF):
-                seen[g] = None
-    return _chain(And, list(seen)) if seen else TRUE
+    return mk_junction(And, fs)
 
 
-def _chain(cls, gs) -> Formula:
-    """Right-nested chain of a binary connective over a non-empty list."""
-    out = gs[-1]
-    for g in reversed(gs[:-1]):
-        out = cls(g, out)
-    return out
+def mk_junction(cls, fs: Sequence[Formula]) -> Formula:
+    """One `cls` node (`And` or `Or`) over fs, built in one pass: operands of
+    nested `cls` nodes are spliced in at any depth, the connective's unit is
+    dropped, its zero absorbs the rest, and a repeated operand keeps its
+    first place. One operand left is returned as it is, none gives the unit."""
+    unit, zero = (TRUE, FALSE) if cls is And else (FALSE, TRUE)
+    seen = {}  # insertion-ordered: the first occurrence keeps its place
+    todo = list(reversed(fs))
+    while todo:
+        g = todo.pop()
+        if isinstance(g, cls):
+            todo.extend(reversed(g.args))
+        elif isinstance(g, (TrueF, FalseF)):
+            if g == zero:
+                return zero
+        else:
+            seen[g] = None
+    if len(seen) > 1:
+        return cls(*seen)
+    return next(iter(seen), unit)
 
 
 def mk_implies(l: Formula, r: Formula) -> Formula:
@@ -325,10 +325,8 @@ def simplify(f: Formula) -> Formula:
         return f
     if isinstance(f, Not):
         return mk_not(simplify(f.operand))
-    if isinstance(f, Or):
-        return mk_or(simplify(f.left), simplify(f.right))
-    if isinstance(f, And):
-        return mk_and(simplify(f.left), simplify(f.right))
+    if isinstance(f, _Junction):
+        return mk_junction(type(f), [simplify(g) for g in f.args])
     if isinstance(f, Implies):
         return mk_implies(simplify(f.left), simplify(f.right))
     if isinstance(f, Until):
@@ -354,10 +352,8 @@ def shift_anchored(f: Formula, t: int) -> Formula:
         return f
     if isinstance(f, Not):
         return mk_not(shift_anchored(f.operand, t))
-    if isinstance(f, Or):
-        return mk_or(shift_anchored(f.left, t), shift_anchored(f.right, t))
-    if isinstance(f, And):
-        return mk_and(shift_anchored(f.left, t), shift_anchored(f.right, t))
+    if isinstance(f, _Junction):
+        return mk_junction(type(f), [shift_anchored(g, t) for g in f.args])
     if isinstance(f, Implies):
         return mk_implies(shift_anchored(f.left, t), shift_anchored(f.right, t))
     if isinstance(f, Until):

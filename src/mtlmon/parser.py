@@ -3,8 +3,8 @@
 Grammar (loosest binding first):
 
     formula  :=  or_exp ("->" formula)?          right-assoc
-    or_exp   :=  and_exp ("|" or_exp)?           right-assoc
-    and_exp  :=  until_exp ("&" and_exp)?        right-assoc
+    or_exp   :=  and_exp ("|" and_exp)*          one n-ary Or
+    and_exp  :=  until_exp ("&" until_exp)*      one n-ary And
     until_exp:=  unary ("U" interval? until_exp)?
     unary    :=  "!" unary | "F" interval? unary | "G" interval? unary | primary
     primary  :=  atom | "true" | "false" | sum_atom | "(" formula ")"
@@ -17,8 +17,9 @@ opens one nesting level around what follows it (so a chain `p & p & p`
 takes two); specs nesting deeper than MAX_DEPTH levels are rejected, which
 keeps the recursive formula walks within Python's default recursion limit.
 
-The printer emits the same grammar with deterministic parenthesization;
-parse_spec(format_formula(f)) is structurally equal to f.
+The printer emits the same grammar with deterministic parenthesization: an
+operand of `&` or `|` that is itself an `&` or `|` node is parenthesized,
+so parse_spec(format_formula(f)) is structurally equal to f.
 """
 
 from __future__ import annotations
@@ -153,6 +154,18 @@ class _Parser:
         self.depth -= 1
         return f
 
+    def chain(self, op: str, cls, parse) -> Formula:
+        """parse (op parse)*, as one `cls` node when op occurs. Each op opens
+        one level around all that follows it, as right-nesting would."""
+        args = [parse()]
+        depth = self.depth
+        while self.at(op):
+            self.eat(op)
+            args.append(self.nested(parse))
+            self.depth += 1
+        self.depth = depth
+        return cls(*args) if len(args) > 1 else args[0]
+
     # ---- grammar ----
 
     def formula(self) -> Formula:
@@ -163,18 +176,10 @@ class _Parser:
         return left
 
     def or_exp(self) -> Formula:
-        left = self.and_exp()
-        if self.at("|"):
-            self.eat("|")
-            return Or(left, self.nested(self.or_exp))
-        return left
+        return self.chain("|", Or, self.and_exp)
 
     def and_exp(self) -> Formula:
-        left = self.until_exp()
-        if self.at("&"):
-            self.eat("&")
-            return And(left, self.nested(self.and_exp))
-        return left
+        return self.chain("&", And, self.until_exp)
 
     def until_exp(self) -> Formula:
         left = self.unary()
@@ -319,10 +324,9 @@ def _fmt(f: Formula, prec: int) -> str:
             + _fmt(f.right, _PREC_UNTIL)
         )
         p = _PREC_UNTIL
-    elif isinstance(f, And):
-        s, p = _fmt(f.left, _PREC_AND + 1) + " & " + _fmt(f.right, _PREC_AND), _PREC_AND
-    elif isinstance(f, Or):
-        s, p = _fmt(f.left, _PREC_OR + 1) + " | " + _fmt(f.right, _PREC_OR), _PREC_OR
+    elif isinstance(f, (And, Or)):
+        sep, p = (" & ", _PREC_AND) if isinstance(f, And) else (" | ", _PREC_OR)
+        s = sep.join(_fmt(g, p + 1) for g in f.args)
     elif isinstance(f, Implies):
         s, p = _fmt(f.left, _PREC_IMPLIES + 1) + " -> " + _fmt(f.right, _PREC_IMPLIES), _PREC_IMPLIES
     else:

@@ -13,7 +13,8 @@ so no elapsed time is lost across a gap.
 The one-state rewrite dispatches on formula shape:
 
   * predicates evaluate in the state;
-  * negation distributes; binary connectives fold their operand rewrites;
+  * negation distributes; `And`, `Or` and `->` fold the rewrites of
+    their operands;
   * Globally: the operand's rewrite when the window is open now, joined to
     a residual Globally over the interval shifted by `elapsed`;
   * Eventually: the disjunctive dual;
@@ -52,6 +53,7 @@ from .formula import (
     mk_eventually,
     mk_globally,
     mk_implies,
+    mk_junction,
     mk_not,
     mk_or,
     mk_until,
@@ -87,10 +89,8 @@ def step(state: State, f: Formula, elapsed: int) -> Formula:
         return TRUE if state.holds(f) else FALSE
     if isinstance(f, Not):
         return mk_not(step(state, f.operand, elapsed))
-    if isinstance(f, Or):
-        return mk_or(step(state, f.left, elapsed), step(state, f.right, elapsed))
-    if isinstance(f, And):
-        return mk_and(step(state, f.left, elapsed), step(state, f.right, elapsed))
+    if isinstance(f, (And, Or)):
+        return mk_junction(type(f), [step(state, g, elapsed) for g in f.args])
     if isinstance(f, Implies):
         return mk_implies(step(state, f.left, elapsed), step(state, f.right, elapsed))
     iv = f.interval

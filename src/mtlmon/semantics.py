@@ -153,10 +153,9 @@ def _eval(trace: TimedTrace, f: Formula, i: int) -> bool:
         return trace.states[i].holds(f)
     if isinstance(f, Not):
         return not _eval(trace, f.operand, i)
-    if isinstance(f, Or):
-        return _eval(trace, f.left, i) or _eval(trace, f.right, i)
-    if isinstance(f, And):
-        return _eval(trace, f.left, i) and _eval(trace, f.right, i)
+    if isinstance(f, (And, Or)):
+        join = all if isinstance(f, And) else any
+        return join(_eval(trace, g, i) for g in f.args)
     if isinstance(f, Implies):
         return (not _eval(trace, f.left, i)) or _eval(trace, f.right, i)
     if isinstance(f, Until):
@@ -201,10 +200,9 @@ def _finalize(f: Formula) -> bool:
         return True
     if isinstance(f, Not):
         return not _finalize(f.operand)
-    if isinstance(f, Or):
-        return _finalize(f.left) or _finalize(f.right)
-    if isinstance(f, And):
-        return _finalize(f.left) and _finalize(f.right)
+    if isinstance(f, (And, Or)):
+        join = all if isinstance(f, And) else any
+        return join(map(_finalize, f.args))
     if isinstance(f, Implies):
         return (not _finalize(f.left)) or _finalize(f.right)
     raise TypeError(f"not a formula: {f!r}")

@@ -28,7 +28,8 @@ Symbol scheme (stable across runs for identical inputs):
 
 Steps run 1..m; trace position p corresponds to step p+1. Atom ids number
 the formula's distinct state predicates in sorted order; node ids number
-formula nodes in pre-order. Anchored windows are measured from one base,
+formula nodes in pre-order, where an n-operand And or Or is one node.
+Anchored windows are measured from one base,
 the floor when one is threaded and tau_1 otherwise: replay shifts them by
 first - floor, and for o, d >= 0, o lies in iv.shift(d) iff o + d lies in iv.
 """
@@ -172,7 +173,7 @@ class _Encoder:
         self.atoms = sorted(atoms_of(f), key=_atom_key)
         self.atom_id = {a: i for i, a in enumerate(self.atoms)}
         self.nested = max_nesting(f) >= 2
-        # formula nodes in pre-order (left subtree before right)
+        # formula nodes in pre-order (operands left to right)
         self.nodes: List[Formula] = []
         self._number(f)
         self.sig_bools: List[str] = []
@@ -412,7 +413,7 @@ class _Encoder:
         if isinstance(g, Not):
             return f"(not {self._prop(g.operand, pos)})"
         op = {Or: "or", And: "and", Implies: "=>"}[type(g)]
-        return f"({op} {self._prop(g.left, pos)} {self._prop(g.right, pos)})"
+        return f"({op} {' '.join(self._prop(h, pos) for h in operands(g))})"
 
     def _elapsed(self, pos: int) -> str:
         """Time from the base to position `pos`."""

@@ -140,7 +140,7 @@ class TestSpecLibrary:
         lib = spec_library(delta=500)
         first = lib["liveness_2p"]
         while isinstance(first, And):
-            first = first.left
+            first = first.args[0]
         assert first == Eventually(Interval(0, 500), Atom("ban.premium_deposited_alice"))
 
     def test_safety_is_guarded_sum(self):

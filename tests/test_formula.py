@@ -20,6 +20,7 @@ from mtlmon.formula import (
     in_interval,
     mk_and,
     mk_or,
+    operands,
     shift_anchored,
     simplify,
 )
@@ -147,7 +148,7 @@ states = st.builds(
 
 
 def _flatten(f, cls):
-    return _flatten(f.left, cls) + _flatten(f.right, cls) if isinstance(f, cls) else [f]
+    return [h for g in f.args for h in _flatten(g, cls)] if isinstance(f, cls) else [f]
 
 
 def _list_dedup(cls, unit, zero, fs):
@@ -161,10 +162,17 @@ def _list_dedup(cls, unit, zero, fs):
                 seen.append(g)
     if not seen:
         return unit
-    out = seen[-1]
-    for g in reversed(seen[:-1]):
-        out = cls(g, out)
-    return out
+    return cls(*seen) if len(seen) > 1 else seen[0]
+
+
+def _assert_flat(f):
+    """Every And/Or node in f holds two or more operands, none of its own
+    connective, none constant and none repeated."""
+    if isinstance(f, (And, Or)):
+        assert len(f.args) >= 2 and len(set(f.args)) == len(f.args)
+        assert not any(isinstance(g, type(f)) or g in (TRUE, FALSE) for g in f.args)
+    for g in operands(f):
+        _assert_flat(g)
 
 
 class TestNormalForm:
@@ -179,6 +187,8 @@ class TestNormalForm:
         assert simplify(out) == out
         shifted = shift_anchored(f, t)
         assert simplify(shifted) == shifted
+        for g in (f, out, shifted):
+            _assert_flat(g)
 
     @given(st.lists(formulas, max_size=6))
     def test_dedup_keeps_first_occurrence_order(self, fs):

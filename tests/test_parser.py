@@ -1,3 +1,4 @@
+import hashlib
 import random
 import warnings
 
@@ -12,7 +13,9 @@ from mtlmon.formula import (
     SumAtom,
     TRUE,
     Until,
+    simplify,
 )
+from mtlmon.casegen import spec_library
 from mtlmon.parser import MAX_DEPTH, SpecSyntaxError, format_formula, parse_spec
 from support import random_formula
 
@@ -121,6 +124,21 @@ class TestRoundTrip:
         for _ in range(400):
             f = random_formula(rng, rng.randrange(0, 5))
             assert parse_spec(format_formula(f)) == f
+
+    def test_printed_form_pinned(self):
+        """Normalized random formulas and every shipped spec, as parsed and
+        normalized. Branch strings print normalized formulas, so the digest
+        pins them against refactors of the formula nodes and the printer."""
+        digest = hashlib.sha256()
+        rng = random.Random(23)
+        for _ in range(400):
+            f = random_formula(rng, rng.randrange(0, 5))
+            digest.update(f"{simplify(f)}\n".encode())
+        for name, f in sorted(spec_library().items()):
+            digest.update(f"{name}\n{f}\n{simplify(f)}\n".encode())
+        assert digest.hexdigest() == (
+            "f510706320d58c27101ca3d5cc5f9b239ea7efd6114df29ea6caa52df908e157"
+        )
 
     def test_left_nested_connectives_round_trip(self):
         from mtlmon.formula import And, Or

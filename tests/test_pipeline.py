@@ -632,6 +632,25 @@ class TestCli:
         assert "Traceback" in err and "RuntimeError: boom" in err
         assert out == ""
 
+    def test_gen_failures_exit_with_their_class_code(self, tmp_path, capsys, monkeypatch):
+        """`gen` reports a MonitorError in one line with its class's code,
+        and a bug with its traceback and 70, as `monitor` does."""
+        out = str(tmp_path / "specs")
+        code = cli_main(["gen", "specs", "--delta", "-5", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 65
+        assert err.startswith("mtlmon: spec error: ") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+        def crash(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(casegen, "spec_library", crash)
+        code = cli_main(["gen", "specs", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 70
+        assert "Traceback" in err and "RuntimeError: boom" in err
+
     def test_budget_exhaustion_exits_70(self, tmp_path, capsys, monkeypatch):
         trace, spec = self._fig3(tmp_path)
         monkeypatch.setattr(pipeline, "STATE_BUDGET", 3)

@@ -251,32 +251,31 @@ class TestProcessInterface:
         """Driven interactively, the solver answers every command that
         prints as soon as it arrives, and keeps its assertions across
         rounds."""
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "mtlmon.refsolver"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             bufsize=0,
-        )
+        ) as proc:  # leaving the block closes both pipes and waits
 
-        def ask(command: bytes, ends: bytes) -> str:
-            proc.stdin.write(command)
-            out, deadline = b"", time.monotonic() + 30
-            while not out.endswith(ends):
-                ready, _, _ = select.select([proc.stdout], [], [], deadline - time.monotonic())
-                assert ready, f"no answer to {command!r} while stdin is open"
-                out += os.read(proc.stdout.fileno(), 4096)
-            return out.decode()
+            def ask(command: bytes, ends: bytes) -> str:
+                proc.stdin.write(command)
+                out, deadline = b"", time.monotonic() + 30
+                while not out.endswith(ends):
+                    ready, _, _ = select.select([proc.stdout], [], [], deadline - time.monotonic())
+                    assert ready, f"no answer to {command!r} while stdin is open"
+                    out += os.read(proc.stdout.fileno(), 4096)
+                return out.decode()
 
-        try:
-            problem = b"(declare-const x Int)\n(assert (>= x 1))\n(assert (<= x 3))\n"
-            assert ask(problem + b"(check-sat)\n", b"\n") == "sat\n"
-            assert "(define-fun x () Int 1)" in ask(b"(get-model)\n", b")\n")
-            assert ask(b"(assert (> x 1))\n(check-sat)\n", b"\n") == "sat\n"
-            assert "(define-fun x () Int 2)" in ask(b"(get-model)\n", b")\n")
-            assert ask(b"(assert (not (= x 2)))\n(check-sat)\n", b"\n") == "sat\n"
-            assert "(define-fun x () Int 3)" in ask(b"(get-model)\n", b")\n")
-            assert ask(b"(assert (< x 3))(check-sat)\n", b"\n") == "unsat\n"
-            assert proc.poll() is None
-        finally:
-            proc.kill()
-            proc.wait()
+            try:
+                problem = b"(declare-const x Int)\n(assert (>= x 1))\n(assert (<= x 3))\n"
+                assert ask(problem + b"(check-sat)\n", b"\n") == "sat\n"
+                assert "(define-fun x () Int 1)" in ask(b"(get-model)\n", b")\n")
+                assert ask(b"(assert (> x 1))\n(check-sat)\n", b"\n") == "sat\n"
+                assert "(define-fun x () Int 2)" in ask(b"(get-model)\n", b")\n")
+                assert ask(b"(assert (not (= x 2)))\n(check-sat)\n", b"\n") == "sat\n"
+                assert "(define-fun x () Int 3)" in ask(b"(get-model)\n", b")\n")
+                assert ask(b"(assert (< x 3))(check-sat)\n", b"\n") == "unsat\n"
+                assert proc.poll() is None
+            finally:
+                proc.kill()

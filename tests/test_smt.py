@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from mtlmon import refsolver, smt
+from mtlmon.casegen import gen_random_computation
 from mtlmon.computation import Event, build_computation
 from mtlmon.formula import FALSE, TRUE, max_nesting
 from mtlmon.oracle import enumerate_linearizations
@@ -113,6 +114,26 @@ class TestEncode:
         assert len(blocks) == 19
         assert hashlib.sha256("\n".join(blocks).encode()).hexdigest() == (
             "dd6aa8af5ef4a59c40b5b593ed0716f9d8ead622bbd5345b06d434aeca0d06ae"
+        )
+
+    def test_outcomes_pinned_on_long_chains(self):
+        """Specs with chains of three or more operands over small random
+        logs; the digest pins each enumeration's query count and outcome
+        set against refactors of the formula nodes and the encoder."""
+        digest = hashlib.sha256()
+        for spec in (
+            "F[0,5) p & G[0,4) q & F[1,6) r",
+            "F[0,8) (p & q & r) | G[0,3) (p | q | !r)",
+            "(p U[0,6) q) & F[2,9) r & G[0,5) !p & F[0,3) q",
+        ):
+            f = parse_spec(spec)
+            for seed in range(6):
+                c = gen_random_computation(seed, processes=2, events=5, epsilon=2, max_gap=3)
+                result = enumerate_verdicts(c, f, 64, CMD)
+                outcomes = sorted((str(g), last) for g, last in result.branches)
+                digest.update(repr((result.queries, outcomes)).encode())
+        assert digest.hexdigest() == (
+            "d925e105fa7823c12d99242e24620c00f117388f9962d7fb34bf322ad3e7283f"
         )
 
     def test_byte_identical_across_interpreter_runs(self, tmp_path):
