@@ -13,17 +13,11 @@ formulas is stepped once per gap, however many enabled events land at the
 same time. Each branch's outcome set, the states whose mask holds its
 bit, equals the rewrite over every admissible linearization, and the
 state budget counts each branch's own states. Each one-state rewrite, and
-each first-layer shift of a branch's anchored windows, goes through one
-memo per process, keyed by (frontier state, pending formula, gap), with
-no state for a shift: every branch of every segment, and every later call
-that meets the same key, reads one result.
-Within one `monitor` call the memo is never evicted, so each key is
-computed at most once per run; at the end of a call that leaves it holding
-more than REWRITE_LIMIT entries, it is dropped whole. The memo keeps one
-object per distinct frontier state and rewritten formula (hash-consing),
-and the input formula is normalized once per distinct formula, so a
-repeated spec reaches the memo as the same object and lookups mostly
-compare by identity. The floor carries the previous segment's last
+each first-layer shift of a branch's anchored windows, is
+`progression.advance`, the memoized rewrite both engines share; `monitor`
+runs `progression.evict` when it returns. The input formula is
+normalized once per distinct formula, so a repeated spec reaches the memo
+as the same object. The floor carries the previous segment's last
 timestamp so times never decrease across the boundary, and any event-free
 gap between the floor and a segment's first time shifts the branch's
 anchored windows before rewriting. Branches that collapse to
@@ -61,11 +55,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from . import smt as smt_backend
 from .computation import Computation, Event, build_computation, time_window
 from .errors import BudgetExceeded, InputError, UsageError
-from .formula import Formula, shift_anchored, simplify
-from .progression import step
+from .formula import Formula, simplify
+from .progression import advance, evict, shared
 
-# perfbench/spans.py wraps these two names on this module to count
-# linearizations and progress calls; the cut walk calls neither.
+# perfbench/spans.py wraps these three names on this module to count
+# linearizations, progress calls and shifts; the cut walk calls none.
+from .formula import shift_anchored  # noqa: F401
 from .oracle import enumerate_linearizations  # noqa: F401
 from .progression import progress  # noqa: F401
 from .semantics import State, Verdict, finalize, formula_verdict, merge_frontier
@@ -77,23 +72,7 @@ BOUNDARY_EXACT = "exact"
 BOUNDARY_WINDOW = "window"
 
 STATE_BUDGET = 10**6  # cut-lattice states one branch may visit per segment
-# rewrite-memo entries kept between calls; about 0.3 KB each on the
-# criterion-8 log, so at most about 5 MB stay alive between calls
-REWRITE_LIMIT = 1 << 14
 NORMAL_CACHE_SIZE = 64  # distinct input formulas whose normal form is kept
-
-# step(frontier state, pending formula, gap) -> rewritten formula, and
-# (None, formula, gap) -> shift_anchored(formula, gap), shared by every
-# walk in the process (see the module docstring)
-_rewrites: Dict[Tuple[Optional[State], Formula, int], Formula] = {}
-# one object per distinct frontier state and rewritten formula, so the memo
-# keeps no equal copies alive; dropped together with the memo
-_terms: Dict[object, object] = {}
-
-
-def _shared(x):
-    """The first object equal to x that the memo has met, else x."""
-    return _terms.setdefault(x, x)
 
 
 class IngestError(InputError):
@@ -373,9 +352,7 @@ def monitor(events: Sequence[Event], f: Formula, cfg: MonitorConfig) -> MonitorR
             seg_reports.append(report)
             prev_theta = theta
     finally:
-        if len(_rewrites) > REWRITE_LIMIT:
-            _rewrites.clear()
-            _terms.clear()
+        evict()
 
     final: Set[Verdict] = set(frozen)
     for phi, _floor in branches:
@@ -411,7 +388,7 @@ def _progress_segment(
     the sorted first of those it found. The kept outcomes of a truncated
     result may therefore differ between engines. The enumerate engine
     walks the segment once for all branches; the smt engine runs one
-    enumeration per branch and does not read the rewrite memo."""
+    enumeration per branch."""
     cap = cfg.max_verdicts_per_segment
     if cfg.engine == ENGINE_SMT:
         outs = [
@@ -471,17 +448,10 @@ def _walk_cuts(
     masks are counted per branch only once the states of all branches
     together pass the budget.
 
-    Every formula is normalized. Each step goes through `_rewrites`, the
-    memo of the whole process, keyed by (frontier state, pending formula,
-    gap), and so does each first-layer shift, keyed by (None, formula,
-    gap): neither reads anything else, so one result serves every cut,
-    branch and segment of this call and of later calls that meet the same
-    key. `monitor` evicts the memo only between calls, when it holds more
-    than REWRITE_LIMIT entries, so within one call each key is computed at
-    most once. Frontier states and results enter the memo through
-    `_shared`, so equal ones are one object. Frontier states are keyed by
-    cut and stay local to this walk, since cuts name events of this
-    segment only and the carry changes between segments.
+    Every formula is normalized. Each step and each first-layer shift is
+    `progression.advance`, whose memo is described there. Frontier states
+    are keyed by cut and stay local to this walk, since cuts name events
+    of this segment only and the carry changes between segments.
     """
     events = sub.events
     procs = sub.processes
@@ -520,17 +490,8 @@ def _walk_cuts(
             for k, c in enumerate(cut):
                 if c:
                     latest[procs[k]] = events[streams[k][c - 1]].payload
-            st = frontiers[cut] = _shared(merge_frontier(latest))
+            st = frontiers[cut] = shared(merge_frontier(latest))
         return st
-
-    def advance(st: Optional[State], f: Formula, gap: int) -> Formula:
-        """f stepped over st with elapsed gap; shifted by gap when st is None."""
-        key = (st, f, gap)
-        out = _rewrites.get(key)
-        if out is None:
-            g = shift_anchored(f, gap) if st is None else step(st, f, gap)
-            out = _rewrites[key] = _shared(g)
-        return out
 
     masks: List[int] = []  # the mask of each visited state not yet in `visited`
     visited = [0] * len(branches)  # states per branch, not counting `masks`

@@ -28,11 +28,19 @@ progressing a concatenation equals progressing the suffix after the
 prefix, as formulas. Outputs are built from the folding constructors, so a
 normalized input gives a normalized output; `progress` normalizes once up
 front and the steps never normalize again.
+
+`advance(state, f, gap)` is the rewrite both engines run: `step`, or
+`shift_anchored(f, gap)` when state is None, through one memo per process
+keyed by (state, formula, gap), so every branch, segment, engine and later
+call that meets a key reads one result. States and results enter it
+through `shared`, one object per equal value. `pipeline.monitor` runs
+`evict` at the end of each call, which drops the memo whole above
+REWRITE_LIMIT entries, so within one call each key is computed once.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from .formula import (
     Atom,
@@ -57,9 +65,41 @@ from .formula import (
     mk_not,
     mk_or,
     mk_until,
+    shift_anchored,
     simplify,
 )
 from .semantics import State, TimedTrace
+
+# memo entries kept between calls; about 0.3 KB each on the criterion-8
+# log, so at most about 5 MB stay alive between calls
+REWRITE_LIMIT = 1 << 14
+
+# (state, formula, gap) -> advance(state, formula, gap)
+_rewrites: Dict[Tuple[Optional[State], Formula, int], Formula] = {}
+_terms: Dict[object, object] = {}  # one object per equal state or formula
+
+
+def shared(x):
+    """The first object equal to x that the memo has met, else x."""
+    return _terms.setdefault(x, x)
+
+
+def advance(state: Optional[State], f: Formula, gap: int) -> Formula:
+    """The normalized f stepped over state, `gap` time units before the
+    next state, or shifted by gap when state is None; memoized."""
+    key = (state, f, gap)
+    out = _rewrites.get(key)
+    if out is None:
+        g = shift_anchored(f, gap) if state is None else step(state, f, gap)
+        out = _rewrites[key] = shared(g)
+    return out
+
+
+def evict() -> None:
+    """Drop the memo when it holds more than REWRITE_LIMIT entries."""
+    if len(_rewrites) > REWRITE_LIMIT:
+        _rewrites.clear()
+        _terms.clear()
 
 
 def progress(trace: TimedTrace, f: Formula, elapsed: Optional[int] = None) -> Formula:

@@ -9,8 +9,9 @@ declared constant, and both are flushed at once. Assertions persist, so
 a client can add one and ask again (SMT-LIB incremental use, as with
 ``z3 -in``). Intended as a drop-in solver command for the monitor's
 encoder output; any SMT-LIB-conformant solver can be used instead.
-Integer constants must be given finite bounds by the asserted constraints
-(the encoder always does this), otherwise the solver answers ``unknown``.
+Integer constants must be given finite bounds, however large, by the
+asserted constraints (the encoder always does this), otherwise the solver
+answers ``unknown``.
 
 Supported forms: set-logic/set-option/set-info/exit (ignored),
 declare-const, declare-fun with zero arity, assert, check-sat, get-model.
@@ -31,7 +32,8 @@ cardinality sums. It therefore answers the lexicographically least model.
 An assertion can only shrink the set of models, so the least model after it
 is never below the last one: each check-sat resumes from the last ``sat``
 model, taken as an inclusive lower bound, and skips every assignment below
-it. A declaration, or any answer but ``sat``, drops that bound. The answers
+it. A declaration, or any answer but ``sat``, drops that bound; a
+declaration also drops the model, which lacks the new symbol. The answers
 are the same as those of a search from scratch.
 
 Run it as a bare script (``python -I -S refsolver.py``): it imports only
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import sys
 
-BIG = 10**9
+INF = float("inf")  # an integer bound no assertion has set
 
 
 class Unsupported(Exception):
@@ -166,7 +168,7 @@ class Problem:
         self.var_order.append(name)
         self.var_sort[name] = sort
         if sort == "Int":
-            self.bounds[name] = (-BIG, BIG)
+            self.bounds[name] = (-INF, INF)
 
     def add_assert(self, term):
         term, sort = self.compile(term)
@@ -430,7 +432,7 @@ class Solver:
 
     def solve(self):
         for v, (lo, hi) in self.p.bounds.items():
-            if lo < -(10**8) or hi > 10**8:
+            if lo == -INF or hi == INF:
                 return "unknown", None
             if lo > hi:
                 return "unsat", None
@@ -605,12 +607,12 @@ class Executor:
             raise Unsupported(f"{head} takes {COMMANDS[head]} arguments, given {len(form) - 1}")
         if head == "declare-const":
             problem.declare(form[1], form[2])
-            self.floor = None
+            self.floor = self.status = None  # the last model lacks the new symbol
         elif head == "declare-fun":
             if form[2] != ():
                 raise Unsupported("only zero-arity declare-fun is supported")
             problem.declare(form[1], form[3])
-            self.floor = None
+            self.floor = self.status = None
         elif head == "assert":
             problem.add_assert(form[1])
         elif head == "check-sat":
@@ -623,9 +625,7 @@ class Executor:
             out = ["(model"]
             for v in problem.var_order:
                 sort = problem.var_sort[v]
-                val = self.model.get(v)
-                if val is None:  # unconstrained: pick a default in bounds
-                    val = False if sort == "Bool" else problem.bounds[v][0]
+                val = self.model[v]
                 if sort == "Bool":
                     txt = "true" if val else "false"
                 else:

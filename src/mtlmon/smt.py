@@ -3,9 +3,10 @@
 One segment's question is unrolled into a quantifier-free boolean/integer
 problem over SMT-LIB v2 text, once per segment and branch. The engine is
 one loop: solve, decode the sat model once into a (cut order, timestamp
-assignment) pair, replay progression on that linearization, and add a
-blocking assertion over the bits that determine the outcome (residual and
-last time), until the solver answers unsat. An encoding that would declare
+assignment) pair, replay the rewrite on that linearization through the
+memo the cut walk shares (`progression.advance`), and add a blocking
+assertion over the bits that determine the outcome (residual and last
+time), until the solver answers unsat. An encoding that would declare
 more than VAR_BUDGET boolean variables is refused.
 
 Each enumeration (one segment and branch) runs one solver process, a
@@ -67,11 +68,15 @@ from .formula import (
     max_nesting,
     operands,
     propositional_atoms,
-    shift_anchored,
     simplify,
 )
-from .progression import progress
-from .semantics import State, TimedTrace, merge_frontier
+from .progression import advance, shared
+from .semantics import State, merge_frontier
+
+# perfbench/spans.py wraps these two names on this module to count
+# progress calls and shifts; replay calls neither.
+from .formula import shift_anchored  # noqa: F401
+from .progression import progress  # noqa: F401
 
 DEFAULT_TIMEOUT = 60.0
 VAR_BUDGET = 5000  # boolean variables one encoding may declare
@@ -728,17 +733,17 @@ def decode_linearization(problem: SmtProblem, model: Mapping[str, int]) -> Decod
 
 
 def replay(problem: SmtProblem, decoded: DecodedModel) -> Tuple[Formula, int, int]:
-    """Progress the branch formula over the decoded linearization."""
+    """Rewrite the branch formula over the decoded linearization through
+    the memo the cut walk shares: shift it by the gap from the floor, then
+    step each frontier state with the gap to the next time (0 at the end)."""
+    times = decoded.times
+    f = advance(None, problem.formula, 0 if problem.floor is None else times[0] - problem.floor)
     latest: Dict[str, State] = dict(problem.carry)
-    states: List[State] = []
-    for k in decoded.order:
+    for k, t, t2 in zip(decoded.order, times, times[1:] + times[-1:]):
         e = problem.comp.events[k]
         latest[e.process] = e.payload
-        states.append(merge_frontier(latest))
-    trace = TimedTrace(tuple(states), decoded.times)
-    gap = 0 if problem.floor is None else decoded.times[0] - problem.floor
-    g = shift_anchored(problem.formula, gap)
-    return progress(trace, g), decoded.times[0], decoded.times[-1]
+        f = advance(shared(merge_frontier(latest)), f, t2 - t)
+    return f, times[0], times[-1]
 
 
 def blocking_assertion(problem: SmtProblem, model: Mapping[str, int]) -> str:

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtlmon import casegen, cli, pipeline, smt
+from mtlmon import casegen, cli, pipeline, progression, smt
 from mtlmon.casegen import gen_random_computation
 from mtlmon.cli import event_to_json, main as cli_main, write_jsonl
 from mtlmon.computation import Event, build_computation
@@ -214,6 +214,44 @@ class TestMonitor:
                 b = monitor(events, f, smt_cfg)
                 assert a.verdicts == b.verdicts, (str(f), g)
 
+    def test_engines_give_one_report_at_any_epoch(self):
+        """Small logs at eps 1-2, flat and nested specs, g in {1, 2, 3},
+        exact and window boundaries: both engines write the same JSON
+        report, without `ms`. In exact mode, adding 1.7e12 to every
+        timestamp leaves both engines' verdict sets unchanged; the solver
+        engine once failed there, because the bundled solver took integer
+        bounds past 10^8 for unbounded ones."""
+        rng = random.Random(18)
+        shift = 1_700_000_000_000
+        for case in range(15):
+            c = bounded_computation(rng, max_events=5, epsilons=(1, 2), lin_cap=150)
+            if case % 3 == 2:
+                f = random_formula(rng, 2, constants=False)
+                while max_nesting(f) < 2:
+                    f = random_formula(rng, 2, constants=False)
+            else:
+                f = random_flat_formula(rng)
+            events = list(c.events)
+            moved = [Event(e.process, e.local_time + shift, e.payload) for e in events]
+            for g in (1, 2, 3):
+                for boundary in ("exact", "window"):
+                    cfgs = [
+                        MonitorConfig(
+                            epsilon=c.epsilon, segments=g, boundary=boundary,
+                            engine=engine, solver_command=CMD,
+                            branch_cap=512, max_verdicts_per_segment=512,
+                        )
+                        for engine in ("enumerate", "smt")
+                    ]
+                    reports = [monitor(events, f, cfg) for cfg in cfgs]
+                    enum_json, smt_json = (_untimed(r.to_json()) for r in reports)
+                    assert enum_json == smt_json, (str(f), g, boundary)
+                    if boundary == "exact":
+                        for cfg, report in zip(cfgs, reports):
+                            assert monitor(moved, f, cfg).verdicts == report.verdicts, (
+                                str(f), g, cfg.engine,
+                            )
+
     def test_truncation_is_flagged_and_subset(self):
         events = [
             ev("apr", 1), ev("apr", 3), ev("apr", 5), ev("apr", 7, {"apr_redeem_bob"}),
@@ -350,14 +388,7 @@ class TestCutWalk:
         cfg = MonitorConfig(
             epsilon=2, segments=4, branch_cap=512, max_verdicts_per_segment=512
         )
-        keys = []
-        real_step = pipeline.step
-
-        def counting(st, f, gap):
-            keys.append((st, f, gap))
-            return real_step(st, f, gap)
-
-        monkeypatch.setattr(pipeline, "step", counting)
+        keys = _count_steps(monkeypatch)
         report = monitor(list(comp.events), phi, cfg)
         assert len(report.segments[2].branches) == 62
         assert len(keys) == len(set(keys))
@@ -456,6 +487,26 @@ class TestCutWalk:
         assert outs == [oracle_pairs(sub, phi, floor, carry) for phi, floor in branches]
 
 
+def _count_steps(monkeypatch) -> list:
+    """Record the key of every outermost `progression.step` call; `step`
+    recurses through its module name, so inner calls are not counted."""
+    keys = []
+    depth = [0]
+    real_step = progression.step
+
+    def counting(st, f, gap):
+        if not depth[0]:
+            keys.append((st, f, gap))
+        depth[0] += 1
+        try:
+            return real_step(st, f, gap)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(progression, "step", counting)
+    return keys
+
+
 def _untimed(report: dict) -> dict:
     """A JSON report without the per-segment wall times."""
     for seg in report["segments"]:
@@ -486,22 +537,15 @@ class TestProcessCaches:
             out = []
             for argv in argvs:
                 if clear_each:
-                    pipeline._rewrites.clear()
+                    progression._rewrites.clear()
                 code = cli_main(argv)
                 out.append((code, _untimed(json.loads(capsys.readouterr().out))))
             return out
 
-        keys = []
-        real_step = pipeline.step
-
-        def counting(st, f, gap):
-            keys.append((st, f, gap))
-            return real_step(st, f, gap)
-
-        monkeypatch.setattr(pipeline, "step", counting)
+        keys = _count_steps(monkeypatch)
         cold = reports(clear_each=True)
         cold_calls, keys[:] = len(keys), []
-        pipeline._rewrites.clear()
+        progression._rewrites.clear()
         shared = reports(clear_each=False)
         assert shared == cold
         assert len(keys) == len(set(keys))
@@ -511,17 +555,17 @@ class TestProcessCaches:
         comp = gen_random_computation(2, processes=2, events=12, epsilon=2, max_gap=6)
         phi = parse_spec("G[0,40) (p -> F[0,12) q)")
         cfg = MonitorConfig(epsilon=2, segments=3)
-        pipeline._rewrites.clear()
+        progression._rewrites.clear()
         kept = _untimed(monitor(list(comp.events), phi, cfg).to_json())
-        assert 1 < len(pipeline._rewrites) <= pipeline.REWRITE_LIMIT
+        assert 1 < len(progression._rewrites) <= progression.REWRITE_LIMIT
         # equal rewrites and frontier states are kept as one object each
-        for part in ((st for st, _, _ in pipeline._rewrites), pipeline._rewrites.values()):
+        for part in ((st for st, _, _ in progression._rewrites), progression._rewrites.values()):
             objs = list(part)
             assert len({id(x) for x in objs}) == len(set(objs))
-        monkeypatch.setattr(pipeline, "REWRITE_LIMIT", 1)
-        pipeline._rewrites.clear()
+        monkeypatch.setattr(progression, "REWRITE_LIMIT", 1)
+        progression._rewrites.clear()
         dropped = _untimed(monitor(list(comp.events), phi, cfg).to_json())
-        assert pipeline._rewrites == {} and pipeline._terms == {}
+        assert progression._rewrites == {} and progression._terms == {}
         assert dropped == kept
 
 

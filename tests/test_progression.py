@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mtlmon import progression
 from mtlmon.formula import (
     FALSE,
     TRUE,
@@ -12,12 +14,13 @@ from mtlmon.formula import (
     Not,
     Or,
     SumAtom,
+    shift_anchored,
     simplify,
 )
 from mtlmon.parser import parse_spec
-from mtlmon.progression import progress
-from mtlmon.semantics import TimedTrace, Verdict, eval_finite, finalize, trace_of
-from support import random_formula, random_trace
+from mtlmon.progression import advance, progress, shared, step
+from mtlmon.semantics import State, TimedTrace, Verdict, eval_finite, finalize, trace_of
+from support import ATOMS, random_formula, random_trace
 
 
 class TestWorkedChain:
@@ -212,3 +215,28 @@ class TestSoundness:
             f = random_formula(rng, rng.randrange(1, 4))
             out = progress(tr, f)
             assert simplify(out) == out
+
+
+class TestAdvance:
+    """`advance` is the one memoized rewrite both engines run."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.lists(st.integers(0, 12), min_size=1, max_size=3))
+    def test_equals_step_and_shift_on_a_cold_and_a_warm_memo(self, seed, gaps):
+        """Each (state, gap) pair of one formula, with None for a shift,
+        first on a cleared memo, then again on the memo those calls left."""
+        rng = random.Random(seed)
+        f = simplify(random_formula(rng, rng.randrange(0, 4)))
+        states = [State(frozenset(a for a in ATOMS if rng.random() < 0.5)) for _ in range(2)]
+        keys = [(s_, gap) for s_ in states + [None] for gap in gaps]
+        expected = [
+            shift_anchored(f, gap) if s_ is None else step(s_, f, gap) for s_, gap in keys
+        ]
+        progression._rewrites.clear()
+        progression._terms.clear()
+        keys = [(s_ if s_ is None else shared(s_), gap) for s_, gap in keys]
+        cold = [advance(s_, f, gap) for s_, gap in keys]
+        assert cold == expected
+        warm = [advance(s_, f, gap) for s_, gap in keys]
+        assert warm == expected
+        assert all(w is c for w, c in zip(warm, cold))

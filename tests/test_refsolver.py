@@ -88,6 +88,23 @@ class TestSolver:
         out = solve("(declare-const x Int)(assert (>= x 2))(check-sat)")
         assert out.splitlines()[0] == "unknown"
 
+    def test_large_finite_bounds_answer_sat(self):
+        """Epoch-scale times: a finite bound is a bound however large."""
+        out = solve(
+            "(declare-const x Int)(assert (>= x 1700000000000))"
+            "(assert (<= x 1700000000003))(check-sat)(get-model)"
+        )
+        assert out.splitlines()[0] == "sat"
+        assert "(define-fun x () Int 1700000000000)" in out
+
+    def test_declaration_drops_the_model(self):
+        out = solve(
+            "(declare-const x Int)(assert (>= x 2))(assert (<= x 5))(check-sat)"
+            "(declare-const y Bool)(get-model)(check-sat)(get-model)"
+        )
+        assert out.splitlines()[:2] == ["sat", '(error "model is not available")']
+        assert "(define-fun y () Bool false)" in out
+
     def test_unsupported_sort_reported_as_unknown(self):
         proc = subprocess.run(
             [sys.executable, "-m", "mtlmon.refsolver"],

@@ -8,10 +8,11 @@ import pytest
 from mtlmon import refsolver, smt
 from mtlmon.casegen import gen_random_computation
 from mtlmon.computation import Event, build_computation
-from mtlmon.formula import FALSE, TRUE, max_nesting
+from mtlmon.formula import FALSE, TRUE, max_nesting, shift_anchored
 from mtlmon.oracle import enumerate_linearizations
 from mtlmon.parser import parse_spec
-from mtlmon.semantics import State, Verdict, finalize
+from mtlmon.progression import progress
+from mtlmon.semantics import State, TimedTrace, Verdict, finalize, merge_frontier
 from mtlmon.smt import (
     ModelDecodeError,
     SegmentTooLargeError,
@@ -26,6 +27,7 @@ from mtlmon.smt import (
     solve,
 )
 from support import (
+    ATOMS,
     bounded_computation,
     oracle_pairs,
     random_events,
@@ -387,3 +389,44 @@ class TestEnumerateVerdicts:
         block = blocking_assertion(problem, result.model)
         assert block.startswith("(assert (not")
         assert "wit_0" in block
+
+
+def reference_replay(problem, decoded):
+    """Replay without the rewrite memo: a TimedTrace of the merged
+    frontiers, progressed after shifting the anchored windows by the gap
+    from the floor."""
+    latest = dict(problem.carry)
+    states = []
+    for k in decoded.order:
+        e = problem.comp.events[k]
+        latest[e.process] = e.payload
+        states.append(merge_frontier(latest))
+    trace = TimedTrace(tuple(states), decoded.times)
+    gap = 0 if problem.floor is None else decoded.times[0] - problem.floor
+    formula = progress(trace, shift_anchored(problem.formula, gap))
+    return formula, decoded.times[0], decoded.times[-1]
+
+
+class TestReplay:
+    def test_memoized_replay_equals_the_reference_fold(self, monkeypatch):
+        """Every decoded model of the first criterion-4 cases, each run
+        once plain and once with a drawn floor and carry: `replay`, which
+        goes through the rewrite memo, equals the fold of `progress`."""
+        replays = []
+        real = smt.replay
+
+        def checking(problem, decoded):
+            out = real(problem, decoded)
+            replays.append((out, reference_replay(problem, decoded), problem.floor))
+            return out
+
+        monkeypatch.setattr(smt, "replay", checking)
+        rng = random.Random(4)
+        for c, f in criterion_4_cases(12):
+            start = min(e.local_time for e in c.events)
+            carry = {p: State(frozenset(rng.sample(ATOMS, 1))) for p in ("P1", "P9")}
+            enumerate_verdicts(c, f, 129, CMD)
+            enumerate_verdicts(c, f, 129, CMD, floor=rng.randrange(start + 1), carry=carry)
+        assert sum(floor is not None for _, _, floor in replays) > 20
+        for out, ref, floor in replays:
+            assert out == ref, floor
