@@ -3,7 +3,7 @@
 
 For every execution vector, monitors the generated log against the
 liveness and safety specs and tallies the verdict sets. Use --delta and
---epsilon to explore the skew-fragility regime (try --delta 2 --epsilon 2).
+--epsilon to explore the skew-fragility regime (try --delta 3 --epsilon 2).
 """
 
 import argparse

@@ -115,6 +115,14 @@ class _Ledger:
         self.events: List[Event] = []
 
     def emit(self, t: int, props: Iterable[str], **transfers: int):
+        """Append one event at time t, which must follow the chain's last
+        event, as `pipeline.ingest` requires; a delta too small for the
+        protocol's steps breaks this."""
+        if self.events and t <= self.events[-1].local_time:
+            raise ValueError(
+                f"delta too small: times on chain {self.proc!r} must be"
+                f" strictly increasing ({t} after {self.events[-1].local_time})"
+            )
         for key, amount in transfers.items():
             self.totals[key] = self.totals.get(key, 0) + amount
         self.events.append(

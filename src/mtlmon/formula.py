@@ -1,10 +1,10 @@
 """MTL formula AST: half-open integer intervals, connectives, timed operators.
 
 All nodes are frozen dataclasses with structural equality. Each node
-computes its hash once, from the field tuple its class names in `_fields`,
-and caches it, so hashing a formula is O(1) after the first time: the
-rewrite memo and the branch sets key on whole formulas. A node also
-formats itself once and caches the text, since branch formulas are
+computes its hash once, from its type and its declared dataclass fields
+in order, and caches it, so hashing a formula is O(1) after the first
+time: the rewrite memo and the branch sets key on whole formulas. A node
+also formats itself once and caches the text, since branch formulas are
 sorted and reported by their text. Hashes of strings vary between
 processes, which is harmless because formulas are never pickled.
 
@@ -76,21 +76,24 @@ def in_interval(tau_i: int, tau_0: int, iv: Interval) -> bool:
 
 
 class Formula:
-    """Base class; subclasses are frozen dataclasses that take `__hash__`
-    from here instead of generating one, which would rehash the whole
-    subtree on every call. The hash and the text are cached on the node."""
+    """Base class; subclasses are frozen dataclasses. Each subclass gets
+    `__hash__` from here before `@dataclass` runs, and `@dataclass` keeps a
+    `__hash__` the class already has instead of generating one, which would
+    rehash the whole subtree on every call. The hash and the text are
+    cached on the node."""
 
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        """The fields the hash covers; none for a constant."""
-        return ()
+    def __init_subclass__(cls):
+        cls.__hash__ = Formula.__hash__
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            h = hash((type(self), self._fields()))
+            # by `__getattribute__`: reading `__dict__` would slow every
+            # later attribute read on the node, and a comprehension's
+            # closure over `self` would slow every call of this method
+            fields = map(self.__getattribute__, self.__dataclass_fields__)
+            h = hash((type(self), *fields))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -110,22 +113,17 @@ class Formula:
 
 @dataclass(frozen=True, repr=False)
 class TrueF(Formula):
-    __hash__ = Formula.__hash__
+    pass
 
 
 @dataclass(frozen=True, repr=False)
 class FalseF(Formula):
-    __hash__ = Formula.__hash__
+    pass
 
 
 @dataclass(frozen=True, repr=False)
 class Atom(Formula):
     name: str
-
-    __hash__ = Formula.__hash__
-
-    def _fields(self) -> tuple:
-        return (self.name,)
 
 
 @dataclass(frozen=True, repr=False)
@@ -136,20 +134,10 @@ class SumAtom(Formula):
     from_party: str
     offset: int = 0
 
-    __hash__ = Formula.__hash__
-
-    def _fields(self) -> tuple:
-        return (self.to_party, self.from_party, self.offset)
-
 
 @dataclass(frozen=True, repr=False)
 class Not(Formula):
     operand: Formula
-
-    __hash__ = Formula.__hash__
-
-    def _fields(self) -> tuple:
-        return (self.operand,)
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -160,15 +148,10 @@ class _Junction(Formula):
 
     args: Tuple[Formula, ...]
 
-    __hash__ = Formula.__hash__
-
     def __init__(self, *args: Formula):
         if len(args) < 2:
             raise ValueError(f"{type(self).__name__} needs two or more operands")
         object.__setattr__(self, "args", args)
-
-    def _fields(self) -> tuple:
-        return self.args
 
 
 class Or(_Junction):
@@ -184,11 +167,6 @@ class Implies(Formula):
     left: Formula
     right: Formula
 
-    __hash__ = Formula.__hash__
-
-    def _fields(self) -> tuple:
-        return (self.left, self.right)
-
 
 @dataclass(frozen=True, repr=False)
 class Until(Formula):
@@ -196,32 +174,17 @@ class Until(Formula):
     interval: Interval
     right: Formula
 
-    __hash__ = Formula.__hash__
-
-    def _fields(self) -> tuple:
-        return (self.left, self.interval, self.right)
-
 
 @dataclass(frozen=True, repr=False)
 class Eventually(Formula):
     interval: Interval
     operand: Formula
 
-    __hash__ = Formula.__hash__
-
-    def _fields(self) -> tuple:
-        return (self.interval, self.operand)
-
 
 @dataclass(frozen=True, repr=False)
 class Globally(Formula):
     interval: Interval
     operand: Formula
-
-    __hash__ = Formula.__hash__
-
-    def _fields(self) -> tuple:
-        return (self.interval, self.operand)
 
 
 TRUE = TrueF()

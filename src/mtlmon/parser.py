@@ -292,10 +292,6 @@ _PREC_UNARY = 4
 _PREC_ATOM = 5
 
 
-def _fmt_interval(iv: Interval) -> str:
-    return str(iv)
-
-
 def _fmt(f: Formula, prec: int) -> str:
     if isinstance(f, TrueF):
         s, p = "true", _PREC_ATOM
@@ -311,18 +307,12 @@ def _fmt(f: Formula, prec: int) -> str:
     elif isinstance(f, Not):
         s, p = "!" + _fmt(f.operand, _PREC_UNARY), _PREC_UNARY
     elif isinstance(f, Eventually):
-        s, p = "F" + _fmt_interval(f.interval) + " " + _fmt(f.operand, _PREC_UNARY), _PREC_UNARY
+        s, p = f"F{f.interval} " + _fmt(f.operand, _PREC_UNARY), _PREC_UNARY
     elif isinstance(f, Globally):
-        s, p = "G" + _fmt_interval(f.interval) + " " + _fmt(f.operand, _PREC_UNARY), _PREC_UNARY
+        s, p = f"G{f.interval} " + _fmt(f.operand, _PREC_UNARY), _PREC_UNARY
     elif isinstance(f, Until):
         # right-assoc: left operand printed one level tighter
-        s = (
-            _fmt(f.left, _PREC_UNTIL + 1)
-            + " U"
-            + _fmt_interval(f.interval)
-            + " "
-            + _fmt(f.right, _PREC_UNTIL)
-        )
+        s = _fmt(f.left, _PREC_UNTIL + 1) + f" U{f.interval} " + _fmt(f.right, _PREC_UNTIL)
         p = _PREC_UNTIL
     elif isinstance(f, (And, Or)):
         sep, p = (" & ", _PREC_AND) if isinstance(f, And) else (" | ", _PREC_OR)

@@ -345,8 +345,7 @@ def monitor(events: Sequence[Event], f: Formula, cfg: MonitorConfig) -> MonitorR
                     keep = sorted(branches, key=lambda b: (str(b[0]), b[1]))[: cfg.branch_cap]
                     branches = {b: None for b in keep}
                     truncated = True
-                for proc, st in _segment_carry(sub).items():
-                    carry[proc] = st
+                carry.update(_segment_carry(sub))
             report.ms = (_time.perf_counter() - t0) * 1000.0
             report.branches = sorted({str(phi) for phi, _ in branches})
             seg_reports.append(report)
@@ -354,10 +353,7 @@ def monitor(events: Sequence[Event], f: Formula, cfg: MonitorConfig) -> MonitorR
     finally:
         evict()
 
-    final: Set[Verdict] = set(frozen)
-    for phi, _floor in branches:
-        v = formula_verdict(phi)
-        final.add(v if v is not None else finalize(phi))
+    final = frozen | {finalize(phi) for phi, _floor in branches}
     return MonitorReport(final, seg_reports, truncated)
 
 

@@ -137,26 +137,18 @@ def _atom_key(a) -> tuple:
     return (1, a.to_party, a.from_party, a.offset)
 
 
-def _bool_or(parts: List[str]) -> str:
-    parts = [p for p in parts if p != "false"]
-    if any(p == "true" for p in parts):
-        return "true"
+def _bool_fold(op: str, parts: List[str]) -> str:
+    """`(op ...)` over parts, op "and" or "or": its unit is dropped, its
+    zero absorbs the rest, and one part left is returned as it is."""
+    unit, zero = ("true", "false") if op == "and" else ("false", "true")
+    parts = [p for p in parts if p != unit]
+    if zero in parts:
+        return zero
     if not parts:
-        return "false"
+        return unit
     if len(parts) == 1:
         return parts[0]
-    return "(or " + " ".join(parts) + ")"
-
-
-def _bool_and(parts: List[str]) -> str:
-    parts = [p for p in parts if p != "true"]
-    if any(p == "false" for p in parts):
-        return "false"
-    if not parts:
-        return "true"
-    if len(parts) == 1:
-        return parts[0]
-    return "(and " + " ".join(parts) + ")"
+    return f"({op} " + " ".join(parts) + ")"
 
 
 class _Encoder:
@@ -273,7 +265,7 @@ class _Encoder:
                 parts.append(f"(not rho_{step}_{idxs[0]})")
             else:
                 parts.append("true")
-        return _bool_or(parts)
+        return _bool_fold("or", parts)
 
     def _total_term(self, key: str, step: int) -> str:
         """Linear term for the cross-process sum of a running-total variable."""
@@ -355,26 +347,32 @@ class _Encoder:
                 continue
             iv = node.interval
             if isinstance(node, Eventually):
-                wit = _bool_or(
+                wit = _bool_fold(
+                    "or",
                     [
-                        _bool_and([self._inin(iv, j), prop(node.operand, j)])
+                        _bool_fold("and", [self._inin(iv, j), prop(node.operand, j)])
                         for j in range(m)
                     ]
                 )
                 self._sig_bool(f"wit_{nid}", wit)
             elif isinstance(node, Globally):
-                vio = _bool_or(
+                vio = _bool_fold(
+                    "or",
                     [
-                        _bool_and([self._inin(iv, j), f"(not {prop(node.operand, j)})"])
+                        _bool_fold(
+                            "and", [self._inin(iv, j), f"(not {prop(node.operand, j)})"]
+                        )
                         for j in range(m)
                     ]
                 )
                 self._sig_bool(f"vio_{nid}", vio)
             else:
                 l, r = node.left, node.right
-                wit = _bool_or(
+                wit = _bool_fold(
+                    "or",
                     [
-                        _bool_and(
+                        _bool_fold(
+                            "and",
                             [self._inin(iv, j), prop(r, j)]
                             + [prop(l, k) for k in range(j)]
                         )
@@ -382,9 +380,10 @@ class _Encoder:
                     ]
                 )
                 self._sig_bool(f"wit_{nid}", wit)
-                pref = _bool_and([prop(l, i) for i in range(m)])
+                pref = _bool_fold("and", [prop(l, i) for i in range(m)])
                 self._sig_bool(f"pref_{nid}", pref)
-                guard = _bool_and(
+                guard = _bool_fold(
+                    "and",
                     [
                         f"(=> (< {self._elapsed(i)} {iv.start}) {prop(l, i)})"
                         for i in range(m)
@@ -430,7 +429,7 @@ class _Encoder:
         lower = f"(>= {diff} {iv.start})"
         if iv.end is None:
             return lower
-        return _bool_and([lower, f"(< {diff} {iv.end})"])
+        return _bool_fold("and", [lower, f"(< {diff} {iv.end})"])
 
     def encode(self) -> SmtProblem:
         self.encode_structure()
@@ -755,7 +754,7 @@ def blocking_assertion(problem: SmtProblem, model: Mapping[str, int]) -> str:
         parts.append(f"(= {name} {_int(model.get(name, 0))})")
     if not parts:
         return "(assert false)"
-    return "(assert (not " + _bool_and(parts) + "))"
+    return "(assert (not " + _bool_fold("and", parts) + "))"
 
 
 # ---------------------------------------------------------------------------

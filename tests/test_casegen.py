@@ -56,6 +56,23 @@ class TestExecutionGrid:
             write_jsonl(log, str(path))
             assert ingest(str(path)) == log
 
+    def test_grid_at_delta_3_builds_computations(self):
+        params = ProtocolParams(delta=3)
+        for vec in enumerate_two_party_executions():
+            log = gen_two_party_log(vec, params)
+            assert len(build_computation(log, 2)) == len(log)
+
+    def test_delta_too_small_is_refused(self):
+        """Two events on one chain at one time would make a log that
+        `ingest` refuses; the generators raise instead of writing it."""
+        late = ExecutionVector.from_string("101010111010")
+        with pytest.raises(ValueError, match="'ban' must be strictly increasing"):
+            gen_two_party_log(late, ProtocolParams(delta=2))
+        with pytest.raises(ValueError, match="'coin'"):
+            gen_auction_log(None, ProtocolParams(delta=2))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            gen_three_party_log(None, ProtocolParams(delta=1))
+
 
 class TestTwoPartyLogs:
     def test_conforming_log_is_live_and_safe(self):

@@ -10,12 +10,15 @@ from mtlmon.formula import (
     And,
     Atom,
     Eventually,
+    FalseF,
+    Formula,
     Globally,
     Implies,
     Interval,
     Not,
     Or,
     SumAtom,
+    TrueF,
     Until,
     in_interval,
     mk_and,
@@ -116,6 +119,39 @@ class TestShiftAnchored:
         assert shift_anchored(f, 5) == FALSE
         g = Globally(Interval(1, 4), Atom("p"))
         assert shift_anchored(g, 9) == TRUE
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def _one_node_of_each_class():
+    p, q, iv = Atom("p"), Atom("q"), Interval(1, 4)
+    return [
+        TrueF(), FalseF(), p, SumAtom("B", "A", 2), Not(p), And(p, q, Not(q)),
+        Or(p, q), Implies(p, q), Until(p, iv, q), Eventually(iv, p),
+        Globally(iv, And(p, q)),
+    ]
+
+
+class TestHash:
+    def test_every_node_class_takes_the_base_hash(self):
+        """A node class that generated its own `__hash__` would rehash
+        its whole subtree on every call."""
+        classes = list(_subclasses(Formula))
+        assert classes
+        for cls in classes:
+            assert cls.__hash__ is Formula.__hash__, cls.__name__
+
+    def test_equal_nodes_built_apart_hash_equal(self):
+        built = _one_node_of_each_class()
+        concrete = {cls for cls in _subclasses(Formula) if cls.__subclasses__() == []}
+        assert {type(f) for f in built} == concrete
+        for a, b in zip(built, _one_node_of_each_class()):
+            assert a is not b and a == b and hash(a) == hash(b), a
+        assert hash(And(Atom("p"), Atom("q"))) != hash(Or(Atom("p"), Atom("q")))
 
 
 intervals = st.builds(

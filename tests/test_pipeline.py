@@ -1,4 +1,5 @@
 import contextlib
+import importlib.resources
 import io
 import json
 import os
@@ -217,12 +218,13 @@ class TestMonitor:
     def test_engines_give_one_report_at_any_epoch(self):
         """Small logs at eps 1-2, flat and nested specs, g in {1, 2, 3},
         exact and window boundaries: both engines write the same JSON
-        report, without `ms`. In exact mode, adding 1.7e12 to every
-        timestamp leaves both engines' verdict sets unchanged; the solver
-        engine once failed there, because the bundled solver took integer
-        bounds past 10^8 for unbounded ones."""
+        report, without `ms`. In exact mode, shifting a log by 3 or by
+        1.7e12 leaves both engines' verdict sets unchanged, provided no
+        skew window is clamped at 0 (see the next test), so the shifts
+        start from the log lifted until no timestamp is below eps - 1. The
+        solver engine once failed at the epoch scale, because the bundled
+        solver took integer bounds past 10^8 for unbounded ones."""
         rng = random.Random(18)
-        shift = 1_700_000_000_000
         for case in range(15):
             c = bounded_computation(rng, max_events=5, epsilons=(1, 2), lin_cap=150)
             if case % 3 == 2:
@@ -232,7 +234,9 @@ class TestMonitor:
             else:
                 f = random_flat_formula(rng)
             events = list(c.events)
-            moved = [Event(e.process, e.local_time + shift, e.payload) for e in events]
+            lift = max(0, c.epsilon - 1 - min(e.local_time for e in events))
+            unclamped = _shifted(events, lift)
+            moved = [_shifted(unclamped, shift) for shift in (3, 1_700_000_000_000)]
             for g in (1, 2, 3):
                 for boundary in ("exact", "window"):
                     cfgs = [
@@ -248,9 +252,27 @@ class TestMonitor:
                     assert enum_json == smt_json, (str(f), g, boundary)
                     if boundary == "exact":
                         for cfg, report in zip(cfgs, reports):
-                            assert monitor(moved, f, cfg).verdicts == report.verdicts, (
-                                str(f), g, cfg.engine,
-                            )
+                            want = report.verdicts
+                            if lift:
+                                want = monitor(unclamped, f, cfg).verdicts
+                            for log in moved:
+                                assert monitor(log, f, cfg).verdicts == want, (
+                                    str(f), g, cfg.engine, log[0].local_time,
+                                )
+
+    @pytest.mark.parametrize("engine", ["enumerate", "smt"])
+    def test_clamped_window_moves_the_verdicts(self, engine):
+        """A skew window is [max(0, ts - eps + 1), ts + eps - 1]: near 0 it
+        is clamped, so a shift of the whole log can widen the admissible
+        timings and change the verdict set."""
+        events = [ev("P1", 0), ev("P2", 1)]
+        f = parse_spec("F[3,4) true")
+        cfg = MonitorConfig(epsilon=2, engine=engine, solver_command=CMD)
+        assert monitor(events, f, cfg).verdicts == {Verdict.BOTTOM}
+        for shift in (1, 1000, 1_700_000_000_000):
+            assert monitor(_shifted(events, shift), f, cfg).verdicts == {
+                Verdict.TOP, Verdict.BOTTOM,
+            }, shift
 
     def test_truncation_is_flagged_and_subset(self):
         events = [
@@ -507,6 +529,11 @@ def _count_steps(monkeypatch) -> list:
     return keys
 
 
+def _shifted(events, shift: int) -> list:
+    """The log with shift added to every timestamp."""
+    return [Event(e.process, e.local_time + shift, e.payload) for e in events]
+
+
 def _untimed(report: dict) -> dict:
     """A JSON report without the per-segment wall times."""
     for seg in report["segments"]:
@@ -694,6 +721,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 70
         assert "Traceback" in err and "RuntimeError: boom" in err
+
+    def test_gen_refuses_a_delta_too_small(self, tmp_path, capsys):
+        """At delta 2 this execution puts two events on 'ban' at time 9,
+        a log `monitor` would refuse; `gen` exits 65 and writes nothing."""
+        out = tmp_path / "x.jsonl"
+        code = cli_main([
+            "gen", "two-party", "--vector", "101010111010", "--delta", "2",
+            "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 65
+        assert err == (
+            "mtlmon: delta too small: times on chain 'ban' must be strictly"
+            " increasing (9 after 9)\n"
+        )
+        assert not out.exists()
+
+    def test_shipped_specs_match_gen(self, tmp_path, capsys):
+        """The package's spec files are what `gen specs --delta 500` writes."""
+        code = cli_main(["gen", "specs", "--delta", "500", "--out", str(tmp_path)])
+        assert code == 0
+        capsys.readouterr()
+        shipped = importlib.resources.files("mtlmon") / "specs"
+        names = sorted(p.name for p in shipped.iterdir() if p.name.endswith(".mtl"))
+        assert names == sorted(os.listdir(tmp_path))
+        assert len(names) == 12
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
 
     def test_budget_exhaustion_exits_70(self, tmp_path, capsys, monkeypatch):
         trace, spec = self._fig3(tmp_path)
