@@ -4,6 +4,9 @@
 For every execution vector, monitors the generated log against the
 liveness and safety specs and tallies the verdict sets. Use --delta and
 --epsilon to explore the skew-fragility regime (try --delta 3 --epsilon 2).
+Below --delta 3 some executions put two events on one chain at one time;
+the script then prints one `swap_grid: ...` line on stderr and exits 65,
+the exit code of `mtlmon gen` for the same refusal.
 """
 
 import argparse
@@ -17,6 +20,7 @@ from mtlmon.casegen import (
     gen_two_party_log,
     spec_library,
 )
+from mtlmon.errors import InputError
 from mtlmon.pipeline import MonitorConfig, monitor
 
 
@@ -30,12 +34,16 @@ def main() -> int:
     args = ap.parse_args()
 
     params = ProtocolParams(delta=args.delta, epsilon=args.epsilon)
+    t0 = time.perf_counter()
+    try:
+        logs = [gen_two_party_log(vec, params) for vec in enumerate_two_party_executions()]
+    except ValueError as exc:  # the generator refuses a delta below 3
+        print(f"swap_grid: {exc}; --delta 3 is the minimum", file=sys.stderr)
+        return InputError.exit_code
     formula = spec_library(args.delta)[args.spec]
     cfg = MonitorConfig(epsilon=args.epsilon, segments=args.segments)
     tally = collections.Counter()
-    t0 = time.perf_counter()
-    for vec in enumerate_two_party_executions():
-        log = gen_two_party_log(vec, params)
+    for log in logs:
         report = monitor(log, formula, cfg)
         tally[" ".join(sorted(v.value for v in report.verdicts))] += 1
     dt = time.perf_counter() - t0

@@ -190,10 +190,6 @@ def gen_two_party_log(
     return sorted(ban.events + apr.events, key=lambda e: (e.local_time, e.process))
 
 
-def conforming_two_party_vector() -> ExecutionVector:
-    return ExecutionVector.from_string("101010101010")
-
-
 # ---------------------------------------------------------------------------
 # Three-party swap (apricot / banana / cherry)
 # ---------------------------------------------------------------------------

@@ -187,11 +187,15 @@ def cmd_gen(args) -> int:
             events = casegen.gen_two_party_log(vec, casegen.ProtocolParams(delta=args.delta))
             write_jsonl(events, args.out)
         elif args.generator == "grid":
-            os.makedirs(args.out, exist_ok=True)
+            # all logs are built first: a refused delta writes nothing
             params = casegen.ProtocolParams(delta=args.delta)
-            for i, vec in enumerate(casegen.enumerate_two_party_executions()):
-                path = os.path.join(args.out, f"two_party_{i:04d}_{vec}.jsonl")
-                write_jsonl(casegen.gen_two_party_log(vec, params), path)
+            logs = {
+                f"two_party_{i:04d}_{vec}.jsonl": casegen.gen_two_party_log(vec, params)
+                for i, vec in enumerate(casegen.enumerate_two_party_executions())
+            }
+            os.makedirs(args.out, exist_ok=True)
+            for name, events in logs.items():
+                write_jsonl(events, os.path.join(args.out, name))
             print(f"wrote 1024 logs to {args.out}")
         elif args.generator == "three-party":
             attempts = [int(ch) for ch in args.attempts]

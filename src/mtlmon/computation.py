@@ -214,18 +214,3 @@ def build_computation(events: Sequence[Event], epsilon: int) -> Computation:
             f"ordering cycle through {ordered[i]}: log is physically impossible"
         )
     return Computation(tuple(ordered), epsilon, tuple(clock))
-
-
-def is_consistent_cut_indices(c: Computation, indices: Set[int]) -> bool:
-    """True iff the index set is downward closed under the ordering: each
-    event's own process contributes more events than precede it there, and
-    every other process at least as many as its clock names."""
-    col = {p: k for k, p in enumerate(c.processes)}
-    counts = [0] * len(col)
-    for i in indices:
-        counts[col[c.events[i].process]] += 1
-    for i in indices:
-        k = col[c.events[i].process]
-        if c.clock[i][k] >= counts[k] or any(v > h for v, h in zip(c.clock[i], counts)):
-            return False
-    return True

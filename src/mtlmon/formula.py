@@ -18,7 +18,8 @@ arbitrary tree bottom-up with the same constructors. Whatever the
 constructors build from normalized operands is normalized again, so the
 rewrite (`progression.step`) and `shift_anchored` map normalized formulas
 to normalized formulas, and callers that normalize once up front
-(`pipeline.monitor`, `progression.progress`) never normalize again.
+(`pipeline.monitor`, and `oracle.progress` on each linearization) never
+normalize again.
 """
 
 from __future__ import annotations
@@ -68,11 +69,6 @@ class Interval:
 
 
 EMPTY = Interval(0, 0)
-
-
-def in_interval(tau_i: int, tau_0: int, iv: Interval) -> bool:
-    """True iff the elapsed time tau_i - tau_0 falls in the half-open interval."""
-    return (tau_i - tau_0) in iv
 
 
 class Formula:

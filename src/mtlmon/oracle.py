@@ -1,10 +1,11 @@
-"""Exhaustive verdict oracle: enumerate every linearization of a (small)
-computation consistent with the ordering and the skew windows, evaluate or
-rewrite on each, and collect the exact outcome set.
+"""Exhaustive oracle: every linearization of a (small) computation that
+respects the ordering and the skew windows, as a timed trace, and
+`progress`, the fold of `progression.step` over one trace.
 
-Exists for correctness, not performance: both verdict engines (the
-cut-lattice walk in the pipeline and the solver-backed enumeration) are
-differentially tested against it.
+Exists for correctness, not performance: the tests check both verdict
+engines against it and against `tests/reference.py`. The pipeline and the
+solver engine import `enumerate_linearizations` and `progress` only for
+the benchmark's tracer to wrap; neither engine calls them.
 """
 
 from __future__ import annotations
@@ -13,15 +14,63 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .computation import Computation, Event, time_window
-from .formula import Formula
-from .progression import progress
-from .semantics import State, TimedTrace, Verdict, eval_finite, merge_frontier
+from .formula import Formula, simplify
+from .progression import step
+from .semantics import State, merge_frontier
 
 DEFAULT_BUDGET = 10**6
 
 
 class OracleBudgetError(RuntimeError):
     """Enumeration exceeded its cap; a truncated oracle is not an oracle."""
+
+
+@dataclass(frozen=True)
+class TimedTrace:
+    """A finite sequence of states with non-decreasing integer timestamps."""
+
+    states: Tuple[State, ...]
+    times: Tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "times", tuple(self.times))
+        if len(self.states) != len(self.times):
+            raise ValueError("states and times must have equal length")
+        for a, b in zip(self.times, self.times[1:]):
+            if b < a:
+                raise ValueError(f"times must be non-decreasing, got {a} then {b}")
+        if any(t < 0 for t in self.times):
+            raise ValueError("times must be non-negative")
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    @property
+    def span(self) -> int:
+        return self.times[-1] - self.times[0]
+
+
+def progress(trace: TimedTrace, f: Formula, elapsed: Optional[int] = None) -> Formula:
+    """Rewrite f after consuming the whole trace (which must be non-empty).
+
+    Each state is followed by the gap to the next one, and the last state
+    by what remains of `elapsed` (>= span; by default nothing, so the
+    residual is anchored at the last observed time)."""
+    if len(trace) == 0:
+        raise ValueError("cannot progress over an empty trace")
+    span = trace.span
+    if elapsed is None:
+        elapsed = span
+    if elapsed < span:
+        raise ValueError(f"elapsed {elapsed} below observed span {span}")
+    times = trace.times
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    gaps.append(elapsed - span)
+    f = simplify(f)  # residual operands are reused, so normalize up front
+    for state, gap in zip(trace.states, gaps):
+        f = step(state, f, gap)
+    return f
 
 
 @dataclass(frozen=True)
@@ -96,16 +145,6 @@ def enumerate_linearizations(
                 order.pop()
 
     yield from walk()
-
-
-def oracle_verdicts(
-    c: Computation, f: Formula, budget: int = DEFAULT_BUDGET
-) -> Set[Verdict]:
-    """Exact verdict set: finite-trace truth over every linearization."""
-    out: Set[Verdict] = set()
-    for lin in enumerate_linearizations(c, budget=budget):
-        out.add(eval_finite(lin.trace, f, 0))
-    return out
 
 
 def oracle_progress(c: Computation, f: Formula, budget: int = DEFAULT_BUDGET) -> Set[Formula]:

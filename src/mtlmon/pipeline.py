@@ -61,8 +61,7 @@ from .progression import advance, evict, shared
 # perfbench/spans.py wraps these three names on this module to count
 # linearizations, progress calls and shifts; the cut walk calls none.
 from .formula import shift_anchored  # noqa: F401
-from .oracle import enumerate_linearizations  # noqa: F401
-from .progression import progress  # noqa: F401
+from .oracle import enumerate_linearizations, progress  # noqa: F401
 from .semantics import State, Verdict, finalize, formula_verdict, merge_frontier
 
 ENGINE_ENUMERATE = "enumerate"

@@ -1,14 +1,9 @@
-"""Formula rewriting over a consumed finite trace, one state at a time.
+"""Formula rewriting over observed states, one state at a time.
 
 `step(state, f, elapsed)` returns a formula over the continuation such
 that f holds on (state . continuation) iff the result holds on the
 continuation, whose first state comes `elapsed` time units after `state`.
-`progress(trace, f)` is the left fold of `step` over the trace: each state
-is followed by the gap to the next one, and the last state by whatever
-remains of `elapsed` (by default nothing, so the residual is anchored at
-the last observed time). Callers that know how much time passes before
-the continuation actually starts pass it via `elapsed` (always >= span),
-so no elapsed time is lost across a gap.
+The fold of `step` over a whole finite trace is `oracle.progress`.
 
 The one-state rewrite dispatches on formula shape:
 
@@ -26,8 +21,7 @@ later-position witness still requires the left operand at every earlier
 position. Because the rewrite is one state at a time, it composes:
 progressing a concatenation equals progressing the suffix after the
 prefix, as formulas. Outputs are built from the folding constructors, so a
-normalized input gives a normalized output; `progress` normalizes once up
-front and the steps never normalize again.
+normalized input gives a normalized output, and `step` never normalizes.
 
 `advance(state, f, gap)` is the rewrite both engines run: `step`, or
 `shift_anchored(f, gap)` when state is None, through one memo per process
@@ -66,9 +60,8 @@ from .formula import (
     mk_or,
     mk_until,
     shift_anchored,
-    simplify,
 )
-from .semantics import State, TimedTrace
+from .semantics import State
 
 # memo entries kept between calls; about 0.3 KB each on the criterion-8
 # log, so at most about 5 MB stay alive between calls
@@ -100,24 +93,6 @@ def evict() -> None:
     if len(_rewrites) > REWRITE_LIMIT:
         _rewrites.clear()
         _terms.clear()
-
-
-def progress(trace: TimedTrace, f: Formula, elapsed: Optional[int] = None) -> Formula:
-    """Rewrite f after consuming the whole trace (which must be non-empty)."""
-    if len(trace) == 0:
-        raise ValueError("cannot progress over an empty trace")
-    span = trace.span
-    if elapsed is None:
-        elapsed = span
-    if elapsed < span:
-        raise ValueError(f"elapsed {elapsed} below observed span {span}")
-    times = trace.times
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    gaps.append(elapsed - span)
-    f = simplify(f)  # residual operands are reused, so normalize up front
-    for state, gap in zip(trace.states, gaps):
-        f = step(state, f, gap)
-    return f
 
 
 def step(state: State, f: Formula, elapsed: int) -> Formula:

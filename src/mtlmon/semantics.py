@@ -1,7 +1,10 @@
-"""Finite-trace MTL semantics: the reference evaluator and end-of-trace defaults.
+"""States, verdicts and end-of-trace defaults: what every verdict engine
+reads at a cut and when the computation ends.
 
-This evaluator is the semantic ground truth for the rewriting engine and
-both verdict engines; everything else is differentially tested against it.
+A `State` is what the processes show at one cut (`merge_frontier` builds
+it from each process's latest event); `finalize` gives the verdict of a
+residual formula once no state follows. The finite-trace evaluator the
+engines are tested against lives with the tests (`tests/reference.py`).
 """
 
 from __future__ import annotations
@@ -9,7 +12,7 @@ from __future__ import annotations
 import enum
 import types
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Set
 
 from .formula import (
     And,
@@ -24,7 +27,6 @@ from .formula import (
     SumAtom,
     TrueF,
     Until,
-    in_interval,
 )
 
 
@@ -89,96 +91,6 @@ def merge_frontier(latest: Mapping[str, State]) -> State:
         for k, v in st.variables.items():
             variables[k] = variables.get(k, 0) + v
     return State(frozenset(props), variables)
-
-
-@dataclass(frozen=True)
-class TimedTrace:
-    """A finite sequence of states with non-decreasing integer timestamps."""
-
-    states: Tuple[State, ...]
-    times: Tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "times", tuple(self.times))
-        if len(self.states) != len(self.times):
-            raise ValueError("states and times must have equal length")
-        for a, b in zip(self.times, self.times[1:]):
-            if b < a:
-                raise ValueError(f"times must be non-decreasing, got {a} then {b}")
-        if any(t < 0 for t in self.times):
-            raise ValueError("times must be non-negative")
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    @property
-    def span(self) -> int:
-        return self.times[-1] - self.times[0]
-
-
-def trace_of(pairs) -> TimedTrace:
-    """Build a trace from (props, time) or (props, vars, time) tuples."""
-    states, times = [], []
-    for item in pairs:
-        if len(item) == 2:
-            props, t = item
-            states.append(State(frozenset(props)))
-        else:
-            props, variables, t = item
-            states.append(State(frozenset(props), dict(variables)))
-        times.append(t)
-    return TimedTrace(tuple(states), tuple(times))
-
-
-def eval_finite(trace: TimedTrace, f: Formula, i: int = 0) -> Verdict:
-    """Two-valued truth of f at position i of a finite timed trace.
-
-    Until holds iff some position j >= i lands in the interval (measured
-    from time i), satisfies the right operand, and the left operand holds
-    at every position in [i, j). Unfulfilled eventualities default to
-    bottom; vacuous universal obligations default to top.
-    """
-    if not 0 <= i < len(trace):
-        raise IndexError(f"position {i} outside trace of length {len(trace)}")
-    return Verdict.TOP if _eval(trace, f, i) else Verdict.BOTTOM
-
-
-def _eval(trace: TimedTrace, f: Formula, i: int) -> bool:
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
-    if isinstance(f, (Atom, SumAtom)):
-        return trace.states[i].holds(f)
-    if isinstance(f, Not):
-        return not _eval(trace, f.operand, i)
-    if isinstance(f, (And, Or)):
-        join = all if isinstance(f, And) else any
-        return join(_eval(trace, g, i) for g in f.args)
-    if isinstance(f, Implies):
-        return (not _eval(trace, f.left, i)) or _eval(trace, f.right, i)
-    if isinstance(f, Until):
-        t0 = trace.times[i]
-        for j in range(i, len(trace)):
-            if in_interval(trace.times[j], t0, f.interval) and _eval(trace, f.right, j):
-                if all(_eval(trace, f.left, k) for k in range(i, j)):
-                    return True
-        return False
-    if isinstance(f, Eventually):
-        t0 = trace.times[i]
-        return any(
-            in_interval(trace.times[j], t0, f.interval) and _eval(trace, f.operand, j)
-            for j in range(i, len(trace))
-        )
-    if isinstance(f, Globally):
-        t0 = trace.times[i]
-        return all(
-            _eval(trace, f.operand, j)
-            for j in range(i, len(trace))
-            if in_interval(trace.times[j], t0, f.interval)
-        )
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def finalize(f: Formula) -> Verdict:

@@ -76,7 +76,7 @@ from .semantics import State, merge_frontier
 # perfbench/spans.py wraps these two names on this module to count
 # progress calls and shifts; replay calls neither.
 from .formula import shift_anchored  # noqa: F401
-from .progression import progress  # noqa: F401
+from .oracle import progress  # noqa: F401
 
 DEFAULT_TIMEOUT = 60.0
 VAR_BUDGET = 5000  # boolean variables one encoding may declare

@@ -27,9 +27,8 @@ from mtlmon.formula import (
     shift_anchored,
     simplify,
 )
-from mtlmon.oracle import OracleBudgetError, enumerate_linearizations
-from mtlmon.progression import progress
-from mtlmon.semantics import State, TimedTrace
+from mtlmon.oracle import OracleBudgetError, TimedTrace, enumerate_linearizations, progress
+from mtlmon.semantics import State
 
 ATOMS = ("p", "q", "r")
 

@@ -9,7 +9,6 @@ import time
 
 from mtlmon.casegen import (
     ProtocolParams,
-    conforming_two_party_vector,
     enumerate_two_party_executions,
     gen_random_computation,
     gen_two_party_log,
@@ -17,11 +16,10 @@ from mtlmon.casegen import (
 )
 from mtlmon.computation import Event, build_computation
 from mtlmon.formula import TRUE, max_nesting
-from mtlmon.oracle import oracle_verdicts
+from mtlmon.oracle import TimedTrace, progress
 from mtlmon.parser import parse_spec
 from mtlmon.pipeline import MonitorConfig, monitor
-from mtlmon.progression import progress
-from mtlmon.semantics import State, TimedTrace, Verdict, eval_finite, finalize, trace_of
+from mtlmon.semantics import State, Verdict, finalize
 from mtlmon.smt import bundled_solver_command, enumerate_verdicts
 from support import (
     bounded_computation,
@@ -30,6 +28,7 @@ from support import (
     random_formula,
     random_trace,
 )
+from reference import conforming_two_party_vector, eval_finite, oracle_verdicts, trace_of
 
 CMD = bundled_solver_command()
 

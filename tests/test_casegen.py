@@ -1,11 +1,13 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from mtlmon.casegen import (
     ExecutionVector,
     ProtocolParams,
-    conforming_two_party_vector,
     enumerate_two_party_executions,
     gen_auction_log,
     gen_random_computation,
@@ -17,6 +19,9 @@ from mtlmon.computation import build_computation
 from mtlmon.parser import format_formula, parse_spec
 from mtlmon.pipeline import MonitorConfig, monitor
 from mtlmon.semantics import Verdict
+from reference import conforming_two_party_vector
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestExecutionGrid:
@@ -72,6 +77,20 @@ class TestExecutionGrid:
             gen_auction_log(None, ProtocolParams(delta=2))
         with pytest.raises(ValueError, match="strictly increasing"):
             gen_three_party_log(None, ProtocolParams(delta=1))
+
+    def test_swap_grid_script_refuses_a_delta_too_small(self):
+        """The experiment script reports the generator's refusal as one
+        line naming the smallest delta it takes, and exits 65."""
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "swap_grid.py"),
+             "--delta", "2", "--epsilon", "2"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 65, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("swap_grid: delta too small: ")
+        assert "--delta 3" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
 
 
 class TestTwoPartyLogs:

@@ -8,11 +8,11 @@ from mtlmon.computation import (
     ComputationError,
     Event,
     build_computation,
-    is_consistent_cut_indices,
     time_window,
 )
 from mtlmon.pipeline import BOUNDARY_EXACT, _segment_carry, consumption_boundaries
 from mtlmon.semantics import State
+from reference import is_consistent_cut_indices
 from support import random_events, reference_boundaries, reference_order
 
 

@@ -20,7 +20,6 @@ from mtlmon.formula import (
     SumAtom,
     TrueF,
     Until,
-    in_interval,
     mk_and,
     mk_or,
     operands,
@@ -28,7 +27,8 @@ from mtlmon.formula import (
     simplify,
 )
 from mtlmon.progression import step
-from mtlmon.semantics import State, eval_finite
+from mtlmon.semantics import State
+from reference import eval_finite, in_interval
 from support import random_formula, random_trace
 
 

@@ -1,18 +1,21 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from mtlmon.computation import Event, build_computation, is_consistent_cut_indices
+import mtlmon
+from mtlmon.computation import Event, build_computation
 from mtlmon.formula import TRUE, Not
 from mtlmon.oracle import (
     OracleBudgetError,
     enumerate_linearizations,
     oracle_progress,
-    oracle_verdicts,
 )
 from mtlmon.parser import parse_spec
 from mtlmon.semantics import State, Verdict, merge_frontier
+from reference import is_consistent_cut_indices, oracle_verdicts
 from support import bounded_computation, random_formula
 
 
@@ -163,3 +166,38 @@ class TestProgressSets:
     def test_immediate_witness_everywhere(self):
         c = build_computation([ev("P1", 0, {"q"})], 2)
         assert oracle_progress(c, parse_spec("p U[0,5) q")) == {TRUE}
+
+
+# the names perfbench/spans.py wraps on the modules that import them; no
+# other module reaches the oracle
+ORACLE_IMPORTS = {"pipeline": {"enumerate_linearizations", "progress"}, "smt": {"progress"}}
+# the reference semantics, which lives with the tests
+REFERENCE = {"eval_finite", "_eval", "trace_of", "in_interval", "oracle_verdicts",
+             "is_consistent_cut_indices", "conforming_two_party_vector"}
+
+
+def test_reference_semantics_stays_behind_the_oracle():
+    """No module of the package imports a test module, defines a name of
+    `tests/reference.py`, or takes from the oracle more than the names the
+    benchmark's tracer wraps; only the oracle defines the timed trace and
+    its rewrite fold."""
+    test_modules = {p.stem for p in Path(__file__).parent.glob("*.py")} | {"tests"}
+    for path in sorted(Path(mtlmon.__file__).parent.glob("*.py")):
+        names, from_oracle, defined = set(), set(), set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names |= {part for a in node.names for part in a.name.split(".")}
+            elif isinstance(node, ast.ImportFrom):
+                names |= set((node.module or "").split(".")) | {a.name for a in node.names}
+                if node.level == 1 and node.module == "oracle":
+                    from_oracle |= {a.name for a in node.names}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+        module = path.stem
+        assert not names & test_modules, module
+        assert not defined & REFERENCE, module
+        if module == "oracle":
+            assert {"TimedTrace", "progress"} <= defined
+        else:
+            assert not defined & {"TimedTrace", "progress"}, module
+            assert from_oracle == ORACLE_IMPORTS.get(module, set()), module

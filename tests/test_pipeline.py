@@ -27,7 +27,7 @@ from mtlmon.formula import (
     mk_implies,
     mk_not,
 )
-from mtlmon.oracle import enumerate_linearizations, oracle_verdicts
+from mtlmon.oracle import enumerate_linearizations
 from mtlmon.parser import parse_spec
 from mtlmon.pipeline import (
     ConfigError,
@@ -36,8 +36,9 @@ from mtlmon.pipeline import (
     ingest,
     monitor,
 )
-from mtlmon.semantics import State, Verdict, eval_finite
+from mtlmon.semantics import State, Verdict
 from mtlmon.smt import bundled_solver_command
+from reference import eval_finite, oracle_verdicts
 from support import (
     bounded_computation,
     oracle_pairs,
@@ -55,7 +56,8 @@ def ev(proc, t, props=()):
 
 class TestIngest:
     def test_round_trip(self, tmp_path):
-        from mtlmon.casegen import conforming_two_party_vector, gen_two_party_log, ProtocolParams
+        from mtlmon.casegen import gen_two_party_log, ProtocolParams
+        from reference import conforming_two_party_vector
 
         events = gen_two_party_log(conforming_two_party_vector(), ProtocolParams(delta=10))
         path = tmp_path / "log.jsonl"
@@ -260,6 +262,44 @@ class TestMonitor:
                                     str(f), g, cfg.engine, log[0].local_time,
                                 )
 
+    def test_engines_give_one_report_on_sum_atoms(self):
+        """Small logs whose events carry running `to_*`/`from_*` totals,
+        flat and nested `sum(to:x) >= sum(from:y) + k` specs, g in {1, 2}:
+        both engines write the same JSON report, without `ms`. At g = 2
+        the second segment starts from the totals carried over the
+        boundary."""
+        rng = random.Random(20)
+        for _ in range(16):
+            c = bounded_computation(rng, max_events=5, epsilons=(1, 2), lin_cap=150)
+            events = []
+            totals = {}
+            for e in c.events:  # each process's totals only grow
+                run = totals.setdefault(e.process, {"to_alice": 0, "from_bob": 0})
+                key = rng.choice(sorted(run))
+                run[key] += rng.randrange(0, 3)
+                events.append(Event(e.process, e.local_time, State(e.payload.props, run)))
+            atom = f"sum(to:alice) >= sum(from:bob) + {rng.randrange(0, 3)}"
+            lo = rng.randrange(0, 3)
+            hi = lo + rng.randrange(1, 6)
+            spec = rng.choice([
+                f"F[{lo},{hi}) {atom}",
+                f"G[{lo},{hi}) {atom}",
+                f"p U[{lo},{hi}) {atom}",
+                f"G[0,{hi}) (p -> F[{lo},{hi}) {atom})",
+                f"G[{lo},{hi}) ({atom} | F[0,{hi}) q)",
+            ])
+            f = parse_spec(spec)
+            for g in (1, 2):
+                reports = [
+                    monitor(events, f, MonitorConfig(
+                        epsilon=c.epsilon, segments=g, engine=engine, solver_command=CMD,
+                        branch_cap=512, max_verdicts_per_segment=512,
+                    ))
+                    for engine in ("enumerate", "smt")
+                ]
+                enum_json, smt_json = (_untimed(r.to_json()) for r in reports)
+                assert enum_json == smt_json, (spec, g)
+
     @pytest.mark.parametrize("engine", ["enumerate", "smt"])
     def test_clamped_window_moves_the_verdicts(self, engine):
         """A skew window is [max(0, ts - eps + 1), ts + eps - 1]: near 0 it
@@ -293,6 +333,51 @@ class TestMonitor:
         )
         assert capped.truncated
         assert capped.verdicts <= full.verdicts
+
+    def test_branch_cap_keeps_sorted_prefix(self, tmp_path, capsys, monkeypatch):
+        """The first of two segments leaves 8 (formula, last time) branches
+        over 5 formulas, two of them `false`. At `--branch-cap 2` the
+        second segment starts from the sorted first 2 of them only, the
+        result is flagged truncated, and the trim drops the violation:
+        the verdicts are {⊤}, a subset of the uncapped {⊤, ⊥}, and the CLI
+        exits 2, truncated without a violation."""
+        events = [ev("P2", 0), ev("P1", 1), ev("P2", 2, {"p"}), ev("P1", 7, {"p"})]
+        phi = parse_spec("G[2,4) p")
+        starts, left = {}, {}  # segment index -> branches it starts from, leaves
+        real = pipeline._progress_segment
+
+        def recording(sub, live, carry, cfg, seg_index):
+            starts[seg_index] = [(str(f), floor) for _, f, floor in live]
+            out = real(sub, live, carry, cfg, seg_index)
+            left[seg_index] = sorted({(str(f), t) for pairs, _ in out for f, t in pairs})
+            return out
+
+        monkeypatch.setattr(pipeline, "_progress_segment", recording)
+
+        def run(cap):
+            cfg = MonitorConfig(epsilon=2, segments=2, branch_cap=cap,
+                                max_verdicts_per_segment=512)
+            return monitor(events, phi, cfg)
+
+        full = run(512)
+        assert not full.truncated
+        assert len(left[1]) == 8
+        capped = run(2)
+        assert capped.truncated
+        assert starts[2] == left[1][:2]  # segment 1 leaves the same 8 again
+        assert capped.segments[0].branches == full.segments[0].branches[:2]
+        assert capped.verdicts == {Verdict.TOP} < full.verdicts
+
+        trace = tmp_path / "log.jsonl"
+        write_jsonl(events, str(trace))
+        spec = tmp_path / "spec.mtl"
+        spec.write_text("G[2,4) p\n")
+        code = cli_main([
+            "--trace", str(trace), "--spec", str(spec), "--epsilon", "2",
+            "--segments", "2", "--branch-cap", "2", "--max-verdicts", "512",
+        ])
+        assert "warning: result truncated" in capsys.readouterr().out
+        assert code == 2
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
     def test_engines_share_the_cap_rule(self, tmp_path, capsys, cap):
@@ -724,7 +809,8 @@ class TestCli:
 
     def test_gen_refuses_a_delta_too_small(self, tmp_path, capsys):
         """At delta 2 this execution puts two events on 'ban' at time 9,
-        a log `monitor` would refuse; `gen` exits 65 and writes nothing."""
+        a log `monitor` would refuse; `gen` exits 65 and writes nothing.
+        The grid holds such executions too, and writes none of its logs."""
         out = tmp_path / "x.jsonl"
         code = cli_main([
             "gen", "two-party", "--vector", "101010111010", "--delta", "2",
@@ -737,6 +823,47 @@ class TestCli:
             " increasing (9 after 9)\n"
         )
         assert not out.exists()
+
+        grid = tmp_path / "grid"
+        code = cli_main(["gen", "grid", "--delta", "2", "--out", str(grid)])
+        err = capsys.readouterr().err
+        assert code == 65
+        assert err.startswith("mtlmon: delta too small: ")
+        assert len(err.splitlines()) == 1
+        assert not grid.exists()
+
+    def test_each_log_generator_writes_logs_monitor_accepts(self, tmp_path, capsys):
+        """One successful run of each log generator; `monitor` runs every
+        log written, against the protocol's shipped liveness spec, and
+        exits 0, 1 or 2."""
+        specs = importlib.resources.files("mtlmon") / "specs"
+        runs = [  # (generator, its flags, spec, epsilon)
+            ("two-party", ["--vector", "101010101010"], "liveness_2p", 1),
+            ("grid", [], "liveness_2p", 1),
+            ("three-party", [], "liveness_3p", 1),
+            ("auction", [], "liveness_auction", 1),
+            ("random", ["--seed", "7"], "liveness_2p", 2),
+        ]
+        codes = {}
+        for generator, flags, spec, epsilon in runs:
+            out = tmp_path / generator
+            code = cli_main(["gen", generator, *flags, "--out", str(out)])
+            capsys.readouterr()
+            assert code == 0, generator
+            logs = sorted(out.iterdir()) if out.is_dir() else [out]
+            assert len(logs) == (1024 if generator == "grid" else 1), generator
+            codes[generator] = set()
+            for log in logs:
+                codes[generator].add(cli_main([
+                    "--trace", str(log), "--spec", str(specs / f"{spec}.mtl"),
+                    "--epsilon", str(epsilon),
+                ]))
+                stdout, err = capsys.readouterr()
+                assert stdout.startswith("verdicts: ") and not err, (generator, log.name)
+            assert codes[generator] <= {0, 1, 2}, generator
+        # the conforming swap is live; the grid holds violations as well
+        assert codes["two-party"] == {0}
+        assert codes["grid"] == {0, 1}
 
     def test_shipped_specs_match_gen(self, tmp_path, capsys):
         """The package's spec files are what `gen specs --delta 500` writes."""

@@ -17,9 +17,11 @@ from mtlmon.formula import (
     shift_anchored,
     simplify,
 )
+from mtlmon.oracle import TimedTrace, progress
 from mtlmon.parser import parse_spec
-from mtlmon.progression import advance, progress, shared, step
-from mtlmon.semantics import State, TimedTrace, Verdict, eval_finite, finalize, trace_of
+from mtlmon.progression import advance, shared, step
+from mtlmon.semantics import State, Verdict, finalize
+from reference import eval_finite, trace_of
 from support import ATOMS, random_formula, random_trace
 
 

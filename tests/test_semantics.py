@@ -13,7 +13,8 @@ from mtlmon.formula import (
     Until,
 )
 from mtlmon.parser import parse_spec
-from mtlmon.semantics import Verdict, eval_finite, finalize, trace_of
+from mtlmon.semantics import Verdict, finalize
+from reference import eval_finite, trace_of
 from support import random_formula, random_trace
 
 

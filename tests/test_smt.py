@@ -9,10 +9,9 @@ from mtlmon import refsolver, smt
 from mtlmon.casegen import gen_random_computation
 from mtlmon.computation import Event, build_computation
 from mtlmon.formula import FALSE, TRUE, max_nesting, shift_anchored
-from mtlmon.oracle import enumerate_linearizations
+from mtlmon.oracle import TimedTrace, enumerate_linearizations, progress
 from mtlmon.parser import parse_spec
-from mtlmon.progression import progress
-from mtlmon.semantics import State, TimedTrace, Verdict, finalize, merge_frontier
+from mtlmon.semantics import State, Verdict, finalize, merge_frontier
 from mtlmon.smt import (
     ModelDecodeError,
     SegmentTooLargeError,
