@@ -323,7 +323,11 @@ def gen_auction_log(
 
 
 def spec_library(delta: int = 500) -> Dict[str, Formula]:
-    """The shipped protocol specs, parameterized by the step deadline."""
+    """The shipped protocol specs, parameterized by the step deadline.
+    Delta 0 would make the deadline windows `[0,0)` empty and is refused;
+    a negative delta is refused by the parser."""
+    if delta == 0:
+        raise ValueError("delta too small: delta 0 makes the deadline window [0,0) empty")
     d = delta
     specs: Dict[str, str] = {}
 

@@ -219,8 +219,9 @@ def cmd_gen(args) -> int:
             )
             write_jsonl(comp.events, args.out)
         elif args.generator == "specs":
+            library = casegen.spec_library(args.delta)  # a refused delta writes nothing
             os.makedirs(args.out, exist_ok=True)
-            for name, formula in casegen.spec_library(args.delta).items():
+            for name, formula in library.items():
                 with open(os.path.join(args.out, f"{name}.mtl"), "w") as fh:
                     fh.write(str(formula) + "\n")
             print(f"wrote spec library to {args.out}")

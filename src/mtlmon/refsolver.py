@@ -14,7 +14,10 @@ asserted constraints (the encoder always does this), otherwise the solver
 answers ``unknown``.
 
 Supported forms: set-logic/set-option/set-info/exit (ignored),
-declare-const, declare-fun with zero arity, assert, check-sat, get-model.
+declare-const, declare-fun with zero arity, assert, check-sat, get-model,
+and reset, which drops every declaration and assertion, the last status
+and model, and the resume floor, so that one process can serve one
+problem after another.
 Terms: true false, integer literals, (- k), and or not => = ite < <= > >=
 + - *.
 
@@ -32,8 +35,8 @@ cardinality sums. It therefore answers the lexicographically least model.
 An assertion can only shrink the set of models, so the least model after it
 is never below the last one: each check-sat resumes from the last ``sat``
 model, taken as an inclusive lower bound, and skips every assignment below
-it. A declaration, or any answer but ``sat``, drops that bound; a
-declaration also drops the model, which lacks the new symbol. The answers
+it. A declaration, a reset, or any answer but ``sat``, drops that bound;
+a declaration also drops the model, which lacks the new symbol. The answers
 are the same as those of a search from scratch.
 
 Run it as a bare script (``python -I -S refsolver.py``): it imports only
@@ -581,14 +584,20 @@ def neg(term):
 
 
 # command -> number of arguments
-COMMANDS = {"declare-const": 2, "declare-fun": 3, "assert": 1, "check-sat": 0, "get-model": 0}
+COMMANDS = {
+    "declare-const": 2, "declare-fun": 3, "assert": 1, "check-sat": 0, "get-model": 0, "reset": 0,
+}
 
 
 class Executor:
-    """Executes top-level commands in order against one growing problem.
-    `floor` is the last sat model while no declaration has followed it."""
+    """Executes top-level commands in order against one growing problem,
+    which `(reset)` empties. `floor` is the last sat model while no
+    declaration or reset has followed it."""
 
     def __init__(self):
+        self.reset()
+
+    def reset(self):
         self.problem = Problem()
         self.status, self.model = None, None
         self.floor = None
@@ -615,6 +624,8 @@ class Executor:
             self.floor = self.status = None
         elif head == "assert":
             problem.add_assert(form[1])
+        elif head == "reset":
+            self.reset()
         elif head == "check-sat":
             self.status, self.model = Solver(problem, self.floor).solve()
             self.floor = self.model

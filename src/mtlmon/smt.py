@@ -9,12 +9,15 @@ assertion over the bits that determine the outcome (residual and last
 time), until the solver answers unsat. An encoding that would declare
 more than VAR_BUDGET boolean variables is refused.
 
-Each enumeration (one segment and branch) runs one solver process, a
+Each enumeration (one segment and branch) runs in a solver process, a
 SolverSession, in SMT-LIB incremental use: the problem is sent once, then
 each round sends only its new blocking assertion and (check-sat), and
 (get-model) only after sat. The solver must answer each command as it
 arrives. Each round is still stated as its full standalone query, the text
 --emit-smt writes; the session sends the part the solver does not hold.
+A session whose enumeration ends normally stays warm for the next one,
+in the next branch, segment or monitor call: that enumeration sends
+(reset) ahead of its problem, so the solver must accept (reset) too.
 
 Symbol scheme (stable across runs for identical inputs):
 
@@ -37,6 +40,8 @@ first - floor, and for o, d >= 0, o lies in iv.shift(d) iff o + d lies in iv.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import os
 import re
 import selectors
@@ -44,6 +49,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -489,23 +495,32 @@ _SEXPR_MARKS = re.compile(rb'[()"]')
 
 class SolverSession:
     """One solver process that keeps its assertions across the rounds of
-    one enumeration: the SMT-LIB incremental use of `z3 -in` or
+    an enumeration: the SMT-LIB incremental use of `z3 -in` or
     `cvc5 --incremental --lang smt2`.
 
-    Entering the `with` block starts the process; leaving it, on any exit,
-    kills and reaps it. The solver's standard error goes to a temporary
-    file, which cannot fill up and stall the solver the way an undrained
-    pipe can. `run_solver` drives the rounds; `sent` is the assertion text
-    the solver holds.
+    `start` (or entering the `with` block) starts the process; `close`
+    (or leaving the block, on any exit) kills and reaps it. `reset`
+    readies a live session for a new problem instead. The solver's
+    standard error goes to a temporary file, which cannot fill up and
+    stall the solver the way an undrained pipe can. `run_solver` drives
+    the rounds; `sent` is the assertion text the solver holds.
     """
 
     def __init__(self, command: str):
+        self.command = command
         self.argv = shlex.split(command)
         self.sent = ""
         self._out = bytearray()  # read from the solver and not yet consumed
         self._eof = False
+        self._preamble = b""  # written ahead of the next exchange's data
 
     def __enter__(self) -> "SolverSession":
+        return self.start()
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def start(self) -> "SolverSession":
         self._err = tempfile.TemporaryFile()
         try:
             self._proc = subprocess.Popen(
@@ -524,13 +539,32 @@ class SolverSession:
         self._sel.register(self._proc.stdout, selectors.EVENT_READ)
         return self
 
-    def __exit__(self, *exc_info):
+    def close(self):
         self._sel.close()
         self._proc.kill()
         self._proc.wait()
         self._proc.stdin.close()
         self._proc.stdout.close()
         self._err.close()
+
+    def reusable(self) -> bool:
+        """The process runs, and all it has printed is consumed but for
+        whitespace, such as the line end after a model."""
+        if self._proc.poll() is not None:
+            return False
+        if self._sel.select(0):
+            self._read()
+        return not (self._eof or self._out.strip())
+
+    def reset(self):
+        """Empty the solver for a new problem: (reset) goes out ahead of the
+        next write, which saves a round trip, and the standard error file
+        is emptied, so a crash message quotes only what follows."""
+        self.sent = ""
+        self._out.clear()
+        self._preamble = b"(reset)\n"
+        self._err.seek(0)  # the solver's descriptor shares this offset
+        self._err.truncate()
 
     def exchange(self, data: bytes, reply_end, deadline: float) -> bytes:
         """Write `data`, then read until `reply_end(buffer)` gives the end
@@ -539,7 +573,8 @@ class SolverSession:
         Raises SolverTimeoutError once `deadline` (a time.monotonic value)
         passes, and SolverCrashError when the solver closes its output
         before the reply is complete."""
-        pending = memoryview(data)
+        pending = memoryview(self._preamble + data)
+        self._preamble = b""
         if pending:
             self._sel.register(self._proc.stdin, selectors.EVENT_WRITE)
         while True:
@@ -556,9 +591,7 @@ class SolverSession:
                 raise SolverTimeoutError("solver exceeded the per-query timeout")
             for key, _events in self._sel.select(min(wait, _MAX_WAIT)):
                 if key.fileobj is self._proc.stdout:
-                    chunk = os.read(key.fd, _CHUNK)
-                    self._out += chunk
-                    self._eof = not chunk
+                    self._read()
                     continue
                 try:
                     pending = pending[os.write(key.fd, pending[:_CHUNK]):]
@@ -566,6 +599,11 @@ class SolverSession:
                     pending = pending[:0]
                 if not pending:
                     self._sel.unregister(self._proc.stdin)
+
+    def _read(self):
+        chunk = os.read(self._proc.stdout.fileno(), _CHUNK)
+        self._out += chunk
+        self._eof = not chunk
 
     def _crash_message(self, deadline: float) -> str:
         try:
@@ -575,6 +613,61 @@ class SolverSession:
         self._err.seek(0)
         err = " ".join(self._err.read(200).decode(errors="replace").split())
         return f"solver closed its output without an answer (exit {code}): {err}"
+
+
+# the one warm session between enumerations; every other session is closed
+_idle: Optional[SolverSession] = None
+_idle_lock = threading.Lock()
+
+
+def _swap_idle(session: Optional[SolverSession]) -> Optional[SolverSession]:
+    """Put `session` in the idle slot and return what the slot held."""
+    global _idle
+    with _idle_lock:
+        held, _idle = _idle, session
+    return held
+
+
+def _close_idle():
+    held = _swap_idle(None)
+    if held is not None:
+        held.close()
+
+
+def _forget_idle():
+    """In a forked child: the parent's solver, and its lock, are not ours."""
+    global _idle, _idle_lock
+    _idle, _idle_lock = None, threading.Lock()
+
+
+atexit.register(_close_idle)  # no solver outlives the interpreter
+os.register_at_fork(after_in_child=_forget_idle)
+
+
+@contextlib.contextmanager
+def _warm_session(command: str):
+    """The solver session of one enumeration: the idle one, after (reset),
+    when it runs `command` and is still reusable; a new one otherwise,
+    which closes the idle one. An enumeration that returns parks its
+    session as the idle one if it is still reusable; any exception closes
+    it."""
+    session = _swap_idle(None)
+    if session is not None and not (session.command == command and session.reusable()):
+        session.close()
+        session = None
+    if session is None:
+        session = SolverSession(command).start()
+    else:
+        session.reset()
+    try:
+        yield session
+    except BaseException:
+        session.close()
+        raise
+    if session.reusable():
+        session = _swap_idle(session)  # the session it displaces, if any
+    if session is not None:
+        session.close()
 
 
 def _line_end(buf: bytearray) -> Optional[int]:
@@ -800,7 +893,7 @@ def enumerate_verdicts(
     found: List[Tuple[Formula, int]] = []
     seen: Set[Tuple[Formula, int]] = set()
     queries = 0
-    with SolverSession(solver_command) as session:
+    with _warm_session(solver_command) as session:
         while True:
             emit_path = emit_dir and os.path.join(emit_dir, f"{emit_tag}_q{queries}.smt2")
             result = solve(problem, session, timeout, blocks, emit_path)

@@ -6,6 +6,7 @@ import os
 import random
 import tempfile
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -831,6 +832,19 @@ class TestCli:
         assert err.startswith("mtlmon: delta too small: ")
         assert len(err.splitlines()) == 1
         assert not grid.exists()
+
+    def test_gen_specs_refuses_delta_0(self, tmp_path, capsys):
+        """Delta 0 would give every deadline the empty window [0,0): `gen
+        specs` says so in one line, exits 65 and writes nothing, with no
+        parser warning on the way."""
+        out = tmp_path / "specs"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["gen", "specs", "--delta", "0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 65
+        assert err == "mtlmon: delta too small: delta 0 makes the deadline window [0,0) empty\n"
+        assert not out.exists()
 
     def test_each_log_generator_writes_logs_monitor_accepts(self, tmp_path, capsys):
         """One successful run of each log generator; `monitor` runs every

@@ -217,6 +217,41 @@ class TestResume:
         assert resumed < len(calls)
 
 
+class TestReset:
+    """`(reset)` empties the solver, so one process can answer one problem
+    after another as separate processes would."""
+
+    FIRST = (
+        "(declare-const x Int)(declare-const b Bool)(assert (>= x 0))(assert (<= x 5))"
+        "(assert (or b (>= x 3)))(check-sat)(get-model)(assert (not b))(check-sat)(get-model)"
+    )
+    SECOND = (
+        "(declare-const b Bool)(declare-const x Int)(assert (>= x (- 2)))(assert (<= x 4))"
+        "(assert (=> b (= x 1)))(check-sat)(get-model)(assert b)(check-sat)(get-model)"
+    )
+
+    def test_same_names_declare_again_and_answer_as_a_fresh_run(self):
+        assert run(self.FIRST + "(reset)" + self.SECOND) == run(self.FIRST) + run(self.SECOND)
+
+    def test_reset_drops_status_model_and_floor(self):
+        """The first problem's last model, x = 3, is the resume floor; the
+        second problem's least model, x = 0, lies below it. The declarations
+        after a reset drop the floor as well, so the floor is read off the
+        executor right after the reset."""
+        executor = Executor()
+        first = "(declare-const x Int)(assert (>= x 0))(assert (<= x 5))(assert (>= x 3))"
+        for form in parse_sexprs(tokenize(first + "(check-sat)")):
+            executor.execute(form)
+        assert executor.floor == {"x": 3}
+        assert executor.execute(("reset",)) is None
+        assert executor.floor is None
+        assert executor.execute(("get-model",)) == '(error "model is not available")'
+        second = "(declare-const x Int)(assert (>= x 0))(assert (<= x 5))(check-sat)(get-model)"
+        outs = [executor.execute(form) for form in parse_sexprs(tokenize(second))]
+        assert "".join(o + "\n" for o in outs if o is not None) == run(second)
+        assert executor.model == {"x": 0}
+
+
 class TestMalformedInput:
     """Malformed input is refused like unsupported input: `unknown`, one
     reason line, exit status 1, no traceback."""
@@ -234,10 +269,11 @@ class TestMalformedInput:
             "(declare-const b Bool)(assert (=> b b b))",
             "(check-sat 1)",
             "(declare-const b Bool)(assert " + "(not " * 5000 + "b" + ")" * 5001 + "(check-sat)",
+            "(declare-const b Bool)(reset b)(check-sat)",
         ],
         ids=["declare-no-sort", "assert-nothing", "ite-no-args", "redeclare-const",
              "redeclare-fun", "int-assertion", "bool-compared", "implies-three", "check-sat-arg",
-             "nested-5000"],
+             "nested-5000", "reset-arg"],
     )
     def test_refused_with_unknown(self, script):
         proc = subprocess.run(

@@ -1,7 +1,10 @@
 import hashlib
+import os
 import random
+import shlex
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -11,6 +14,7 @@ from mtlmon.computation import Event, build_computation
 from mtlmon.formula import FALSE, TRUE, max_nesting, shift_anchored
 from mtlmon.oracle import TimedTrace, enumerate_linearizations, progress
 from mtlmon.parser import parse_spec
+from mtlmon.pipeline import MonitorConfig, monitor
 from mtlmon.semantics import State, Verdict, finalize, merge_frontier
 from mtlmon.smt import (
     ModelDecodeError,
@@ -61,6 +65,23 @@ def criterion_4_cases(n):
             c = bounded_computation(rng, max_events=8, lin_cap=900)
             f = random_flat_formula(rng)
         yield c, f
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """The solver processes started while the test runs, from an empty
+    idle slot; the slot is emptied again afterwards."""
+    smt._close_idle()
+    procs = []
+
+    class Recording(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recording)
+    yield procs
+    smt._close_idle()
 
 
 class TestEncode:
@@ -206,12 +227,14 @@ class TestSolve:
             with SolverSession("sleep 30") as session:
                 solve(encode(c, TRUE), session, timeout=0.2)
 
-    def test_session_answers_equal_standalone_runs(self, monkeypatch):
+    def test_session_answers_equal_standalone_runs(self, monkeypatch, spawned):
         """Every round the session answers, on the first cases of the
         criterion-4 recipe, is byte for byte what the bundled solver
         prints for the round's standalone query, the text --emit-smt
         writes. After unsat the session asks for no model, so there the
-        standalone answer's first line, the status, is compared."""
+        standalone answer's first line, the status, is compared. All the
+        cases run on one solver start, so every round after the first
+        case is answered by a reused session."""
         rounds = []
         ask = smt.run_solver
 
@@ -228,6 +251,7 @@ class TestSolve:
             enumerate_verdicts(c, f, 129, CMD)
         assert len(rounds) == 27
         assert sum(r.startswith("sat\n(model\n") for r in rounds) == 19
+        assert len(spawned) == 1
 
     def test_bundled_command_survives_a_space_in_the_interpreter_path(
         self, tmp_path, monkeypatch
@@ -252,25 +276,12 @@ class TestSolve:
 
 
 class TestSessionLifetime:
-    """The solver process ends with its enumeration, however that ends."""
-
-    @pytest.fixture
-    def spawned(self, monkeypatch):
-        procs = []
-
-        class Recording(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                procs.append(self)
-
-        monkeypatch.setattr(subprocess, "Popen", Recording)
-        return procs
+    """A solver process outlives its enumeration only as the one idle
+    session, and only when the enumeration ended normally."""
 
     @pytest.mark.parametrize(
         "command, cap, timeout, error",
         [
-            pytest.param(CMD, 16, 60, None, id="unsat"),
-            pytest.param(CMD, 1, 60, None, id="cap"),
             pytest.param("sleep 30", 16, 0.2, SolverTimeoutError, id="timeout"),
             pytest.param("sh -c 'echo gibberish; exec sleep 30'", 16, 60, SolverCrashError, id="crash"),
             pytest.param(
@@ -281,14 +292,103 @@ class TestSessionLifetime:
     )
     def test_no_solver_outlives_its_enumeration(self, spawned, command, cap, timeout, error):
         c, f = fig3_computation(), parse_spec("a U[0,6) b")
-        if error is None:
-            en = enumerate_verdicts(c, f, cap, command, timeout=timeout)
-            assert en.complete == (cap > 1)
-        else:
-            with pytest.raises(error):
-                enumerate_verdicts(c, f, cap, command, timeout=timeout)
+        with pytest.raises(error):
+            enumerate_verdicts(c, f, cap, command, timeout=timeout)
         assert len(spawned) == 1
         assert spawned[0].poll() is not None
+
+    @pytest.mark.parametrize("cap", [pytest.param(16, id="unsat"), pytest.param(1, id="cap")])
+    def test_finished_enumeration_parks_its_solver(self, spawned, cap):
+        """Ended by unsat or by the verdict cap, the enumeration leaves its
+        solver running as the idle session, which the exit hook reaps."""
+        en = enumerate_verdicts(fig3_computation(), parse_spec("a U[0,6) b"), cap, CMD)
+        assert en.complete == (cap > 1)
+        assert len(spawned) == 1
+        assert spawned[0].poll() is None
+        smt._close_idle()
+        assert spawned[0].poll() is not None
+
+    def test_one_process_serves_calls_segments_and_branches(self, spawned):
+        """Two monitor calls, the second over two segments whose second
+        one threads several branches, run on one solver start, and give
+        the enumerate engine's report."""
+        events = [
+            ev("apr", 1), ev("apr", 3), ev("apr", 5), ev("apr", 7, {"apr_redeem_bob"}),
+            ev("ban", 1), ev("ban", 4), ev("ban", 6), ev("ban", 7, {"ban_redeem_alice"}),
+        ]
+        phi = parse_spec("!apr_redeem_bob U[0,8) ban_redeem_alice")
+        reports = []
+        for engine, segments in (("smt", 1), ("smt", 2), ("enumerate", 2)):
+            cfg = MonitorConfig(
+                epsilon=2, segments=segments, length=8, boundary="window", engine=engine,
+                solver_command=CMD, branch_cap=256, max_verdicts_per_segment=256,
+            )
+            reports.append(monitor(events, phi, cfg).to_json())
+        assert len(reports[1]["segments"][0]["branches"]) > 1
+        for report in reports:
+            for seg in report["segments"]:
+                del seg["ms"]
+        assert reports[1] == reports[2]
+        assert len(spawned) == 1
+        assert spawned[0].poll() is None
+
+    def test_another_command_displaces_the_idle_session(self, spawned):
+        c, f = fig3_computation(), parse_spec("a U[0,6) b")
+        other = f"{shlex.quote(sys.executable)} -m mtlmon.refsolver"
+        first = enumerate_verdicts(c, f, 16, CMD)
+        second = enumerate_verdicts(c, f, 16, other)
+        assert first == second
+        assert len(spawned) == 2
+        assert spawned[0].poll() is not None
+        assert spawned[1].poll() is None and smt._idle.command == other
+
+    def test_threads_never_share_a_session(self, spawned):
+        """Four threads, with a short switch interval, enumerate at once:
+        each gets its own answers, and only the idle session's process is
+        left running."""
+        c, f = fig3_computation(), parse_spec("a U[0,6) b")
+        expected = enumerate_verdicts(c, f, 16, CMD)
+        results, interval = [], sys.getswitchinterval()
+
+        def work():
+            for _ in range(3):
+                results.append(enumerate_verdicts(c, f, 16, CMD))
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 12
+        assert [p for p in spawned if p.poll() is None] == [smt._idle._proc]
+
+    def test_no_solver_outlives_the_interpreter(self):
+        """A child interpreter that monitored through the solver engine
+        leaves no solver behind once it has exited, and collects no
+        unclosed pipe or file on the way out."""
+        script = (
+            "from mtlmon import smt\n"
+            "from mtlmon.computation import Event\n"
+            "from mtlmon.parser import parse_spec\n"
+            "from mtlmon.pipeline import MonitorConfig, monitor\n"
+            "from mtlmon.semantics import State\n"
+            "events = [Event('P1', 1, State(frozenset({'a'}))), Event('P2', 2, State(frozenset()))]\n"
+            "cfg = MonitorConfig(epsilon=2, engine='smt', solver_command=smt.bundled_solver_command())\n"
+            "monitor(events, parse_spec('F[0,3) a'), cfg)\n"
+            "print(smt._idle._proc.pid)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", script],
+            capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == b""
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(proc.stdout), 0)
 
 
 class TestEnumerateVerdicts:
