@@ -16,28 +16,33 @@ answers ``unknown``.
 Supported forms: set-logic/set-option/set-info/exit (ignored),
 declare-const, declare-fun with zero arity, assert, check-sat, get-model,
 and reset, which drops every declaration and assertion, the last status
-and model, and the resume floor, so that one process can serve one
+and model, and the kept search, so that one process can serve one
 problem after another.
 Terms: true false, integer literals, (- k), and or not => = ite < <= > >=
 + - *.
 
 Each assertion is compiled once, when it is added: its sorts and argument
-counts are checked, literals become Python values, and ``=`` over booleans
-becomes its own operator ``iff``. Malformed input (a missing argument, a
-sort mismatch, a symbol declared twice) is refused like unsupported input:
-``unknown``, a ``; reason`` line, exit status 1. So is a term nested too
-deeply for the recursive compiler.
+counts are checked, ``=`` over booleans becomes its own operator ``iff``,
+and the term becomes closures, one that evaluates it under a partial
+assignment and one for its unit rule. Malformed input (a missing argument,
+a sort mismatch, a symbol declared twice) is refused like unsupported
+input: ``unknown``, a ``; reason`` line, exit status 1. So is a term nested
+too deeply for the recursive compiler.
 
 The search is chronological backtracking in declaration order (false before
 true, integers ascending) with watched re-evaluation, unit propagation on
 equalities/implications/clauses, and dedicated pruning for boolean
 cardinality sums. It therefore answers the lexicographically least model.
-An assertion can only shrink the set of models, so the least model after it
-is never below the last one: each check-sat resumes from the last ``sat``
-model, taken as an inclusive lower bound, and skips every assignment below
-it. A declaration, a reset, or any answer but ``sat``, drops that bound;
-a declaration also drops the model, which lacks the new symbol. The answers
-are the same as those of a search from scratch.
+Evaluation is three-valued, over intervals for integers, and monotone, so
+an assertion found true is held: skipped until the search backtracks below
+the point where it became true. After ``sat`` the search is kept, decision
+stack and all. New assertions only remove models, so the least model is
+then the first one at or after the last: the next check-sat answers the
+last model again if it satisfies them, and otherwise backtracks from its
+leaf, dropping each decision under which one of them is already false. A
+declaration, a reset, or any answer but ``sat``, drops the kept search; a
+declaration also drops the model, which lacks the new symbol. The answers
+are those of a search from scratch.
 
 Run it as a bare script (``python -I -S refsolver.py``): it imports only
 ``sys``.
@@ -156,7 +161,8 @@ class Problem:
     def __init__(self):
         self.var_order = []  # declaration order
         self.var_sort = {}  # name -> "Bool" | "Int"
-        self.asserts = []  # compiled, flattened top-level assertions
+        self.tests = []  # per flattened top-level assertion: its evaluator
+        self.units = []  # per assertion: its unit rule, or None
         self.watch = {}  # var -> set of assertion indices
         self.card = {}  # assertion index -> (tuple of bool vars, int const)
         self.bounds = {}  # int var -> (lo, hi)
@@ -216,8 +222,9 @@ class Problem:
             for sub in term[1:]:
                 self._add(sub)
             return
-        idx = len(self.asserts)
-        self.asserts.append(term)
+        idx = len(self.tests)
+        self.tests.append(self._bool(term))
+        self.units.append(self._unit(term))
         for v in term_vars(term, set()):
             self.watch.setdefault(v, set()).add(idx)
         card = cardinality_shape(term)
@@ -248,6 +255,190 @@ class Problem:
         else:
             lo, hi = max(lo, b), min(hi, b)
         self.bounds[a] = (lo, hi)
+
+    # Each compiled term becomes a closure over a partial assignment `asg`.
+    # A boolean one gives True, False or None (unknown); an integer one the
+    # interval [lo, hi] of its values, read off `bounds` for unassigned
+    # variables. Both are monotone: a definite value or a bound holds under
+    # every extension of `asg`, and under every tightening of `bounds`.
+
+    def _bool(self, t):
+        if type(t) is bool:
+            return lambda asg: t
+        if type(t) is str:
+            return lambda asg: asg.get(t)
+        op = t[0]
+        if op in ("<", "<=", ">", ">=", "="):
+            a, b = (self._int(s) for s in t[1:])
+            if op in (">", ">="):
+                a, b = b, a
+            if op == "=":
+                def eq(asg):
+                    alo, ahi = a(asg)
+                    blo, bhi = b(asg)
+                    if ahi < blo or bhi < alo:
+                        return False
+                    return True if alo == ahi == blo == bhi else None
+                return eq
+            d = 1 if op in ("<", ">") else 0  # a < b is a + 1 <= b
+
+            def le(asg):
+                alo, ahi = a(asg)
+                blo, bhi = b(asg)
+                if ahi + d <= blo:
+                    return True
+                return False if alo + d > bhi else None
+            return le
+        subs = [self._bool(s) for s in t[1:]]
+        if op == "not":
+            (a,) = subs
+            return lambda asg: None if (v := a(asg)) is None else not v
+        if op in ("and", "or"):
+            stop = op == "or"  # the value that decides the junction
+
+            def junction(asg):
+                unknown = False
+                for sub in subs:
+                    v = sub(asg)
+                    if v is stop:
+                        return stop
+                    if v is None:
+                        unknown = True
+                return None if unknown else not stop
+            return junction
+        if op == "=>":
+            a, b = subs
+
+            def implies(asg):
+                x = a(asg)
+                if x is False:
+                    return True
+                y = b(asg)
+                if y is True:
+                    return True
+                return False if x is True and y is False else None
+            return implies
+        if op == "iff":
+            a, b = subs
+
+            def iff(asg):
+                x, y = a(asg), b(asg)
+                return None if x is None or y is None else x == y
+            return iff
+        c, a, b = subs  # ite
+
+        def ite(asg):
+            v = c(asg)
+            if v is None:
+                x, y = a(asg), b(asg)
+                return x if x == y else None
+            return a(asg) if v else b(asg)
+        return ite
+
+    def _int(self, t):
+        if type(t) is int:
+            pair = (t, t)
+            return lambda asg: pair
+        if type(t) is str:
+            bounds = self.bounds
+            return lambda asg: bounds[t] if (v := asg.get(t)) is None else (v, v)
+        op = t[0]
+        if op == "ite":
+            c, a, b = self._bool(t[1]), self._int(t[2]), self._int(t[3])
+
+            def ite(asg):
+                v = c(asg)
+                if v is None:
+                    (l1, h1), (l2, h2) = a(asg), b(asg)
+                    return min(l1, l2), max(h1, h2)
+                return a(asg) if v else b(asg)
+            return ite
+        subs = [self._int(s) for s in t[1:]]
+        if op in ("+", "-"):
+            # (- a) negates a; (- a b ...) subtracts each operand after a
+            parts = [(op == "-" and (i > 0 or len(subs) == 1), sub) for i, sub in enumerate(subs)]
+
+            def linear(asg):
+                lo = hi = 0
+                for negated, sub in parts:
+                    l, h = sub(asg)
+                    if negated:
+                        lo, hi = lo - h, hi - l
+                    else:
+                        lo, hi = lo + l, hi + h
+                return lo, hi
+            return linear
+
+        def times(asg):
+            lo = hi = 1
+            for sub in subs:
+                l, h = sub(asg)
+                cands = (lo * l, lo * h, hi * l, hi * h)
+                lo, hi = min(cands), max(cands)
+            return lo, hi
+        return times
+
+    def _unit(self, t, want=True):
+        """The unit rule of boolean term `t`, which must come out `want`:
+        a closure `(asg, forced)` that appends each (variable, value) that
+        follows under `asg`, or None when the term's shape gives none."""
+        if type(t) is str:
+            return lambda asg, forced: forced.append((t, want))
+        if type(t) is not tuple:
+            return None
+        op = t[0]
+        if op == "not":
+            if want and type(t[1]) is not str:
+                return None
+            return self._unit(t[1], not want)
+        if not want:
+            return None
+        if op in ("=", "iff"):
+            # the first unassigned variable side takes the other side's value
+            sides = [(x, (self._bool if op == "iff" else self._int)(other))
+                     for x, other in ((t[1], t[2]), (t[2], t[1])) if type(x) is str]
+            if not sides:
+                return None
+
+            def equal(asg, forced):
+                for x, other in sides:
+                    if x not in asg:
+                        v = other(asg)
+                        if op == "iff":
+                            if v is not None:
+                                forced.append((x, v))
+                        elif v[0] == v[1]:
+                            forced.append((x, v[0]))
+                        return
+            return equal
+        if op == "=>":
+            a, b = self._bool(t[1]), self._bool(t[2])
+            ua, ub = self._unit(t[1], False), self._unit(t[2])
+            if ua is None and ub is None:
+                return None
+
+            def implies(asg, forced):
+                if a(asg) is True:
+                    if ub:
+                        ub(asg, forced)
+                elif ua and b(asg) is False:
+                    ua(asg, forced)
+            return implies
+        if op == "or":
+            subs = [(self._bool(s), self._unit(s)) for s in t[1:]]
+
+            def clause(asg, forced):  # a lone unknown disjunct must hold
+                rule, unknown = None, False
+                for test, unit in subs:
+                    v = test(asg)
+                    if v is True or (v is None and unknown):
+                        return
+                    if v is None:
+                        rule, unknown = unit, True
+                if rule:
+                    rule(asg, forced)
+            return clause
+        return None
 
 
 def term_vars(term, acc):
@@ -286,197 +477,101 @@ def cardinality_shape(term):
 
 
 # ---------------------------------------------------------------------------
-# Three-valued / interval evaluation over compiled terms
-# ---------------------------------------------------------------------------
-
-
-def eval_bool(term, asg, bounds):
-    """True / False / None (unknown)."""
-    if type(term) is str:
-        return asg.get(term)
-    if type(term) is bool:
-        return term
-    op = term[0]
-    if op == "not":
-        v = eval_bool(term[1], asg, bounds)
-        return None if v is None else (not v)
-    if op == "and":
-        unknown = False
-        for sub in term[1:]:
-            v = eval_bool(sub, asg, bounds)
-            if v is False:
-                return False
-            if v is None:
-                unknown = True
-        return None if unknown else True
-    if op == "or":
-        unknown = False
-        for sub in term[1:]:
-            v = eval_bool(sub, asg, bounds)
-            if v is True:
-                return True
-            if v is None:
-                unknown = True
-        return None if unknown else False
-    if op == "=>":
-        a = eval_bool(term[1], asg, bounds)
-        if a is False:
-            return True
-        b = eval_bool(term[2], asg, bounds)
-        if b is True:
-            return True
-        if a is True and b is False:
-            return False
-        return None
-    if op == "iff":
-        a = eval_bool(term[1], asg, bounds)
-        b = eval_bool(term[2], asg, bounds)
-        if a is None or b is None:
-            return None
-        return a == b
-    if op == "ite":
-        c = eval_bool(term[1], asg, bounds)
-        if c is None:
-            x = eval_bool(term[2], asg, bounds)
-            y = eval_bool(term[3], asg, bounds)
-            return x if x == y else None
-        return eval_bool(term[2 if c else 3], asg, bounds)
-    if op in ("<", "<=", ">", ">=", "="):
-        alo, ahi = eval_int(term[1], asg, bounds)
-        blo, bhi = eval_int(term[2], asg, bounds)
-        if op == "<":
-            if ahi < blo:
-                return True
-            if alo >= bhi:
-                return False
-        elif op == "<=":
-            if ahi <= blo:
-                return True
-            if alo > bhi:
-                return False
-        elif op == ">":
-            if alo > bhi:
-                return True
-            if ahi <= blo:
-                return False
-        elif op == ">=":
-            if alo >= bhi:
-                return True
-            if ahi < blo:
-                return False
-        else:  # =
-            if alo == ahi == blo == bhi:
-                return True
-            if ahi < blo or bhi < alo:
-                return False
-        return None
-    raise Unsupported(f"boolean operator {op!r}")
-
-
-def eval_int(term, asg, bounds):
-    """Interval [lo, hi] of an arithmetic term under the partial assignment."""
-    if type(term) is int:
-        return term, term
-    if type(term) is str:
-        v = asg.get(term)
-        if v is not None:
-            return v, v
-        return bounds[term]
-    op = term[0]
-    if op == "+":
-        lo = hi = 0
-        for sub in term[1:]:
-            l, h = eval_int(sub, asg, bounds)
-            lo += l
-            hi += h
-        return lo, hi
-    if op == "-":
-        if len(term) == 2:
-            l, h = eval_int(term[1], asg, bounds)
-            return -h, -l
-        lo, hi = eval_int(term[1], asg, bounds)
-        for sub in term[2:]:
-            l, h = eval_int(sub, asg, bounds)
-            lo, hi = lo - h, hi - l
-        return lo, hi
-    if op == "*":
-        lo = hi = 1
-        for sub in term[1:]:
-            l, h = eval_int(sub, asg, bounds)
-            cands = (lo * l, lo * h, hi * l, hi * h)
-            lo, hi = min(cands), max(cands)
-        return lo, hi
-    if op == "ite":
-        cond = eval_bool(term[1], asg, bounds)
-        if cond is True:
-            return eval_int(term[2], asg, bounds)
-        if cond is False:
-            return eval_int(term[3], asg, bounds)
-        l1, h1 = eval_int(term[2], asg, bounds)
-        l2, h2 = eval_int(term[3], asg, bounds)
-        return min(l1, l2), max(h1, h2)
-    raise Unsupported(f"arithmetic operator {op!r}")
-
-
-# ---------------------------------------------------------------------------
 # Search
 # ---------------------------------------------------------------------------
 
 
 class Solver:
-    """Finds the lexicographically least model of `problem` that is not
-    below `floor`, a full assignment (None for no bound)."""
+    """Finds the lexicographically least model of `problem`: a depth-first
+    search in declaration order that keeps its state after `sat`. `stack`
+    holds one [position, variable, value, trail mark] frame per decision,
+    and the assignment is the last model. Asked again once more assertions
+    have been added, `solve` goes on from there (see `_resume`); after any
+    other answer the solver is spent."""
 
-    def __init__(self, problem: Problem, floor=None):
+    def __init__(self, problem: Problem):
         self.p = problem
-        self.floor = floor
         self.asg = {}
-        self.trail = []
+        self.trail = []  # assigned variables, in order
+        self.held = []  # per assertion: true under the current assignment
+        self.holds = []  # (trail length, index) of each held assertion
+        self.stack = None  # the decision frames, once a search has begun
+        self.seen = 0  # assertions the search has taken in
 
     def solve(self):
-        for v, (lo, hi) in self.p.bounds.items():
+        p = self.p
+        for lo, hi in p.bounds.values():
             if lo == -INF or hi == INF:
                 return "unknown", None
             if lo > hi:
                 return "unsat", None
-        if not self._propagate(range(len(self.p.asserts))):
-            return "unsat", None
-        if self._search(0, self.floor is not None):
-            return "sat", dict(self.asg)
-        return "unsat", None
-
-    def _search(self, pos, tight) -> bool:
-        """Assign order[pos:]. While `tight`, the values of order[:pos] equal
-        the floor's: a value below the floor's prunes the branch, and the
-        first value above it lifts the bound."""
-        order, asg, floor = self.p.var_order, self.asg, self.floor
-        n = len(order)
-        while pos < n and order[pos] in asg:
-            if tight:
-                val, least = asg[order[pos]], floor[order[pos]]
-                if val < least:
-                    return False
-                tight = val == least
-            pos += 1
-        if pos == n:
-            return self._all_satisfied()
-        var = order[pos]
-        least = floor[var] if tight else None
-        if self.p.var_sort[var] == "Bool":
-            values = (True,) if least else (False, True)
+        new = range(self.seen, len(p.tests))
+        self.seen = len(p.tests)
+        self.held += [False] * len(new)
+        if self.stack is None:
+            self.stack = []
+            found = self._propagate(new) and self._search(True)
         else:
-            lo, hi = self.p.bounds[var]
-            values = range(lo if least is None else max(lo, least), hi + 1)
-        for val in values:
-            mark = len(self.trail)
-            if self._assign(var, val) and self._search(pos + 1, val == least):
-                return True
-            self._undo(mark)
+            found = self._resume(new)
+        return ("sat", dict(self.asg)) if found else ("unsat", None)
+
+    def _resume(self, new) -> bool:
+        """Search on from the last model M for the assertions `new` too.
+        M was the least model without them, and they only remove models,
+        so the least model now is the first at or after M: M itself if it
+        satisfies them, else the next leaf of the same search. Every frame
+        whose assignment already falsifies one of them is dropped."""
+        asg, stack, tests = self.asg, self.stack, self.p.tests
+        if all(tests[i](asg) is True for i in new):
+            return True
+        while stack:
+            self._undo(stack[-1][3])
+            if all(tests[i](asg) is not False for i in new):
+                return self._search(False)  # the top frame's value fails
+            stack.pop()
         return False
 
+    def _search(self, descend) -> bool:
+        """Run the search until a leaf satisfies every assertion (True) or
+        the frames run out (False). With `descend` it starts by deciding
+        the next unassigned variable, else by the top frame's next value:
+        false before true, integers ascending within the bounds."""
+        p, asg, stack = self.p, self.asg, self.stack
+        order, sorts, bounds = p.var_order, p.var_sort, p.bounds
+        n = len(order)
+        while True:
+            if descend:
+                pos = stack[-1][0] + 1 if stack else 0
+                while pos < n and order[pos] in asg:
+                    pos += 1
+                if pos == n:
+                    if self._all_satisfied():
+                        return True
+                else:
+                    stack.append([pos, order[pos], None, len(self.trail)])
+            descend = False
+            while not descend:
+                if not stack:
+                    return False
+                frame = stack[-1]
+                _, var, val, mark = frame
+                self._undo(mark)
+                if sorts[var] == "Bool":
+                    val = False if val is None else True if val is False else None
+                else:
+                    lo, hi = bounds[var]
+                    val = lo if val is None else max(val + 1, lo)
+                    if val > hi:
+                        val = None
+                if val is None:
+                    stack.pop()
+                else:
+                    frame[2] = val
+                    descend = self._assign(var, val)
+
     def _all_satisfied(self) -> bool:
-        p = self.p
-        return all(eval_bool(t, self.asg, p.bounds) is True for t in p.asserts)
+        held, asg = self.held, self.asg
+        return all(held[i] or test(asg) is True for i, test in enumerate(self.p.tests))
 
     def _assign(self, var, val) -> bool:
         self.asg[var] = val
@@ -484,98 +579,59 @@ class Solver:
         return self._propagate(self.p.watch.get(var, ()))
 
     def _undo(self, mark):
-        while len(self.trail) > mark:
-            del self.asg[self.trail.pop()]
+        trail, asg, holds = self.trail, self.asg, self.holds
+        while len(trail) > mark:
+            del asg[trail.pop()]
+        while holds and holds[-1][0] > mark:
+            self.held[holds.pop()[1]] = False
 
     def _propagate(self, dirty) -> bool:
-        p = self.p
-        queue = list(dirty)
+        """Evaluate the assertions in `dirty`, and those of each variable
+        they force, skipping held ones; False on a conflict. An assertion
+        that comes out true is held until the trail is undone below the
+        length it had then."""
+        p, asg, trail, held, holds = self.p, self.asg, self.trail, self.held, self.holds
+        queue, forced = list(dirty), []
         while queue:
             idx = queue.pop()
-            term = p.asserts[idx]
-            forced = []
+            if held[idx]:
+                continue
             card = p.card.get(idx)
-            if card:
-                ok = self._check_card(card, forced)
-            else:
-                status = eval_bool(term, self.asg, p.bounds)
-                if status is False:
-                    return False
-                ok = True
-                if status is None:
-                    self._unit(term, forced)
-            if not ok:
+            status = self._check_card(card, forced) if card else p.tests[idx](asg)
+            if status is False:
                 return False
+            if status:
+                held[idx] = True
+                holds.append((len(trail), idx))
+                continue
+            if not card and p.units[idx]:
+                p.units[idx](asg, forced)
             for var, val in forced:
-                cur = self.asg.get(var)
+                cur = asg.get(var)
                 if cur is None:
-                    self.asg[var] = val
-                    self.trail.append(var)
+                    asg[var] = val
+                    trail.append(var)
                     queue.extend(p.watch.get(var, ()))
                 elif cur != val:
                     return False
+            forced.clear()
         return True
 
-    def _check_card(self, card, forced) -> bool:
+    def _check_card(self, card, forced):
+        """The value of a cardinality assertion, None while some of its
+        variables are free; forces them where the count leaves no choice."""
         bools, k = card
         true = sum(1 for b in bools if self.asg.get(b) is True)
         free = [b for b in bools if self.asg.get(b) is None]
         if true > k or true + len(free) < k:
             return False
-        if free:
-            if true == k:
-                forced.extend((b, False) for b in free)
-            elif true + len(free) == k:
-                forced.extend((b, True) for b in free)
-        return True
-
-    def _unit(self, term, forced):
-        """Derive forced assignments from an assertion that must hold."""
-        p = self.p
-        if type(term) is str:
-            forced.append((term, True))
-            return
-        op = term[0]
-        if op == "not" and type(term[1]) is str:
-            forced.append((term[1], False))
-        elif op in ("=", "iff") and len(term) == 3:
-            for x, other in ((term[1], term[2]), (term[2], term[1])):
-                if type(x) is str and x not in self.asg:
-                    if op == "iff":
-                        v = eval_bool(other, self.asg, p.bounds)
-                        if v is not None:
-                            forced.append((x, v))
-                    else:
-                        lo, hi = eval_int(other, self.asg, p.bounds)
-                        if lo == hi:
-                            forced.append((x, lo))
-                    return
-        elif op == "=>":
-            a = eval_bool(term[1], self.asg, p.bounds)
-            if a is True:
-                self._unit(term[2], forced)
-            else:
-                b = eval_bool(term[2], self.asg, p.bounds)
-                if b is False:
-                    self._unit(neg(term[1]), forced)
-        elif op == "or":
-            unknowns = []
-            for sub in term[1:]:
-                v = eval_bool(sub, self.asg, p.bounds)
-                if v is True:
-                    return
-                if v is None:
-                    unknowns.append(sub)
-                    if len(unknowns) > 1:
-                        return
-            if len(unknowns) == 1:
-                self._unit(unknowns[0], forced)
-
-
-def neg(term):
-    if type(term) is tuple and term[0] == "not":
-        return term[1]
-    return ("not", term)
+        if not free:
+            return True
+        if true == k:
+            forced.extend((b, False) for b in free)
+        elif true + len(free) == k:
+            forced.extend((b, True) for b in free)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +647,8 @@ COMMANDS = {
 
 class Executor:
     """Executes top-level commands in order against one growing problem,
-    which `(reset)` empties. `floor` is the last sat model while no
-    declaration or reset has followed it."""
+    which `(reset)` empties. `solver` keeps the search of the last `sat`
+    answer while no declaration or reset has followed it."""
 
     def __init__(self):
         self.reset()
@@ -600,7 +656,7 @@ class Executor:
     def reset(self):
         self.problem = Problem()
         self.status, self.model = None, None
-        self.floor = None
+        self.solver = None
 
     def execute(self, form):
         """Run one command; returns its output line(s) without the final
@@ -616,19 +672,21 @@ class Executor:
             raise Unsupported(f"{head} takes {COMMANDS[head]} arguments, given {len(form) - 1}")
         if head == "declare-const":
             problem.declare(form[1], form[2])
-            self.floor = self.status = None  # the last model lacks the new symbol
+            self.solver = self.status = None  # the last model lacks the new symbol
         elif head == "declare-fun":
             if form[2] != ():
                 raise Unsupported("only zero-arity declare-fun is supported")
             problem.declare(form[1], form[3])
-            self.floor = self.status = None
+            self.solver = self.status = None
         elif head == "assert":
             problem.add_assert(form[1])
         elif head == "reset":
             self.reset()
         elif head == "check-sat":
-            self.status, self.model = Solver(problem, self.floor).solve()
-            self.floor = self.model
+            self.solver = self.solver or Solver(problem)
+            self.status, self.model = self.solver.solve()
+            if self.status != "sat":
+                self.solver = None
             return self.status
         elif head == "get-model":
             if self.status != "sat":

@@ -1,14 +1,18 @@
 """The reference semantics the tests check both engines against: the
 finite-trace evaluator, the exhaustive verdict set it gives over every
-linearization, a brute-force consistent-cut test and the conforming
-two-party swap vector. mtlmon itself runs none of this; what the engines
-share with it (states, verdicts, the enumeration of linearizations and
-the fold of the rewrite over a trace) is imported from the package.
+linearization, a brute-force consistent-cut test, the conforming
+two-party swap vector, and a brute-force least model that the bundled
+solver's answers are checked against. mtlmon itself runs none of this;
+what the engines share with it (states, verdicts, the enumeration of
+linearizations and the fold of the rewrite over a trace) is imported from
+the package, and the solver's s-expression reader is reused.
 """
 
 from __future__ import annotations
 
-from typing import Set
+import itertools
+import math
+from typing import Mapping, Optional, Set
 
 from mtlmon.casegen import ExecutionVector
 from mtlmon.computation import Computation
@@ -28,6 +32,7 @@ from mtlmon.formula import (
     Until,
 )
 from mtlmon.oracle import DEFAULT_BUDGET, TimedTrace, enumerate_linearizations
+from mtlmon.refsolver import parse_sexprs, tokenize
 from mtlmon.semantics import State, Verdict
 
 
@@ -128,3 +133,48 @@ def is_consistent_cut_indices(c: Computation, indices: Set[int]) -> bool:
 def conforming_two_party_vector() -> ExecutionVector:
     """Every step of the two-party swap attempted, each one on time."""
     return ExecutionVector.from_string("101010101010")
+
+
+# SMT-LIB operator -> its value on fully evaluated arguments
+_SMT_OPS = {
+    "not": lambda a: not a,
+    "and": lambda *args: all(args),
+    "or": lambda *args: any(args),
+    "=>": lambda a, b: not a or b,
+    "=": lambda a, b: a == b,
+    "ite": lambda c, a, b: a if c else b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "+": lambda *args: sum(args),
+    "-": lambda a, *rest: a - sum(rest) if rest else -a,
+    "*": lambda *args: math.prod(args),
+}
+
+
+def _smt_value(term, asg):
+    if isinstance(term, tuple):
+        return _SMT_OPS[term[0]](*(_smt_value(sub, asg) for sub in term[1:]))
+    if term in asg:
+        return asg[term]
+    return {"true": True, "false": False}[term] if term in ("true", "false") else int(term)
+
+
+def least_model(script: str, domains: Mapping[str, range]) -> Optional[dict]:
+    """The least model of the constants declared and the assertions made in
+    the SMT-LIB text `script`, or None when it has none: every assignment
+    is tried in declaration order, booleans false before true and each
+    integer constant ascending over its range in `domains`."""
+    names, values, asserts = [], [], []
+    for form in parse_sexprs(tokenize(script)):
+        if form[0] == "declare-const":
+            names.append(form[1])
+            values.append((False, True) if form[2] == "Bool" else domains[form[1]])
+        elif form[0] == "assert":
+            asserts.append(form[1])
+    for combo in itertools.product(*values):
+        asg = dict(zip(names, combo))
+        if all(_smt_value(term, asg) for term in asserts):
+            return asg
+    return None

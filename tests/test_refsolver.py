@@ -8,8 +8,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mtlmon import refsolver
 from mtlmon.refsolver import Executor, Solver, parse_sexprs, run, tokenize
 from mtlmon.smt import bundled_solver_command
+from reference import least_model
 
 
 def solve(text: str) -> str:
@@ -105,6 +107,13 @@ class TestSolver:
         assert out.splitlines()[:2] == ["sat", '(error "model is not available")']
         assert "(define-fun y () Bool false)" in out
 
+    def test_thousands_of_constants_need_no_deep_recursion(self):
+        """The search loops over its decision frames instead of recursing
+        once per constant, so the recursion limit does not bound the
+        number of constants."""
+        script = "".join(f"(declare-const b{i} Bool)" for i in range(3000))
+        assert run(script + "(assert b2999)(check-sat)") == "sat\n"
+
     def test_unsupported_sort_reported_as_unknown(self):
         proc = subprocess.run(
             [sys.executable, "-m", "mtlmon.refsolver"],
@@ -131,8 +140,9 @@ def _int(k: int) -> str:
 
 
 class TestResume:
-    """Each check-sat resumes from the last sat model, yet answers exactly
-    what a fresh search of the declarations and assertions so far answers."""
+    """Each check-sat goes on with the search that found the last sat
+    model, yet answers exactly what a fresh search of the declarations and
+    assertions so far answers."""
 
     @staticmethod
     def literal(data, sorts):
@@ -197,8 +207,9 @@ class TestResume:
             check()
 
     def test_resumed_search_makes_fewer_decisions(self, monkeypatch):
-        """A later check-sat starts at the last model instead of re-walking
-        the values below it. (The squares keep the bounds from narrowing.)"""
+        """A later check-sat goes on from the last model's leaf, with the
+        decisions above it kept, instead of searching again from the
+        first value. (The squares keep the bounds from narrowing.)"""
         calls = []
         assign = Solver._assign
         monkeypatch.setattr(Solver, "_assign", lambda s, v, x: calls.append(v) or assign(s, v, x))
@@ -217,6 +228,152 @@ class TestResume:
         assert resumed < len(calls)
 
 
+def ask(executor, text: str) -> str:
+    """Execute every command of `text`; returns what they print."""
+    outs = (executor.execute(form) for form in parse_sexprs(tokenize(text)))
+    return "".join(out + "\n" for out in outs if out is not None)
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """The (variable, value) of every decision the solver makes."""
+    made = []
+    assign = Solver._assign
+    monkeypatch.setattr(Solver, "_assign", lambda s, v, x: made.append((v, x)) or assign(s, v, x))
+    return made
+
+
+class TestKeptSearch:
+    """Edge cases of going on from the last model: each answer equals a
+    fresh run of the whole script, and the decisions show where the
+    search went on from."""
+
+    ASK = "(check-sat)(get-model)"
+
+    def check(self, executor, script, more, decisions):
+        """Send `more` after `script`, ask, and compare with a fresh run;
+        returns the decisions the asking took."""
+        decisions.clear()
+        answer, made = ask(executor, more + self.ASK), list(decisions)
+        assert run(script) + answer == run(script + more + self.ASK)
+        return made
+
+    def test_a_model_that_satisfies_the_new_assertion_is_answered_again(self, decisions):
+        script = ("(declare-const x Int)(declare-const b Bool)(assert (>= x 0))(assert (<= x 4))"
+                  "(assert (or b (>= x 2)))" + self.ASK)
+        executor = Executor()
+        ask(executor, script)
+        assert executor.model == {"x": 0, "b": True}
+        assert self.check(executor, script, "(assert (>= (+ x 1) 1))", decisions) == []
+        assert executor.model == {"x": 0, "b": True}
+
+    def test_a_new_assertion_false_at_the_first_decision_pops_every_frame(self, decisions):
+        """With no assertion the least model is all false, three decisions
+        deep; once `a` is asserted, no other value of `b` or `c` under
+        a = false is tried."""
+        script = "(declare-const a Bool)(declare-const b Bool)(declare-const c Bool)" + self.ASK
+        executor = Executor()
+        ask(executor, script)
+        made = self.check(executor, script, "(assert a)", decisions)
+        assert made == [("a", True), ("b", False), ("c", False)]
+
+    def test_a_tighter_bound_after_sat_cuts_the_kept_frame(self, decisions):
+        """The last model is x = 0, y = 5; once y <= 3 is asserted, y has no
+        value left under x = 0, and none above the new bound is tried."""
+        script = ("(declare-const x Int)(declare-const y Int)(assert (>= x 0))(assert (<= x 9))"
+                  "(assert (>= y 0))(assert (<= y 9))(assert (or (>= x 1) (>= y 5)))" + self.ASK)
+        executor = Executor()
+        ask(executor, script)
+        assert executor.model == {"x": 0, "y": 5}
+        assert self.check(executor, script, "(assert (<= y 3))", decisions) == [("x", 1), ("y", 0)]
+        assert executor.model == {"x": 1, "y": 0}
+
+    def test_false_after_sat_is_unsat_and_the_next_search_starts_afresh(self, monkeypatch):
+        built = []
+
+        class Counted(Solver):
+            def __init__(self, problem):
+                built.append(problem)
+                super().__init__(problem)
+
+        monkeypatch.setattr(refsolver, "Solver", Counted)
+        script = "(declare-const x Int)(assert (>= x 0))(assert (<= x 3))" + self.ASK
+        executor = Executor()
+        ask(executor, script)
+        assert ask(executor, "(assert false)(check-sat)") == "unsat\n"
+        assert len(built) == 1
+        assert ask(executor, "(assert (>= x 1))(check-sat)") == "unsat\n"
+        assert len(built) == 2
+        more = "(assert false)(check-sat)(assert (>= x 1))(check-sat)"
+        assert run(script + more).endswith(")\nunsat\nunsat\n")
+
+
+class TestAgainstBruteForce:
+    """The answers equal an independent reference: `least_model` tries
+    every assignment in order with its own evaluator."""
+
+    def term(self, data, sorts, sort, depth):
+        pick = lambda options: data.draw(st.sampled_from(options))  # noqa: E731
+        names = [n for n in sorts if sorts[n] == sort]
+        if sort == "Int":
+            kind = pick(["lit"] + ["var"] * bool(names) + ["+", "ite"] * bool(depth))
+            if kind == "lit":
+                return _int(data.draw(st.integers(-3, 4)))
+            if kind == "var":
+                return pick(names)
+            if kind == "+":
+                return f"(+ {self.term(data, sorts, 'Int', depth - 1)} {self.term(data, sorts, 'Int', depth - 1)})"
+            return (f"(ite {self.term(data, sorts, 'Bool', depth - 1)} "
+                    f"{self.term(data, sorts, 'Int', depth - 1)} {self.term(data, sorts, 'Int', depth - 1)})")
+        kind = pick(["var"] * bool(names) + ["<=", "="] + ["not", "and", "or", "=>", "iff", "ite"] * bool(depth))
+        if kind == "var":
+            return pick(names)
+        if kind in ("<=", "="):
+            return f"({kind} {self.term(data, sorts, 'Int', 0)} {self.term(data, sorts, 'Int', 0)})"
+        arity = {"not": 1, "ite": 3}.get(kind, 2)
+        subs = " ".join(self.term(data, sorts, "Bool", depth - 1) for _ in range(arity))
+        return f"({'=' if kind == 'iff' else kind} {subs})"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_fresh_and_session_answers_equal_the_least_model(self, data):
+        executor, script, sorts, domains = Executor(), [], {}, {}
+
+        def send(command: str):
+            script.append(command)
+            assert ask(executor, command) == ""
+
+        def declare():
+            name = f"v{len(sorts)}"
+            sorts[name] = data.draw(st.sampled_from(["Bool", "Int"]))
+            send(f"(declare-const {name} {sorts[name]})")
+            if sorts[name] == "Int":
+                lo = data.draw(st.integers(-3, 1))
+                domains[name] = range(lo, lo + data.draw(st.integers(1, 5)))
+                send(f"(assert (>= {name} {_int(lo)}))(assert (<= {name} {_int(domains[name][-1])}))")
+
+        for _ in range(data.draw(st.integers(1, 3))):
+            declare()
+        for _ in range(data.draw(st.integers(1, 10))):
+            step = data.draw(st.sampled_from(["assert", "assert", "declare", "check"]))
+            if step == "declare" and len(sorts) < 4:
+                declare()
+            elif step == "assert":
+                send(f"(assert {self.term(data, sorts, 'Bool', data.draw(st.integers(0, 2)))})")
+            model = least_model("".join(script), domains)
+            if model is None:
+                expected = "unsat\n"
+            else:
+                rows = "".join(
+                    f"  (define-fun {n} () {sorts[n]} {str(v).lower() if sorts[n] == 'Bool' else _int(v)})\n"
+                    for n, v in model.items()
+                )
+                expected = f"sat\n(model\n{rows})\n"
+            asked = "(check-sat)" + "(get-model)" * (model is not None)
+            assert run("".join(script) + asked) == expected
+            assert ask(executor, asked) == expected
+
+
 class TestReset:
     """`(reset)` empties the solver, so one process can answer one problem
     after another as separate processes would."""
@@ -233,18 +390,17 @@ class TestReset:
     def test_same_names_declare_again_and_answer_as_a_fresh_run(self):
         assert run(self.FIRST + "(reset)" + self.SECOND) == run(self.FIRST) + run(self.SECOND)
 
-    def test_reset_drops_status_model_and_floor(self):
-        """The first problem's last model, x = 3, is the resume floor; the
-        second problem's least model, x = 0, lies below it. The declarations
-        after a reset drop the floor as well, so the floor is read off the
-        executor right after the reset."""
+    def test_reset_drops_status_model_and_kept_search(self):
+        """The first problem's last model is x = 3, and its search is kept;
+        the second problem's least model, x = 0, lies below it. After the
+        reset the executor answers the second problem as a fresh run does,
+        so nothing of the first search is left to start from."""
         executor = Executor()
         first = "(declare-const x Int)(assert (>= x 0))(assert (<= x 5))(assert (>= x 3))"
         for form in parse_sexprs(tokenize(first + "(check-sat)")):
             executor.execute(form)
-        assert executor.floor == {"x": 3}
+        assert executor.model == {"x": 3}
         assert executor.execute(("reset",)) is None
-        assert executor.floor is None
         assert executor.execute(("get-model",)) == '(error "model is not available")'
         second = "(declare-const x Int)(assert (>= x 0))(assert (<= x 5))(check-sat)(get-model)"
         outs = [executor.execute(form) for form in parse_sexprs(tokenize(second))]

@@ -529,3 +529,39 @@ class TestReplay:
         assert sum(floor is not None for _, _, floor in replays) > 20
         for out, ref, floor in replays:
             assert out == ref, floor
+
+
+class TestSolverCost:
+    # decisions (`Solver._assign` calls) the bundled solver makes on the
+    # session traffic below; a change that raises it says why
+    DECISIONS = 1186
+
+    def test_session_traffic_stays_within_its_decisions(self, tmp_path, monkeypatch):
+        """The rounds of the first criterion-4 cases, read back from their
+        --emit-smt texts and replayed in-process through one executor as
+        the session sends them: (reset), then each round's new assertions,
+        (check-sat), and (get-model) after sat. The decision count does
+        not depend on the machine, so it can gate the solver's cost."""
+        for case, (c, f) in enumerate(criterion_4_cases(8)):
+            enumerate_verdicts(c, f, 129, CMD, emit_dir=str(tmp_path), emit_tag=f"c{case}")
+        rounds = {}
+        for path in tmp_path.iterdir():
+            tag, n = path.stem.rsplit("_q", 1)
+            rounds.setdefault(tag, []).append((int(n), path.read_text()))
+        made = []
+        assign = refsolver.Solver._assign
+        monkeypatch.setattr(refsolver.Solver, "_assign", lambda s, v, x: made.append(v) or assign(s, v, x))
+        executor, answers = refsolver.Executor(), []
+        for tag in sorted(rounds):
+            executor.execute(("reset",))
+            sent = ""
+            for _, text in sorted(rounds[tag]):
+                body = text[: -len(smt.QUERY_END)]
+                for form in refsolver.parse_sexprs(refsolver.tokenize(body[len(sent):])):
+                    executor.execute(form)
+                sent = body
+                answers.append(executor.execute(("check-sat",)))
+                if answers[-1] == "sat":
+                    executor.execute(("get-model",))
+        assert (len(answers), answers.count("sat")) == (27, 19)
+        assert len(made) <= self.DECISIONS
