@@ -133,7 +133,7 @@ def enumerate_linearizations(
                 times.append(t)
                 in_cut.add(i)
                 latest[e.process] = e.payload
-                states.append(merge_frontier(latest))
+                states.append(merge_frontier(latest.values()))
                 yield from walk()
                 states.pop()
                 if prev_latest is None:

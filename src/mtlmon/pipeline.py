@@ -3,25 +3,27 @@ into segments, thread rewritten-formula branches through the segments with
 either verdict engine, finalize, and report the verdict set.
 
 Branch threading: a branch is a pair (formula, time floor). Each segment
-rewrites every live branch over its events. The enumerate engine walks the
-segment's lattice of consistent cuts once, one event per layer, for all
-live branches together: a state is (cut, last time, pending formula) and
-carries a bitmask of the branches that reach it, so linearizations, and
-branches, that reach the same state share the rest of the work. Each
-(cut, last time) is expanded once per segment, and each of its pending
-formulas is stepped once per gap, however many enabled events land at the
-same time. Each branch's outcome set, the states whose mask holds its
-bit, equals the rewrite over every admissible linearization, and the
-state budget counts each branch's own states. Each one-state rewrite, and
-each first-layer shift of a branch's anchored windows, is
-`progression.advance`, the memoized rewrite both engines share; `monitor`
-runs `progression.evict` when it returns. The input formula is
-normalized once per distinct formula, so a repeated spec reaches the memo
-as the same object. The floor carries the previous segment's last
-timestamp so times never decrease across the boundary, and any event-free
-gap between the floor and a segment's first time shifts the branch's
-anchored windows before rewriting. Branches that collapse to
-a constant freeze immediately and join the final verdict set. Per-process
+rewrites every live branch over its events. The enumerate engine walks
+the segment's lattice of consistent cuts once, one event per layer, for
+all live branches together: a state is (cut, last time, pending formula)
+and carries a bitmask of the branches that reach it, so linearizations,
+and branches, that reach the same state share the rest of the work. A
+layer is keyed by cut, then last time, so each cut's frontier state (one
+`progression.frontier` lookup) and its enabled events are found once per
+segment; each of its times is expanded once, and each pending formula is
+stepped once per gap, however many enabled events land at the same time.
+Each branch's outcome set, the states whose mask holds its bit, equals
+the rewrite over every admissible linearization, and the state budget
+counts each branch's own states. Each one-state rewrite, and each
+first-layer shift of a branch's anchored windows, is
+`progression.advance`, the memoized rewrite both engines share;
+`monitor` runs `progression.evict` when it returns. The input formula is
+normalized once per distinct formula, so a repeated spec reaches the
+memo as the same object. The floor carries the previous segment's last
+timestamp so times never decrease across the boundary, and any
+event-free gap between the floor and a segment's first time shifts the
+branch's anchored windows before rewriting. Branches that collapse to a
+constant freeze immediately and join the final verdict set. Per-process
 latest payloads (the carry) seed each segment's frontier merging; they
 depend only on which events earlier segments consumed, not on how they
 interleaved. The smt engine runs one solver enumeration per live branch.
@@ -56,13 +58,13 @@ from . import smt as smt_backend
 from .computation import Computation, Event, build_computation, time_window
 from .errors import BudgetExceeded, InputError, UsageError
 from .formula import Formula, simplify
-from .progression import advance, evict, shared
+from .progression import advance, evict, frontier, shared
 
 # perfbench/spans.py wraps these three names on this module to count
 # linearizations, progress calls and shifts; the cut walk calls none.
 from .formula import shift_anchored  # noqa: F401
 from .oracle import enumerate_linearizations, progress  # noqa: F401
-from .semantics import State, Verdict, finalize, formula_verdict, merge_frontier
+from .semantics import State, Verdict, finalize, formula_verdict
 
 ENGINE_ENUMERATE = "enumerate"
 ENGINE_SMT = "smt"
@@ -333,13 +335,9 @@ def monitor(events: Sequence[Event], f: Formula, cfg: MonitorConfig) -> MonitorR
                         live.append((ordinal, phi, floor))
                     else:
                         frozen.add(verdict)
-                new_branches: Dict[Tuple[Formula, Optional[int]], None] = {}
-                for pairs, complete in _progress_segment(sub, live, carry, cfg, index):
-                    if not complete:
-                        truncated = True
-                    for pair in pairs:
-                        new_branches[pair] = None
-                branches = new_branches
+                results = _progress_segment(sub, live, carry, cfg, index)
+                truncated = truncated or not all(complete for _, complete in results)
+                branches = {pair: None for pairs, _ in results for pair in pairs}
                 if len(branches) > cfg.branch_cap:
                     keep = sorted(branches, key=lambda b: (str(b[0]), b[1]))[: cfg.branch_cap]
                     branches = {b: None for b in keep}
@@ -389,28 +387,19 @@ def _progress_segment(
         outs = [
             # one outcome past the cap tells "exactly cap" from "more than cap"
             set(smt_backend.enumerate_verdicts(
-                sub,
-                phi,
-                cap + 1,
-                cfg.solver_command,
-                floor=floor,
-                carry=carry,
-                timeout=cfg.timeout,
-                emit_dir=cfg.emit_smt_dir,
+                sub, phi, cap + 1, cfg.solver_command, floor=floor, carry=carry,
+                timeout=cfg.timeout, emit_dir=cfg.emit_smt_dir,
                 emit_tag=f"seg{seg_index}_b{ordinal}",
             ).branches)
             for ordinal, phi, floor in live
         ]
     else:
         outs = _walk_cuts(sub, [(phi, floor) for _, phi, floor in live], carry)
-    results = []
-    for out in outs:
-        if len(out) > cap:
-            keep = sorted(out, key=lambda p: (str(p[0]), p[1]))
-            results.append((set(keep[:cap]), False))
-        else:
-            results.append((out, True))
-    return results
+    return [
+        (out, True) if len(out) <= cap
+        else (set(sorted(out, key=lambda p: (str(p[0]), p[1]))[:cap]), False)
+        for out in outs
+    ]
 
 
 def _walk_cuts(
@@ -430,63 +419,61 @@ def _walk_cuts(
     later work, so the cost follows the number of distinct states rather
     than the number of linearizations.
 
-    The branches share the walk. A layer maps (cut, last time) to
-    {pending formula: bitmask of the branches that reach it}, and where
+    The branches share the walk. A layer maps each cut to {last time:
+    {pending formula: bitmask of the branches that reach it}}, and where
     states meet their masks are OR-ed; a branch's outcomes are those whose
     mask holds its bit. Only the first layer depends on a branch: it holds
     the branch's formula with its anchored windows shifted by the
-    event-free gap from the floor. Each (cut, time) is expanded once, and
-    each of its pending formulas is stepped once per gap: every enabled
-    event that lands at the same time shares the result. Raises
-    BudgetExceeded when some branch visits more than STATE_BUDGET states,
-    counting for each branch the states whose mask holds its bit; the
-    masks are counted per branch only once the states of all branches
-    together pass the budget.
+    event-free gap from the floor. A cut of k events lies only in layer k,
+    so its frontier state and its enabled events are found once, then
+    each of its times is expanded once, and each pending formula is
+    stepped once per gap: every enabled event that lands at the same time
+    shares the result. Raises BudgetExceeded when some branch visits more
+    than STATE_BUDGET states, counting for each branch the states whose
+    mask holds its bit; the masks are counted per branch only once the
+    states of all branches together pass the budget.
 
     Every formula is normalized. Each step and each first-layer shift is
-    `progression.advance`, whose memo is described there. Frontier states
-    are keyed by cut and stay local to this walk, since cuts name events
-    of this segment only and the carry changes between segments.
+    `progression.advance`, and each frontier state `progression.frontier`;
+    both memos are described there.
     """
-    events = sub.events
     procs = sub.processes
-    streams = sub.streams  # program order per process
-    # an event is enabled once the cut holds as many events of every
-    # process as its clock names
-    need = sub.clock
-    windows = [time_window(e, sub.epsilon) for e in events]
-    # ends[k][c]: the latest time the c-th event of process k may take; a
-    # process with no event left bounds nothing
+    windows = [time_window(e, sub.epsilon) for e in sub.events]
+    # enable[k][c]: the clock a cut must reach for the c-th event of
+    # process k to be enabled, and that event's earliest time
+    enable = [[(sub.clock[i], windows[i].start) for i in s] for s in sub.streams]
+    # ends[k][c]: the latest time the c-th event of process k may take,
+    # rising with c; a process with no event left bounds nothing
     top = max(w[-1] for w in windows)
-    ends = [[windows[i][-1] for i in s] + [top] for s in streams]
+    ends = [[windows[i][-1] for i in s] + [top] for s in sub.streams]
+    # latest[j][c]: the shared latest payload of the j-th process the carry
+    # or the segment names, in sorted order, once the cut holds c of its
+    # events (before the first, its carry or None). cols[j] is its column
+    # in the cut: -1, an empty stream held at 0, if only the carry names it
+    names = sorted(set(carry).union(procs))
+    cols = [procs.index(p) if p in procs else -1 for p in names]
+    streams = sub.streams + ((),)
+    latest = [
+        [shared(carry[p]) if p in carry else None]
+        + [shared(sub.events[i].payload) for i in streams[k]]
+        for p, k in zip(names, cols)
+    ]
+
+    def frontier_at(cut) -> State:
+        at = cut + (0,)  # column -1 reads the 0
+        return frontier(tuple(filter(None, map(getitem, latest, map(at.__getitem__, cols)))))
 
     def moves(cut):
-        """(next cut, earliest, latest time) of each event enabled at cut;
-        the latest time leaves every remaining event room."""
+        """The latest time that leaves every remaining event room, which is
+        the earliest end of an event next on some process, and the (next
+        cut, earliest time) of each event enabled at cut."""
         out = []
-        for k, stream in enumerate(streams):
-            c = cut[k]
-            if c == len(stream):
-                continue
-            i = stream[c]
-            if not all(map(ge, cut, need[i])):
-                continue
-            nxt = cut[:k] + (c + 1,) + cut[k + 1:]
-            w = windows[i]
-            out.append((nxt, w.start, min(w[-1], *map(getitem, ends, nxt))))
-        return out
-
-    frontiers: Dict[Tuple[int, ...], State] = {}
-
-    def frontier(cut) -> State:
-        st = frontiers.get(cut)
-        if st is None:
-            latest = dict(carry)
-            for k, c in enumerate(cut):
-                if c:
-                    latest[procs[k]] = events[streams[k][c - 1]].payload
-            st = frontiers[cut] = shared(merge_frontier(latest))
-        return st
+        for k, c in enumerate(cut):
+            if c < len(enable[k]):
+                need, lo = enable[k][c]
+                if all(map(ge, cut, need)):
+                    out.append((cut[:k] + (c + 1,) + cut[k + 1:], lo))
+        return min(map(getitem, ends, cut)), out
 
     masks: List[int] = []  # the mask of each visited state not yet in `visited`
     visited = [0] * len(branches)  # states per branch, not counting `masks`
@@ -494,8 +481,9 @@ def _walk_cuts(
 
     def count(layer):
         nonlocal folded
-        for fs in layer.values():
-            masks.extend(fs.values())
+        for at in layer.values():
+            for fs in at.values():
+                masks.extend(fs.values())
         # no branch passes the budget before all of them together do
         if folded + len(masks) > STATE_BUDGET:
             for m, n in Counter(masks).items():
@@ -507,41 +495,41 @@ def _walk_cuts(
             if max(visited) > STATE_BUDGET:
                 raise BudgetExceeded(f"more than {STATE_BUDGET} lattice states")
 
-    # layer k maps (cut of k events, last time) to {pending formula: mask}
-    layer: Dict[Tuple[Tuple[int, ...], int], Dict[Formula, int]] = {}
-    first = moves((0,) * len(procs))
+    # layer k maps each cut of k events to {last time: {pending formula: mask}}
+    layer: Dict[Tuple[int, ...], Dict[int, Dict[Formula, int]]] = {}
+    hi, first = moves((0,) * len(procs))
     for b, (phi, floor) in enumerate(branches):
-        for nxt, lo, hi in first:
+        for nxt, lo in first:
             for t in range(lo if floor is None else max(floor, lo), hi + 1):
                 f = advance(None, phi, 0 if floor is None else t - floor)
-                fs = layer.setdefault((nxt, t), {})
+                fs = layer.setdefault(nxt, {}).setdefault(t, {})
                 fs[f] = fs.get(f, 0) | 1 << b
     count(layer)
-    for _ in range(1, len(events)):
-        nxt_layer: Dict[Tuple[Tuple[int, ...], int], Dict[Formula, int]] = {}
-        for (cut, t), fs in layer.items():
-            st = frontier(cut)
-            stepped: Dict[int, Dict[Formula, int]] = {}  # gap -> {rewrite: mask}
-            for nxt, lo, hi in moves(cut):
-                for t2 in range(max(t, lo), hi + 1):
-                    out = stepped.get(t2 - t)
-                    if out is None:
-                        out = stepped[t2 - t] = {}
-                        for f, m in fs.items():
-                            g = advance(st, f, t2 - t)
-                            out[g] = out.get(g, 0) | m
-                    succ = nxt_layer.get((nxt, t2))
-                    if succ is None:
-                        nxt_layer[(nxt, t2)] = out.copy()
-                    else:
+    for _ in range(1, len(sub.events)):
+        nxt_layer: Dict[Tuple[int, ...], Dict[int, Dict[Formula, int]]] = {}
+        for cut, at in layer.items():
+            st = frontier_at(cut)
+            hi, enabled = moves(cut)
+            for t, fs in at.items():
+                stepped: Dict[int, Dict[Formula, int]] = {}  # gap -> {rewrite: mask}
+                for nxt, lo in enabled:
+                    for t2 in range(max(t, lo), hi + 1):
+                        out = stepped.get(t2 - t)
+                        if out is None:
+                            out = stepped[t2 - t] = {}
+                            for f, m in fs.items():
+                                g = advance(st, f, t2 - t)
+                                out[g] = out.get(g, 0) | m
+                        succ = nxt_layer.setdefault(nxt, {}).setdefault(t2, {})
                         for g, m in out.items():
                             succ[g] = succ.get(g, 0) | m
         layer = nxt_layer
         count(layer)
     final: Dict[Tuple[Formula, int], int] = {}  # (residual, last time) -> mask
-    for (cut, t), fs in layer.items():
-        st = frontier(cut)
-        for f, m in fs.items():
-            key = (advance(st, f, 0), t)
-            final[key] = final.get(key, 0) | m
+    for cut, at in layer.items():
+        st = frontier_at(cut)
+        for t, fs in at.items():
+            for f, m in fs.items():
+                key = (advance(st, f, 0), t)
+                final[key] = final.get(key, 0) | m
     return [{o for o, m in final.items() if m >> b & 1} for b in range(len(branches))]

@@ -27,9 +27,11 @@ normalized input gives a normalized output, and `step` never normalizes.
 `shift_anchored(f, gap)` when state is None, through one memo per process
 keyed by (state, formula, gap), so every branch, segment, engine and later
 call that meets a key reads one result. States and results enter it
-through `shared`, one object per equal value. `pipeline.monitor` runs
-`evict` at the end of each call, which drops the memo whole above
-REWRITE_LIMIT entries, so within one call each key is computed once.
+through `shared`, one object per equal value. `frontier` memoizes the
+state at a cut the same way, keyed by its processes' latest payloads.
+`pipeline.monitor` runs `evict` at the end of each call, which drops
+both memos whole once one holds more than REWRITE_LIMIT entries, so
+within one call each key is computed once.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .formula import (
     mk_until,
     shift_anchored,
 )
-from .semantics import State
+from .semantics import State, merge_frontier
 
 # memo entries kept between calls; about 0.3 KB each on the criterion-8
 # log, so at most about 5 MB stay alive between calls
@@ -70,6 +72,7 @@ REWRITE_LIMIT = 1 << 14
 # (state, formula, gap) -> advance(state, formula, gap)
 _rewrites: Dict[Tuple[Optional[State], Formula, int], Formula] = {}
 _terms: Dict[object, object] = {}  # one object per equal state or formula
+_frontiers: Dict[Tuple[State, ...], State] = {}  # latest payloads -> frontier(...)
 
 
 def shared(x):
@@ -88,10 +91,20 @@ def advance(state: Optional[State], f: Formula, gap: int) -> Formula:
     return out
 
 
+def frontier(latest: Tuple[State, ...]) -> State:
+    """The shared state visible at a cut whose processes' latest payloads,
+    each from `shared`, are `latest` in sorted process order; memoized."""
+    st = _frontiers.get(latest)
+    if st is None:
+        st = _frontiers[latest] = shared(merge_frontier(latest))
+    return st
+
+
 def evict() -> None:
-    """Drop the memo when it holds more than REWRITE_LIMIT entries."""
-    if len(_rewrites) > REWRITE_LIMIT:
+    """Drop the memos when one holds more than REWRITE_LIMIT entries."""
+    if max(len(_rewrites), len(_frontiers)) > REWRITE_LIMIT:
         _rewrites.clear()
+        _frontiers.clear()
         _terms.clear()
 
 

@@ -157,6 +157,16 @@ def signature(op, sorts):
     return [arg] * (count or max(1, len(sorts))), result
 
 
+def _once(compile_):
+    """A compiler method that builds each subterm once per assertion."""
+    def once(self, t):
+        key = (compile_, t)
+        if key not in self.built:  # `_add` empties it for each assertion
+            self.built[key] = compile_(self, t)
+        return self.built[key]
+    return once
+
+
 class Problem:
     def __init__(self):
         self.var_order = []  # declaration order
@@ -223,6 +233,7 @@ class Problem:
                 self._add(sub)
             return
         idx = len(self.tests)
+        self.built = {}  # (compiler, subterm) -> closure; `_unit` reads `_bool`'s
         self.tests.append(self._bool(term))
         self.units.append(self._unit(term))
         for v in term_vars(term, set()):
@@ -262,6 +273,7 @@ class Problem:
     # variables. Both are monotone: a definite value or a bound holds under
     # every extension of `asg`, and under every tightening of `bounds`.
 
+    @_once
     def _bool(self, t):
         if type(t) is bool:
             return lambda asg: t
@@ -335,6 +347,7 @@ class Problem:
             return a(asg) if v else b(asg)
         return ite
 
+    @_once
     def _int(self, t):
         if type(t) is int:
             pair = (t, t)
@@ -459,21 +472,11 @@ def cardinality_shape(term):
         lhs, k = k, lhs
     if type(k) is not int or not (type(lhs) is tuple and lhs[0] == "+"):
         return None
-    bools = []
-    for part in lhs[1:]:
-        if (
-            type(part) is tuple
-            and len(part) == 4
-            and part[0] == "ite"
-            and type(part[1]) is str
-            and type(part[2]) is int
-            and type(part[3]) is int
-            and (part[2], part[3]) == (1, 0)
-        ):
-            bools.append(part[1])
-        else:
-            return None
-    return tuple(bools), k
+    parts = lhs[1:]  # sorted terms: an ite over 1 and 0 is an Int ite
+    if all(type(x) is tuple and x[0] == "ite" and type(x[1]) is str and x[2:] == (1, 0)
+           for x in parts):
+        return tuple(x[1] for x in parts), k
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -670,14 +673,11 @@ class Executor:
             raise Unsupported(f"unsupported command {head!r}")
         if len(form) - 1 != COMMANDS[head]:
             raise Unsupported(f"{head} takes {COMMANDS[head]} arguments, given {len(form) - 1}")
-        if head == "declare-const":
-            problem.declare(form[1], form[2])
-            self.solver = self.status = None  # the last model lacks the new symbol
-        elif head == "declare-fun":
-            if form[2] != ():
+        if head in ("declare-const", "declare-fun"):
+            if head == "declare-fun" and form[2] != ():
                 raise Unsupported("only zero-arity declare-fun is supported")
-            problem.declare(form[1], form[3])
-            self.solver = self.status = None
+            problem.declare(form[1], form[-1])
+            self.solver = self.status = None  # the last model lacks the new symbol
         elif head == "assert":
             problem.add_assert(form[1])
         elif head == "reset":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import types
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set
 
 from .formula import (
     And,
@@ -80,13 +80,12 @@ class State:
         raise TypeError(f"not a state predicate: {f!r}")
 
 
-def merge_frontier(latest: Mapping[str, State]) -> State:
+def merge_frontier(latest: Iterable[State]) -> State:
     """State visible at a cut: union of per-process latest propositions,
-    key-wise sum of per-process latest variable totals."""
+    key-wise sum of per-process latest variable totals, in any order."""
     props: Set[str] = set()
     variables: Dict[str, int] = {}
-    for proc in sorted(latest):
-        st = latest[proc]
+    for st in latest:
         props |= st.props
         for k, v in st.variables.items():
             variables[k] = variables.get(k, 0) + v

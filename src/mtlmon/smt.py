@@ -76,8 +76,8 @@ from .formula import (
     propositional_atoms,
     simplify,
 )
-from .progression import advance, shared
-from .semantics import State, merge_frontier
+from .progression import advance, frontier, shared
+from .semantics import State
 
 # perfbench/spans.py wraps these two names on this module to count
 # progress calls and shifts; replay calls neither.
@@ -826,15 +826,15 @@ def decode_linearization(problem: SmtProblem, model: Mapping[str, int]) -> Decod
 
 def replay(problem: SmtProblem, decoded: DecodedModel) -> Tuple[Formula, int, int]:
     """Rewrite the branch formula over the decoded linearization through
-    the memo the cut walk shares: shift it by the gap from the floor, then
+    the memos the cut walk shares: shift it by the gap from the floor, then
     step each frontier state with the gap to the next time (0 at the end)."""
     times = decoded.times
     f = advance(None, problem.formula, 0 if problem.floor is None else times[0] - problem.floor)
-    latest: Dict[str, State] = dict(problem.carry)
+    latest: Dict[str, State] = {p: shared(st) for p, st in problem.carry}
     for k, t, t2 in zip(decoded.order, times, times[1:] + times[-1:]):
         e = problem.comp.events[k]
-        latest[e.process] = e.payload
-        f = advance(shared(merge_frontier(latest)), f, t2 - t)
+        latest[e.process] = shared(e.payload)
+        f = advance(frontier(tuple(latest[p] for p in sorted(latest))), f, t2 - t)
     return f, times[0], times[-1]
 
 

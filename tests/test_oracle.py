@@ -107,9 +107,10 @@ class TestMergeFrontier:
             "apr": State(frozenset({"a"}), {"to_alice": 2, "from_bob": 1}),
             "ban": State(frozenset({"b"}), {"to_alice": 100}),
         }
-        merged = merge_frontier(latest)
+        merged = merge_frontier(latest.values())
         assert merged.props == {"a", "b"}
         assert merged.variables == {"to_alice": 102, "from_bob": 1}
+        assert merge_frontier(reversed(list(latest.values()))) == merged
 
 
 class TestVerdicts:

@@ -615,6 +615,12 @@ def _count_steps(monkeypatch) -> list:
     return keys
 
 
+def _cold_memo():
+    """Empty the process-wide memos, as in a fresh process."""
+    for table in (progression._rewrites, progression._frontiers, progression._terms):
+        table.clear()
+
+
 def _shifted(events, shift: int) -> list:
     """The log with shift added to every timestamp."""
     return [Event(e.process, e.local_time + shift, e.payload) for e in events]
@@ -668,18 +674,72 @@ class TestProcessCaches:
         comp = gen_random_computation(2, processes=2, events=12, epsilon=2, max_gap=6)
         phi = parse_spec("G[0,40) (p -> F[0,12) q)")
         cfg = MonitorConfig(epsilon=2, segments=3)
-        progression._rewrites.clear()
+        _cold_memo()
         kept = _untimed(monitor(list(comp.events), phi, cfg).to_json())
         assert 1 < len(progression._rewrites) <= progression.REWRITE_LIMIT
+        assert 1 < len(progression._frontiers) <= progression.REWRITE_LIMIT
         # equal rewrites and frontier states are kept as one object each
-        for part in ((st for st, _, _ in progression._rewrites), progression._rewrites.values()):
+        for part in (
+            (st for st, _, _ in progression._rewrites),
+            progression._rewrites.values(),
+            progression._frontiers.values(),
+        ):
             objs = list(part)
             assert len({id(x) for x in objs}) == len(set(objs))
         monkeypatch.setattr(progression, "REWRITE_LIMIT", 1)
         progression._rewrites.clear()
         dropped = _untimed(monitor(list(comp.events), phi, cfg).to_json())
         assert progression._rewrites == {} and progression._terms == {}
+        assert progression._frontiers == {}
         assert dropped == kept
+
+    def test_each_payload_tuple_is_merged_once_per_process(self, monkeypatch):
+        """The long-log recipe at its quick size (80 events, 3 processes,
+        eps 1, 8 segments): a cold call merges each distinct tuple of
+        per-process latest payloads once, and the same call again merges
+        none and gives the same report."""
+        comp = gen_random_computation(7, processes=3, events=80, epsilon=1, max_gap=4)
+        phi = parse_spec("G (p -> F[0,12) q)")
+        cfg = MonitorConfig(epsilon=1, segments=8)
+        merged = []
+        merge = progression.merge_frontier
+        monkeypatch.setattr(progression, "merge_frontier",
+                            lambda latest: merged.append(latest) or merge(latest))
+        _cold_memo()
+        cold = _untimed(monitor(list(comp.events), phi, cfg).to_json())
+        assert 0 < len(merged) == len(set(merged)) == len(progression._frontiers)
+        merged.clear()
+        assert _untimed(monitor(list(comp.events), phi, cfg).to_json()) == cold
+        assert merged == []
+
+
+class TestWalkCost:
+    """Counts of the enumerate engine's work on the criterion-8 log at
+    eps 4 from a cold memo. They do not depend on the machine, so they can
+    gate the walk's cost; a change that raises one says why."""
+
+    STEPS = 24135  # outermost `progression.step` calls: rewrite memo misses
+    ADVANCES = 47639  # `progression.advance` calls from the walk
+    MERGES = 20  # frontier merges: distinct tuples of latest payloads
+
+    def test_walk_stays_within_its_counts(self, monkeypatch):
+        comp = gen_random_computation(2024, processes=2, events=20, epsilon=4, max_gap=6)
+        phi = parse_spec("G[0,40) (p -> F[0,12) q)")
+        cfg = MonitorConfig(
+            epsilon=4, segments=4, branch_cap=512, max_verdicts_per_segment=512
+        )
+        steps = _count_steps(monkeypatch)
+        advances, merges = [], []
+        advance, merge = pipeline.advance, progression.merge_frontier
+        monkeypatch.setattr(pipeline, "advance",
+                            lambda *key: advances.append(key) or advance(*key))
+        monkeypatch.setattr(progression, "merge_frontier",
+                            lambda latest: merges.append(latest) or merge(latest))
+        _cold_memo()
+        monitor(list(comp.events), phi, cfg)
+        assert len(steps) <= self.STEPS
+        assert len(advances) <= self.ADVANCES
+        assert len(merges) <= self.MERGES
 
 
 class TestCli:

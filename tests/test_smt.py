@@ -499,7 +499,7 @@ def reference_replay(problem, decoded):
     for k in decoded.order:
         e = problem.comp.events[k]
         latest[e.process] = e.payload
-        states.append(merge_frontier(latest))
+        states.append(merge_frontier(latest.values()))
     trace = TimedTrace(tuple(states), decoded.times)
     gap = 0 if problem.floor is None else decoded.times[0] - problem.floor
     formula = progress(trace, shift_anchored(problem.formula, gap))
