@@ -118,7 +118,7 @@ def event_to_json(e: Event) -> dict:
         "kind": e.kind,
         "msg": e.msg,
         "props": sorted(e.payload.props),
-        "vars": dict(sorted(e.payload.variables.items())),
+        "vars": dict(e.payload.variables),
     }
 
 

@@ -105,17 +105,22 @@ class Computation:
         """Sub-computation induced by a subset of event indices."""
         keep = sorted(set(indices))
         col = {p: k for k, p in enumerate(self.processes)}
-        # stream positions of the kept events, per process; an event's own
-        # clock column is its position in its stream
+        # stream positions of the kept events, and their new indices, per
+        # process; an event's own clock column is its position in its stream
         kept: Dict[int, List[int]] = {}
-        for i in keep:
+        streams: Dict[int, List[int]] = {}
+        for j, i in enumerate(keep):
             k = col[self.events[i].process]
             kept.setdefault(k, []).append(self.clock[i][k])
+            streams.setdefault(k, []).append(j)
         cols = sorted(kept)
-        clock = tuple(
-            tuple(bisect_left(kept[k], self.clock[i][k]) for k in cols) for i in keep
-        )
-        return Computation(tuple(self.events[i] for i in keep), self.epsilon, clock)
+        clock = tuple(tuple(bisect_left(kept[k], self.clock[i][k]) for k in cols)
+                      for i in keep)
+        sub = Computation(tuple(self.events[i] for i in keep), self.epsilon, clock)
+        vars(sub).update(  # the cached properties, from the grouping above
+            processes=tuple(self.processes[k] for k in cols),
+            streams=tuple(tuple(streams[k]) for k in cols))
+        return sub
 
 
 def build_computation(events: Sequence[Event], epsilon: int) -> Computation:

@@ -1,12 +1,12 @@
 """MTL formula AST: half-open integer intervals, connectives, timed operators.
 
-All nodes are frozen dataclasses with structural equality. Each node
-computes its hash once, from its type and its declared dataclass fields
-in order, and caches it, so hashing a formula is O(1) after the first
-time: the rewrite memo and the branch sets key on whole formulas. A node
-also formats itself once and caches the text, since branch formulas are
-sorted and reported by their text. Hashes of strings vary between
-processes, which is harmless because formulas are never pickled.
+All nodes are frozen dataclasses, hash-consed (Filliâtre & Conchon 2006):
+a class call returns the one live node of its class and field values, so
+`==` and `hash` are object identity, evaluated in C, and the rewrite memo
+and the branch sets key on whole formulas at the cost of an address. The
+intern table holds nodes weakly; copies and pickles are the interned node.
+No output may follow the order of a set of formulas, since it follows
+addresses. A node caches its text, by which branches are sorted.
 
 Normal form. Construction goes through the smart constructors (`mk_not`,
 `mk_or`, ...), which constant-fold; `mk_and` and `mk_or` also splice the
@@ -24,8 +24,11 @@ normalize again.
 
 from __future__ import annotations
 
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -71,27 +74,55 @@ class Interval:
 EMPTY = Interval(0, 0)
 
 
-class Formula:
-    """Base class; subclasses are frozen dataclasses. Each subclass gets
-    `__hash__` from here before `@dataclass` runs, and `@dataclass` keeps a
-    `__hash__` the class already has instead of generating one, which would
-    rehash the whole subtree on every call. The hash and the text are
-    cached on the node."""
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
 
-    def __init_subclass__(cls):
-        cls.__hash__ = Formula.__hash__
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            # by `__getattribute__`: reading `__dict__` would slow every
-            # later attribute read on the node, and a comprehension's
-            # closure over `self` would slow every call of this method
-            fields = map(self.__getattribute__, self.__dataclass_fields__)
-            h = hash((type(self), *fields))
-            object.__setattr__(self, "_hash", h)
-            return h
+_live: Dict[tuple, _Ref] = {}  # (class, *field values) -> its live object
+_entering = threading.Lock()
+
+
+def _drop(ref: _Ref) -> None:
+    _remove_dead_weakref(_live, ref.key)  # unless a live object took the key
+
+
+def _node(cls):
+    """A frozen dataclass node; `Interned.__new__` runs its `__init__`."""
+    cls = dataclass(frozen=True, eq=False, repr=False)(cls)
+    cls._init = cls.__init__
+    del cls.__init__
+    return cls
+
+
+class Interned:
+    """Hash-consed base with `object`'s `__eq__` and `__hash__`. A call
+    returns the live instance of its class and fields, found lock-free by
+    its arguments (by `__reduce__` unless all positional), else a new one."""
+
+    def __new__(cls, *args, **kwargs):
+        key = (cls, *args)
+        ref = None if kwargs else _live.get(key)
+        obj = None if ref is None else ref()
+        if obj is None:
+            obj = object.__new__(cls)
+            obj._init(*args, **kwargs)
+            if kwargs or len(args) < len(cls.__dataclass_fields__):
+                key = (cls, *obj.__reduce__()[1])
+            with _entering:
+                ref = _live.get(key)
+                live = None if ref is None else ref()
+                if live is not None:
+                    return live
+                ref = _live[key] = _Ref(obj, _drop)
+                ref.key = key
+        return obj
+
+    def __reduce__(self):  # through the class call, which interns
+        return type(self), tuple(map(self.__getattribute__, self.__dataclass_fields__))
+
+
+class Formula(Interned):
+    """Base class of the formula nodes, each interned; caches its text."""
 
     def __str__(self) -> str:
         try:
@@ -107,22 +138,22 @@ class Formula:
         return f"<{self.__class__.__name__} {self}>"
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class FalseF(Formula):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class SumAtom(Formula):
     """Aggregate constraint: sum(to:to_party) >= sum(from:from_party) + offset."""
 
@@ -131,12 +162,12 @@ class SumAtom(Formula):
     offset: int = 0
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class _Junction(Formula):
     """An n-ary connective over a tuple of two or more operands, built as
     `And(a, b, c)`. The node keeps the operands as given; `mk_and` and
@@ -144,10 +175,13 @@ class _Junction(Formula):
 
     args: Tuple[Formula, ...]
 
-    def __init__(self, *args: Formula):
+    def _init(self, *args: Formula):
         if len(args) < 2:
             raise ValueError(f"{type(self).__name__} needs two or more operands")
         object.__setattr__(self, "args", args)
+
+    def __reduce__(self):
+        return type(self), self.args
 
 
 class Or(_Junction):
@@ -158,26 +192,26 @@ class And(_Junction):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Until(Formula):
     left: Formula
     interval: Interval
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Eventually(Formula):
     interval: Interval
     operand: Formula
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Globally(Formula):
     interval: Interval
     operand: Formula
@@ -234,10 +268,9 @@ def mk_junction(cls, fs: Sequence[Formula]) -> Formula:
         g = todo.pop()
         if isinstance(g, cls):
             todo.extend(reversed(g.args))
-        elif isinstance(g, (TrueF, FalseF)):
-            if g == zero:
-                return zero
-        else:
+        elif g is zero:
+            return zero
+        elif g is not unit:
             seen[g] = None
     if len(seen) > 1:
         return cls(*seen)

@@ -266,10 +266,9 @@ class _Parser:
         return SumAtom(to_party, from_party, offset)
 
 
-# cached by text: an auditor checks the same few specs against many logs,
-# and a repeated spec then yields the identical formula object, so memo
-# lookups keyed on it compare by identity. A syntax error raises and is
-# not cached; an empty-interval warning is issued on the first parse only.
+# cached by text: an auditor checks the same few specs against many logs.
+# A syntax error raises and is not cached; an empty-interval warning is
+# issued on the first parse only.
 @functools.lru_cache(maxsize=SPEC_CACHE_SIZE)
 def parse_spec(text: str) -> Formula:
     """Parse a spec-grammar string into a formula AST."""

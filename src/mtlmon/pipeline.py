@@ -18,9 +18,8 @@ counts each branch's own states. Each one-state rewrite, and each
 first-layer shift of a branch's anchored windows, is
 `progression.advance`, the memoized rewrite both engines share;
 `monitor` runs `progression.evict` when it returns. The input formula is
-normalized once per distinct formula, so a repeated spec reaches the
-memo as the same object. The floor carries the previous segment's last
-timestamp so times never decrease across the boundary, and any
+normalized once per distinct formula. The floor carries the previous
+segment's last timestamp so times never decrease across the boundary, and any
 event-free gap between the floor and a segment's first time shifts the
 branch's anchored windows before rewriting. Branches that collapse to a
 constant freeze immediately and join the final verdict set. Per-process
@@ -58,7 +57,7 @@ from . import smt as smt_backend
 from .computation import Computation, Event, build_computation, time_window
 from .errors import BudgetExceeded, InputError, UsageError
 from .formula import Formula, simplify
-from .progression import advance, evict, frontier, shared
+from .progression import advance, evict, frontier
 
 # perfbench/spans.py wraps these three names on this module to count
 # linearizations, progress calls and shifts; the cut walk calls none.
@@ -446,7 +445,7 @@ def _walk_cuts(
     # rising with c; a process with no event left bounds nothing
     top = max(w[-1] for w in windows)
     ends = [[windows[i][-1] for i in s] + [top] for s in sub.streams]
-    # latest[j][c]: the shared latest payload of the j-th process the carry
+    # latest[j][c]: the latest payload of the j-th process the carry
     # or the segment names, in sorted order, once the cut holds c of its
     # events (before the first, its carry or None). cols[j] is its column
     # in the cut: -1, an empty stream held at 0, if only the carry names it
@@ -454,8 +453,7 @@ def _walk_cuts(
     cols = [procs.index(p) if p in procs else -1 for p in names]
     streams = sub.streams + ((),)
     latest = [
-        [shared(carry[p]) if p in carry else None]
-        + [shared(sub.events[i].payload) for i in streams[k]]
+        [carry.get(p)] + [sub.events[i].payload for i in streams[k]]
         for p, k in zip(names, cols)
     ]
 

@@ -26,12 +26,13 @@ normalized input gives a normalized output, and `step` never normalizes.
 `advance(state, f, gap)` is the rewrite both engines run: `step`, or
 `shift_anchored(f, gap)` when state is None, through one memo per process
 keyed by (state, formula, gap), so every branch, segment, engine and later
-call that meets a key reads one result. States and results enter it
-through `shared`, one object per equal value. `frontier` memoizes the
-state at a cut the same way, keyed by its processes' latest payloads.
-`pipeline.monitor` runs `evict` at the end of each call, which drops
-both memos whole once one holds more than REWRITE_LIMIT entries, so
-within one call each key is computed once.
+call that meets a key reads one result; a junction over a state is
+stepped operand by operand through it (Roşu & Havelund 2005). Keys are
+interned (see `formula`). `frontier` memoizes the state at a cut the same
+way, keyed by its processes' latest payloads. `pipeline.monitor` runs
+`evict` at the end of each call, which drops both memos whole, and the
+interned objects only they kept alive, once one holds more than
+REWRITE_LIMIT entries, so within one call each key is computed once.
 """
 
 from __future__ import annotations
@@ -65,19 +66,13 @@ from .formula import (
 )
 from .semantics import State, merge_frontier
 
-# memo entries kept between calls; about 0.3 KB each on the criterion-8
-# log, so at most about 5 MB stay alive between calls
+# memo entries kept between calls, of formulas and junction operands
+# alike; about 0.3 KB each on the criterion-8 log, so at most about 5 MB
 REWRITE_LIMIT = 1 << 14
 
 # (state, formula, gap) -> advance(state, formula, gap)
 _rewrites: Dict[Tuple[Optional[State], Formula, int], Formula] = {}
-_terms: Dict[object, object] = {}  # one object per equal state or formula
 _frontiers: Dict[Tuple[State, ...], State] = {}  # latest payloads -> frontier(...)
-
-
-def shared(x):
-    """The first object equal to x that the memo has met, else x."""
-    return _terms.setdefault(x, x)
 
 
 def advance(state: Optional[State], f: Formula, gap: int) -> Formula:
@@ -86,17 +81,20 @@ def advance(state: Optional[State], f: Formula, gap: int) -> Formula:
     key = (state, f, gap)
     out = _rewrites.get(key)
     if out is None:
-        g = shift_anchored(f, gap) if state is None else step(state, f, gap)
-        out = _rewrites[key] = shared(g)
+        if state is not None and isinstance(f, (And, Or)):
+            out = mk_junction(type(f), [advance(state, g, gap) for g in f.args])
+        else:
+            out = shift_anchored(f, gap) if state is None else step(state, f, gap)
+        _rewrites[key] = out
     return out
 
 
 def frontier(latest: Tuple[State, ...]) -> State:
-    """The shared state visible at a cut whose processes' latest payloads,
-    each from `shared`, are `latest` in sorted process order; memoized."""
+    """The state visible at a cut whose processes' latest payloads are
+    `latest` in sorted process order; memoized."""
     st = _frontiers.get(latest)
     if st is None:
-        st = _frontiers[latest] = shared(merge_frontier(latest))
+        st = _frontiers[latest] = merge_frontier(latest)
     return st
 
 
@@ -105,7 +103,6 @@ def evict() -> None:
     if max(len(_rewrites), len(_frontiers)) > REWRITE_LIMIT:
         _rewrites.clear()
         _frontiers.clear()
-        _terms.clear()
 
 
 def step(state: State, f: Formula, elapsed: int) -> Formula:

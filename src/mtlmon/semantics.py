@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set
 
 from .formula import (
@@ -22,6 +22,7 @@ from .formula import (
     Formula,
     Globally,
     Implies,
+    Interned,
     Not,
     Or,
     SumAtom,
@@ -41,33 +42,25 @@ class Verdict(enum.Enum):
         return "⊤" if self is Verdict.TOP else "⊥"
 
 
-@dataclass(frozen=True, eq=False)
-class State:
+@dataclass(frozen=True, eq=False, init=False)
+class State(Interned):
     """One observed state: propositions that hold plus integer variables.
 
-    Immutable: `variables` is a read-only view of a private copy, because
-    states are keys of the process-wide rewrite memo and a state changed
-    after a call would corrupt the entries later calls read."""
+    Interned like a formula (see `formula`) and keyed by (props, sorted
+    variable items). Immutable, as states key the process-wide rewrite
+    memo: `variables` is a read-only view of a private copy, in key order."""
 
-    props: FrozenSet[str] = frozenset()
-    variables: Mapping[str, int] = field(default_factory=dict)
+    props: FrozenSet[str]
+    variables: Mapping[str, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "props", frozenset(self.props))
-        object.__setattr__(self, "variables", types.MappingProxyType(dict(self.variables)))
-        # hashed once: the cut walk's rewrite memo keys on frontier states
-        key = (self.props, tuple(sorted(self.variables.items())))
-        object.__setattr__(self, "_hash", hash(key))
+    def __new__(cls, props=frozenset(), variables=types.MappingProxyType({})):
+        return Interned.__new__(cls, frozenset(props), tuple(sorted(variables.items())))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, State)
-            and self.props == other.props
-            and self.variables == other.variables
-        )
+    def _init(self, props, items):
+        vars(self).update(props=props, variables=types.MappingProxyType(dict(items)))
 
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return State, (self.props, dict(self.variables))
 
     def holds(self, f: Formula) -> bool:
         """Truth of a propositional Atom / SumAtom in this state."""

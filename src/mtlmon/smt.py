@@ -76,7 +76,7 @@ from .formula import (
     propositional_atoms,
     simplify,
 )
-from .progression import advance, frontier, shared
+from .progression import advance, frontier
 from .semantics import State
 
 # perfbench/spans.py wraps these two names on this module to count
@@ -830,10 +830,10 @@ def replay(problem: SmtProblem, decoded: DecodedModel) -> Tuple[Formula, int, in
     step each frontier state with the gap to the next time (0 at the end)."""
     times = decoded.times
     f = advance(None, problem.formula, 0 if problem.floor is None else times[0] - problem.floor)
-    latest: Dict[str, State] = {p: shared(st) for p, st in problem.carry}
+    latest: Dict[str, State] = dict(problem.carry)
     for k, t, t2 in zip(decoded.order, times, times[1:] + times[-1:]):
         e = problem.comp.events[k]
-        latest[e.process] = shared(e.payload)
+        latest[e.process] = e.payload
         f = advance(frontier(tuple(latest[p] for p in sorted(latest))), f, t2 - t)
     return f, times[0], times[-1]
 

@@ -173,6 +173,24 @@ class TestAgainstReference:
         assert c.events == ordered
         assert c.hb == hb
 
+    @settings(max_examples=200, deadline=None)
+    @given(logs(), st.randoms(use_true_random=False))
+    def test_restrict_seeds_processes_and_streams(self, log, rnd):
+        """A restricted computation holds its processes and streams as
+        soon as `restrict` returns, equal to those `build_computation`
+        finds for the kept events."""
+        events, epsilon = log
+        try:
+            c = build_computation(events, epsilon)
+        except ComputationError:
+            return
+        sub = c.restrict(i for i in range(len(c)) if rnd.random() < 0.5)
+        assert "processes" in vars(sub) and "streams" in vars(sub)
+        local = [Event(e.process, e.local_time, e.payload) for e in sub.events]
+        built = build_computation(local, epsilon)
+        assert built.events == tuple(local)
+        assert (sub.processes, sub.streams) == (built.processes, built.streams)
+
     @settings(max_examples=400, deadline=None)
     @given(logs())
     def test_cycle_error_names_an_event_on_a_cycle(self, log):

@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,20 +142,66 @@ def _one_node_of_each_class():
 
 class TestHash:
     def test_every_node_class_takes_the_base_hash(self):
-        """A node class that generated its own `__hash__` would rehash
-        its whole subtree on every call."""
+        """Interning makes equality identity, so no node class, and no
+        state, may define its own `__hash__` or `__eq__`."""
         classes = list(_subclasses(Formula))
         assert classes
-        for cls in classes:
-            assert cls.__hash__ is Formula.__hash__, cls.__name__
+        for cls in [Formula, State] + classes:
+            assert "__hash__" not in vars(cls) and "__eq__" not in vars(cls), cls.__name__
+            assert cls.__hash__ is object.__hash__ and cls.__eq__ is object.__eq__
 
     def test_equal_nodes_built_apart_hash_equal(self):
         built = _one_node_of_each_class()
         concrete = {cls for cls in _subclasses(Formula) if cls.__subclasses__() == []}
         assert {type(f) for f in built} == concrete
         for a, b in zip(built, _one_node_of_each_class()):
-            assert a is not b and a == b and hash(a) == hash(b), a
-        assert hash(And(Atom("p"), Atom("q"))) != hash(Or(Atom("p"), Atom("q")))
+            assert a is b, a
+        assert SumAtom("B", "A") is SumAtom("B", "A", 0) is SumAtom("B", "A", offset=0)
+        assert And(Atom("p"), Atom("q")) is not Or(Atom("p"), Atom("q"))
+
+
+class TestInterning:
+    """A class call returns the one live object of its value."""
+
+    def test_threads_build_one_object_per_value(self):
+        """4 threads with a 1 us switch interval build the same new
+        formulas and states at once: each value is one object."""
+        def build(out, order):
+            for i in range(300):
+                a = Atom(f"interning_{i}")
+                iv = Interval(i % 7, i % 7 + 3)
+                out.append(mk_and(Until(a, iv, Not(a)), Eventually(iv, Atom("q")), a))
+                items = [(f"to_{i}", i), (f"from_{i}", 1)]
+                out.append(State(frozenset({f"interning_{i}"}), dict(items[::order])))
+
+        outs = [[] for _ in range(4)]
+        threads = [
+            threading.Thread(target=build, args=(out, 1 - 2 * (n % 2)))
+            for n, out in enumerate(outs)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(outs[0]) == 600
+        for objs in zip(*outs):
+            assert all(x is objs[0] for x in objs), objs[0]
+
+    @pytest.mark.parametrize("copy_of", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+    ])
+    def test_copies_are_the_interned_object(self, copy_of):
+        states = [State(), State(frozenset({"p"}), {"to_B": 3, "from_A": 1})]
+        for x in _one_node_of_each_class() + states:
+            assert copy_of(x) is x, x
+        nested = [Globally(Interval(0, 4), Atom("p")), states[1]]
+        assert all(a is b for a, b in zip(copy_of(nested), nested))
 
 
 intervals = st.builds(

@@ -1,9 +1,13 @@
 import contextlib
+import gc
 import importlib.resources
 import io
 import json
 import os
 import random
+import re
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -11,7 +15,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtlmon import casegen, cli, pipeline, progression, smt
+from mtlmon import casegen, cli, formula, pipeline, progression, smt
 from mtlmon.casegen import gen_random_computation
 from mtlmon.cli import event_to_json, main as cli_main, write_jsonl
 from mtlmon.computation import Event, build_computation
@@ -515,8 +519,7 @@ class TestCutWalk:
     def test_memo_keys_hash_by_structure(self):
         a = State(frozenset({"p"}), {"to_B": 3, "from_A": 1})
         b = State(frozenset({"p"}), {"from_A": 1, "to_B": 3})
-        assert list(a.variables) != list(b.variables)
-        assert a == b and hash(a) == hash(b)
+        assert a is b
         parsed = parse_spec("G[0,40) (p -> F[0,12) q) & !(sum(to:B) >= sum(from:A) + 2)")
         built = mk_and(
             mk_globally(
@@ -525,8 +528,7 @@ class TestCutWalk:
             ),
             mk_not(SumAtom("B", "A", 2)),
         )
-        assert parsed is not built
-        assert parsed == built and hash(parsed) == hash(built)
+        assert parsed is built
         assert {(a, parsed, 3): 1}[(b, built, 3)] == 1
 
     def test_memo_keys_are_immutable(self):
@@ -539,7 +541,6 @@ class TestCutWalk:
         totals["to_B"] = 9  # the state holds its own copy
         assert st_.variables == {"to_B": 3, "from_A": 1}
         assert st_ == State(frozenset({"p"}), {"from_A": 1, "to_B": 3})
-        assert hash(st_) == hash((frozenset({"p"}), (("from_A", 1), ("to_B", 3))))
         assert event_to_json(Event("P1", 4, st_)) == {
             "proc": "P1", "ts": 4, "kind": "local", "msg": None,
             "props": ["p"], "vars": {"from_A": 1, "to_B": 3},
@@ -617,8 +618,8 @@ def _count_steps(monkeypatch) -> list:
 
 def _cold_memo():
     """Empty the process-wide memos, as in a fresh process."""
-    for table in (progression._rewrites, progression._frontiers, progression._terms):
-        table.clear()
+    progression._rewrites.clear()
+    progression._frontiers.clear()
 
 
 def _shifted(events, shift: int) -> list:
@@ -678,20 +679,27 @@ class TestProcessCaches:
         kept = _untimed(monitor(list(comp.events), phi, cfg).to_json())
         assert 1 < len(progression._rewrites) <= progression.REWRITE_LIMIT
         assert 1 < len(progression._frontiers) <= progression.REWRITE_LIMIT
-        # equal rewrites and frontier states are kept as one object each
-        for part in (
-            (st for st, _, _ in progression._rewrites),
-            progression._rewrites.values(),
-            progression._frontiers.values(),
-        ):
-            objs = list(part)
-            assert len({id(x) for x in objs}) == len(set(objs))
         monkeypatch.setattr(progression, "REWRITE_LIMIT", 1)
         progression._rewrites.clear()
         dropped = _untimed(monitor(list(comp.events), phi, cfg).to_json())
-        assert progression._rewrites == {} and progression._terms == {}
-        assert progression._frontiers == {}
+        assert progression._rewrites == {} and progression._frontiers == {}
         assert dropped == kept
+
+    def test_dropped_memo_frees_its_interned_objects(self):
+        """The intern table holds its objects weakly: once the memos are
+        dropped, the formulas and states only they kept alive leave it."""
+        comp = gen_random_computation(2, processes=2, events=12, epsilon=2, max_gap=6)
+        phi = parse_spec("G[0,40) (p -> F[0,12) q)")
+        cfg = MonitorConfig(epsilon=2, segments=3)
+        monitor(list(comp.events), phi, cfg)
+        _cold_memo()
+        gc.collect()
+        before = len(formula._live)
+        monitor(list(comp.events), phi, cfg)
+        assert len(formula._live) > before
+        _cold_memo()
+        gc.collect()
+        assert len(formula._live) <= before
 
     def test_each_payload_tuple_is_merged_once_per_process(self, monkeypatch):
         """The long-log recipe at its quick size (80 events, 3 processes,
@@ -718,7 +726,7 @@ class TestWalkCost:
     eps 4 from a cold memo. They do not depend on the machine, so they can
     gate the walk's cost; a change that raises one says why."""
 
-    STEPS = 24135  # outermost `progression.step` calls: rewrite memo misses
+    STEPS = 1380  # outermost `progression.step` calls: rewrite memo misses
     ADVANCES = 47639  # `progression.advance` calls from the walk
     MERGES = 20  # frontier merges: distinct tuples of latest payloads
 
@@ -740,6 +748,57 @@ class TestWalkCost:
         assert len(steps) <= self.STEPS
         assert len(advances) <= self.ADVANCES
         assert len(merges) <= self.MERGES
+
+
+# a CLI run in a fresh interpreter that first allocates argv[1] throwaway
+# formulas and states, which moves the addresses of those the run builds
+_SHIFTED_RUN = """
+import sys
+from mtlmon.cli import main
+from mtlmon.formula import Atom, Not
+from mtlmon.semantics import State
+n = int(sys.argv[1])
+junk = [Not(Atom(f"junk{i}")) for i in range(n)] + [State({f"junk{i}"}) for i in range(n)]
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestDeterminism:
+    """Formulas and states hash by address, so no report may depend on
+    where its objects land in memory."""
+
+    @pytest.mark.parametrize("engine", ["enumerate", "smt"])
+    def test_reports_do_not_depend_on_addresses(self, tmp_path, engine):
+        """The criterion-8 log at eps 2 in 4 segments, several branches a
+        segment, in 3 fresh interpreters that first allocate 0, 1,000 and
+        7,777 throwaway nodes: stdout without the wall times is the same
+        byte for byte."""
+        comp = gen_random_computation(2024, processes=2, events=20, epsilon=2, max_gap=6)
+        trace, spec = tmp_path / "log.jsonl", tmp_path / "spec.mtl"
+        write_jsonl(comp.events, str(trace))
+        spec.write_text("G[0,40) (p -> F[0,12) q)\n")
+        argv = ["monitor", "--trace", str(trace), "--spec", str(spec), "--epsilon", "2",
+                "--segments", "4", "--engine", engine, "--format", "json"]
+        if engine == "smt":
+            argv += ["--solver-cmd", CMD]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        procs = [
+            subprocess.Popen([sys.executable, "-c", _SHIFTED_RUN, str(junk), *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for junk in (0, 1000, 7777)
+        ]
+        try:
+            results = [proc.communicate(timeout=120) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait()
+        outs = []
+        for proc, (out, err) in zip(procs, results):
+            assert proc.returncode in (0, 1), err
+            outs.append(re.sub(rb'"ms": [^,\n}]+', b'"ms": 0', out))
+        assert outs[0] == outs[1] == outs[2]
+        assert max(len(seg["branches"]) for seg in json.loads(outs[0])["segments"]) > 1
 
 
 class TestCli:

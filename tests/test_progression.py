@@ -14,12 +14,14 @@ from mtlmon.formula import (
     Not,
     Or,
     SumAtom,
+    mk_and,
+    mk_or,
     shift_anchored,
     simplify,
 )
 from mtlmon.oracle import TimedTrace, progress
 from mtlmon.parser import parse_spec
-from mtlmon.progression import advance, shared, step
+from mtlmon.progression import advance, step
 from mtlmon.semantics import State, Verdict, finalize
 from reference import eval_finite, trace_of
 from support import ATOMS, random_formula, random_trace
@@ -235,10 +237,28 @@ class TestAdvance:
             shift_anchored(f, gap) if s_ is None else step(s_, f, gap) for s_, gap in keys
         ]
         progression._rewrites.clear()
-        progression._terms.clear()
-        keys = [(s_ if s_ is None else shared(s_), gap) for s_, gap in keys]
         cold = [advance(s_, f, gap) for s_, gap in keys]
         assert cold == expected
         warm = [advance(s_, f, gap) for s_, gap in keys]
         assert warm == expected
         assert all(w is c for w, c in zip(warm, cold))
+
+    def test_steps_each_operand_of_a_junction_once(self, monkeypatch):
+        """A junction over a state is stepped operand by operand through
+        the memo: each operand's key is entered, and an operand two
+        junctions share is stepped once."""
+        p, later = Atom("p"), Eventually(Interval(2, 5), Atom("q"))
+        f = mk_and(Globally(Interval(0, 9), p), later)
+        g = mk_or(later, Atom("r"))
+        s_ = State(frozenset({"p", "r"}))
+        expected = [step(s_, f, 2), step(s_, g, 2)]
+        stepped = []
+        real_step = progression.step
+        monkeypatch.setattr(progression, "step",
+                            lambda st_, h, gap: stepped.append(h) or real_step(st_, h, gap))
+        progression._rewrites.clear()
+        assert [advance(s_, f, 2), advance(s_, g, 2)] == expected
+        assert f not in stepped and g not in stepped
+        assert stepped.count(later) == 1
+        for h in f.args + g.args:
+            assert progression._rewrites[(s_, h, 2)] == advance(s_, h, 2)
