@@ -10,12 +10,13 @@ and carries a bitmask of the branches that reach it, so linearizations,
 and branches, that reach the same state share the rest of the work. A
 layer is keyed by cut, then last time, so each cut's frontier state (one
 `progression.frontier` lookup) and its enabled events are found once per
-segment; each of its times is expanded once, and each pending formula is
-stepped once per gap, however many enabled events land at the same time.
+segment; each of its times is expanded once, and its pending set is
+stepped once per gap, in one call, however many enabled events land at
+the same time.
 Each branch's outcome set, the states whose mask holds its bit, equals
 the rewrite over every admissible linearization, and the state budget
 counts each branch's own states. Each one-state rewrite, and each
-first-layer shift of a branch's anchored windows, is
+first-layer shift of a branch's anchored windows, goes through
 `progression.advance`, the memoized rewrite both engines share;
 `monitor` runs `progression.evict` when it returns. The input formula is
 normalized once per distinct formula. The floor carries the previous
@@ -57,7 +58,7 @@ from . import smt as smt_backend
 from .computation import Computation, Event, build_computation, time_window
 from .errors import BudgetExceeded, InputError, UsageError
 from .formula import Formula, simplify
-from .progression import advance, evict, frontier
+from .progression import advance, advance_all, evict, frontier
 
 # perfbench/spans.py wraps these three names on this module to count
 # linearizations, progress calls and shifts; the cut walk calls none.
@@ -432,9 +433,12 @@ def _walk_cuts(
     mask holds its bit; the masks are counted per branch only once the
     states of all branches together pass the budget.
 
-    Every formula is normalized. Each step and each first-layer shift is
-    `progression.advance`, and each frontier state `progression.frontier`;
-    both memos are described there.
+    Every formula is normalized. Each first-layer shift is
+    `progression.advance`; each (cut, time, gap) steps its whole pending
+    set in one `progression.advance_all` call, as does each (cut, time) of
+    the last layer with gap 0, and a successor reached first takes a copy
+    of the stepped set. Each frontier state is `progression.frontier`; the
+    memos are described there.
     """
     procs = sub.processes
     windows = [time_window(e, sub.epsilon) for e in sub.events]
@@ -496,12 +500,19 @@ def _walk_cuts(
     # layer k maps each cut of k events to {last time: {pending formula: mask}}
     layer: Dict[Tuple[int, ...], Dict[int, Dict[Formula, int]]] = {}
     hi, first = moves((0,) * len(procs))
-    for b, (phi, floor) in enumerate(branches):
-        for nxt, lo in first:
+    for nxt, lo in first:
+        at: Dict[int, Dict[Formula, int]] = {}
+        for b, (phi, floor) in enumerate(branches):
+            bit = 1 << b
             for t in range(lo if floor is None else max(floor, lo), hi + 1):
                 f = advance(None, phi, 0 if floor is None else t - floor)
-                fs = layer.setdefault(nxt, {}).setdefault(t, {})
-                fs[f] = fs.get(f, 0) | 1 << b
+                fs = at.get(t)
+                if fs is None:
+                    at[t] = {f: bit}
+                else:
+                    fs[f] = fs.get(f, 0) | bit
+        if at:
+            layer[nxt] = at
     count(layer)
     for _ in range(1, len(sub.events)):
         nxt_layer: Dict[Tuple[int, ...], Dict[int, Dict[Formula, int]]] = {}
@@ -509,25 +520,25 @@ def _walk_cuts(
             st = frontier_at(cut)
             hi, enabled = moves(cut)
             for t, fs in at.items():
-                stepped: Dict[int, Dict[Formula, int]] = {}  # gap -> {rewrite: mask}
+                stepped: Dict[int, Dict[Formula, int]] = {}  # next time -> {rewrite: mask}
                 for nxt, lo in enabled:
                     for t2 in range(max(t, lo), hi + 1):
-                        out = stepped.get(t2 - t)
+                        out = stepped.get(t2)
                         if out is None:
-                            out = stepped[t2 - t] = {}
-                            for f, m in fs.items():
-                                g = advance(st, f, t2 - t)
-                                out[g] = out.get(g, 0) | m
-                        succ = nxt_layer.setdefault(nxt, {}).setdefault(t2, {})
-                        for g, m in out.items():
-                            succ[g] = succ.get(g, 0) | m
+                            out = stepped[t2] = advance_all(st, fs, t2 - t)
+                        at2 = nxt_layer.setdefault(nxt, {})
+                        succ = at2.get(t2)
+                        if succ is None:
+                            at2[t2] = out.copy()
+                        else:
+                            for g, m in out.items():
+                                succ[g] = succ.get(g, 0) | m
         layer = nxt_layer
         count(layer)
     final: Dict[Tuple[Formula, int], int] = {}  # (residual, last time) -> mask
     for cut, at in layer.items():
         st = frontier_at(cut)
         for t, fs in at.items():
-            for f, m in fs.items():
-                key = (advance(st, f, 0), t)
-                final[key] = final.get(key, 0) | m
+            for g, m in advance_all(st, fs, 0).items():
+                final[g, t] = final.get((g, t), 0) | m
     return [{o for o, m in final.items() if m >> b & 1} for b in range(len(branches))]

@@ -27,10 +27,14 @@ normalized input gives a normalized output, and `step` never normalizes.
 `shift_anchored(f, gap)` when state is None, through one memo per process
 keyed by (state, formula, gap), so every branch, segment, engine and later
 call that meets a key reads one result; a junction over a state is
-stepped operand by operand through it (Roşu & Havelund 2005). Keys are
+stepped operand by operand through it (Roşu & Havelund 2005), and the
+junction of the stepped operands is built once per distinct operand
+tuple. `advance_all(state, pending, gap)` steps a whole pending set
+{formula: mask} over one state and gap in one call, reading the same memo
+inline; the cut walk makes one such call per (cut, time, gap). Keys are
 interned (see `formula`). `frontier` memoizes the state at a cut the same
 way, keyed by its processes' latest payloads. `pipeline.monitor` runs
-`evict` at the end of each call, which drops both memos whole, and the
+`evict` at the end of each call, which drops the memos whole, and the
 interned objects only they kept alive, once one holds more than
 REWRITE_LIMIT entries, so within one call each key is computed once.
 """
@@ -73,19 +77,42 @@ REWRITE_LIMIT = 1 << 14
 # (state, formula, gap) -> advance(state, formula, gap)
 _rewrites: Dict[Tuple[Optional[State], Formula, int], Formula] = {}
 _frontiers: Dict[Tuple[State, ...], State] = {}  # latest payloads -> frontier(...)
+# (And or Or, *stepped operands) -> their junction; an entry is only made
+# with a junction's entry in `_rewrites`, so it never holds more, and
+# `evict` need not read its size
+_junctions: Dict[Tuple[type, ...], Formula] = {}
 
 
 def advance(state: Optional[State], f: Formula, gap: int) -> Formula:
     """The normalized f stepped over state, `gap` time units before the
-    next state, or shifted by gap when state is None; memoized."""
+    next state, or shifted by gap when state is None; memoized. A junction
+    over a state is the junction of its stepped operands, built once per
+    distinct operand tuple."""
     key = (state, f, gap)
     out = _rewrites.get(key)
     if out is None:
         if state is not None and isinstance(f, (And, Or)):
-            out = mk_junction(type(f), [advance(state, g, gap) for g in f.args])
+            ops = (type(f), *[advance(state, g, gap) for g in f.args])
+            out = _junctions.get(ops)
+            if out is None:
+                out = _junctions[ops] = mk_junction(ops[0], ops[1:])
         else:
             out = shift_anchored(f, gap) if state is None else step(state, f, gap)
         _rewrites[key] = out
+    return out
+
+
+def advance_all(state: State, pending: Dict[Formula, int], gap: int) -> Dict[Formula, int]:
+    """`advance` of each formula of a pending set {formula: mask} over one
+    state and gap: {residual: OR of the masks of the formulas that step to
+    it}, in the order each residual is first reached."""
+    out: Dict[Formula, int] = {}
+    get = _rewrites.get
+    for f, m in pending.items():
+        g = get((state, f, gap))
+        if g is None:
+            g = advance(state, f, gap)
+        out[g] = out.get(g, 0) | m
     return out
 
 
@@ -103,6 +130,7 @@ def evict() -> None:
     if max(len(_rewrites), len(_frontiers)) > REWRITE_LIMIT:
         _rewrites.clear()
         _frontiers.clear()
+        _junctions.clear()
 
 
 def step(state: State, f: Formula, elapsed: int) -> Formula:

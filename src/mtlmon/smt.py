@@ -716,39 +716,24 @@ def run_solver(text: str, session: SolverSession, timeout: float = DEFAULT_TIMEO
     return f"sat\n{model.decode(errors='replace').strip()}\n"
 
 
+# one `(define-fun name () Sort value)` of a (get-model) reply, value
+# true, false, a numeral or (- numeral): groups name, word, negated digits
+_DEFINE = re.compile(r"\(\s*define-fun\s+([^\s()]+)\s*\(\s*\)\s*[^\s()]+\s+"
+                     r"(?:(true|false|\d+)|\(\s*-\s*(\d+)\s*\))\s*\)")
+# a whole reply (SMT-LIB 2.6): the define-funs in parentheses, `model` head optional
+_MODEL = re.compile(rf"\s*\(\s*(?:model\b\s*)?(?:{_DEFINE.pattern}\s*)*\)\s*")
+_WORDS = {"true": 1, "false": 0}
+
+
 def _parse_model(text: str) -> Dict[str, int]:
-    from .refsolver import Unsupported, parse_sexprs, tokenize  # reuse the reader
-
-    try:
-        forms = parse_sexprs(tokenize(text))
-    except Unsupported as exc:
-        raise ModelDecodeError(f"unreadable model: {exc}") from None
-    model: Dict[str, int] = {}
-
-    def visit(form):
-        if not isinstance(form, tuple):
-            return
-        if form and form[0] == "define-fun" and len(form) >= 5:
-            name, _args, _sort, value = form[1], form[2], form[3], form[4]
-            if value == "true":
-                model[name] = 1
-            elif value == "false":
-                model[name] = 0
-            else:
-                try:
-                    if isinstance(value, tuple) and value[0] == "-":
-                        model[name] = -int(value[1])
-                    else:
-                        model[name] = int(value)
-                except (ValueError, TypeError, IndexError):
-                    raise ModelDecodeError(f"unparsable value for {name}: {value!r}")
-        else:
-            for sub in form:
-                visit(sub)
-
-    for form in forms:
-        visit(form)
-    return model
+    """The values of a (get-model) reply, bools as 0/1; ModelDecodeError
+    for anything else."""
+    if _MODEL.fullmatch(text) is None:
+        raise ModelDecodeError(f"unreadable model: {text[:80]!r}")
+    return {
+        name: _WORDS[word] if word in _WORDS else int(word) if word else -int(neg)
+        for name, word, neg in _DEFINE.findall(text)
+    }
 
 
 def solve(

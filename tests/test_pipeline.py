@@ -620,6 +620,7 @@ def _cold_memo():
     """Empty the process-wide memos, as in a fresh process."""
     progression._rewrites.clear()
     progression._frontiers.clear()
+    progression._junctions.clear()
 
 
 def _shifted(events, shift: int) -> list:
@@ -683,6 +684,7 @@ class TestProcessCaches:
         progression._rewrites.clear()
         dropped = _untimed(monitor(list(comp.events), phi, cfg).to_json())
         assert progression._rewrites == {} and progression._frontiers == {}
+        assert progression._junctions == {}
         assert dropped == kept
 
     def test_dropped_memo_frees_its_interned_objects(self):
@@ -722,32 +724,62 @@ class TestProcessCaches:
 
 
 class TestWalkCost:
-    """Counts of the enumerate engine's work on the criterion-8 log at
-    eps 4 from a cold memo. They do not depend on the machine, so they can
-    gate the walk's cost; a change that raises one says why."""
+    """Counts of the enumerate engine's work on the criterion-8 log from a
+    cold memo. They do not depend on the machine, so they can gate the
+    walk's cost; a change that raises one says why."""
 
     STEPS = 1380  # outermost `progression.step` calls: rewrite memo misses
-    ADVANCES = 47639  # `progression.advance` calls from the walk
+    # pending formulas the walk steps: first-layer `advance` calls plus the
+    # sizes of the sets it passes to `advance_all`
+    ADVANCES = 47639
+    CALLS = 2771  # the walk's calls of `advance` and `advance_all`
     MERGES = 20  # frontier merges: distinct tuples of latest payloads
+    JUNCTIONS = 15321  # at eps 6: distinct (connective, stepped operands)
 
-    def test_walk_stays_within_its_counts(self, monkeypatch):
-        comp = gen_random_computation(2024, processes=2, events=20, epsilon=4, max_gap=6)
+    @staticmethod
+    def _run(epsilon: int):
+        comp = gen_random_computation(2024, processes=2, events=20, epsilon=epsilon, max_gap=6)
         phi = parse_spec("G[0,40) (p -> F[0,12) q)")
         cfg = MonitorConfig(
-            epsilon=4, segments=4, branch_cap=512, max_verdicts_per_segment=512
+            epsilon=epsilon, segments=4, branch_cap=512, max_verdicts_per_segment=512
         )
-        steps = _count_steps(monkeypatch)
-        advances, merges = [], []
-        advance, merge = pipeline.advance, progression.merge_frontier
-        monkeypatch.setattr(pipeline, "advance",
-                            lambda *key: advances.append(key) or advance(*key))
-        monkeypatch.setattr(progression, "merge_frontier",
-                            lambda latest: merges.append(latest) or merge(latest))
         _cold_memo()
         monitor(list(comp.events), phi, cfg)
+
+    def test_walk_stays_within_its_counts(self, monkeypatch):
+        """At eps 4."""
+        steps = _count_steps(monkeypatch)
+        sizes, merges = [], []  # the formulas each walk call steps
+        advance, advance_all = pipeline.advance, pipeline.advance_all
+        merge = progression.merge_frontier
+        monkeypatch.setattr(pipeline, "advance",
+                            lambda *key: sizes.append(1) or advance(*key))
+        monkeypatch.setattr(pipeline, "advance_all",
+                            lambda st, fs, gap: sizes.append(len(fs)) or advance_all(st, fs, gap))
+        monkeypatch.setattr(progression, "merge_frontier",
+                            lambda latest: merges.append(latest) or merge(latest))
+        self._run(4)
         assert len(steps) <= self.STEPS
-        assert len(advances) <= self.ADVANCES
+        assert sum(sizes) == self.ADVANCES
+        assert len(sizes) <= self.CALLS
         assert len(merges) <= self.MERGES
+
+    def test_each_stepped_junction_is_built_once(self, monkeypatch):
+        """At eps 6, the junctions `advance` rebuilds from stepped operands
+        are one per distinct operand tuple, and eviction empties their
+        table."""
+        built = []
+        real = progression.mk_junction
+
+        def counted(cls, fs):
+            if sys._getframe(1).f_code.co_name == "advance":
+                built.append((cls, *fs))
+            return real(cls, fs)
+
+        monkeypatch.setattr(progression, "mk_junction", counted)
+        self._run(6)
+        assert len(built) == len(set(built)) <= self.JUNCTIONS
+        assert progression._rewrites == {} and progression._junctions == {}
 
 
 # a CLI run in a fresh interpreter that first allocates argv[1] throwaway

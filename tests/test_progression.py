@@ -21,7 +21,7 @@ from mtlmon.formula import (
 )
 from mtlmon.oracle import TimedTrace, progress
 from mtlmon.parser import parse_spec
-from mtlmon.progression import advance, step
+from mtlmon.progression import advance, advance_all, step
 from mtlmon.semantics import State, Verdict, finalize
 from reference import eval_finite, trace_of
 from support import ATOMS, random_formula, random_trace
@@ -262,3 +262,35 @@ class TestAdvance:
         assert stepped.count(later) == 1
         for h in f.args + g.args:
             assert progression._rewrites[(s_, h, 2)] == advance(s_, h, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 12))
+    def test_stepping_a_set_folds_advance(self, seed, gap):
+        """`advance_all` of a pending set, on a cold and on a warm memo,
+        equals `advance` of each formula with the masks of the formulas
+        that step to one residual OR-ed, in the order the residuals are
+        first reached."""
+        rng = random.Random(seed)
+        fs = {simplify(random_formula(rng, rng.randrange(0, 3))): 1 << b for b in range(6)}
+        s_ = State(frozenset(a for a in ATOMS if rng.random() < 0.5))
+        progression._rewrites.clear()
+        expected = {}
+        for f, m in fs.items():
+            g = advance(s_, f, gap)
+            expected[g] = expected.get(g, 0) | m
+        progression._rewrites.clear()
+        for _ in range(2):
+            out = advance_all(s_, fs, gap)
+            assert list(out.items()) == list(expected.items())
+
+    def test_formulas_stepping_to_one_residual_share_it(self):
+        """Two formulas that step to one residual over a state leave one
+        entry whose mask ORs both of theirs."""
+        p, q = Atom("p"), Atom("q")
+        later = Eventually(Interval(0, 3), q)
+        f, g = mk_or(p, later), mk_and(Not(q), later)  # both step to F[0,1) q
+        s_ = State(frozenset())
+        progression._rewrites.clear()
+        out = advance_all(s_, {f: 0b01, g: 0b10, p: 0b100}, 2)
+        assert out == {Eventually(Interval(0, 1), q): 0b11, FALSE: 0b100}
+

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import random
@@ -5,11 +6,13 @@ import shlex
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from mtlmon import refsolver, smt
 from mtlmon.casegen import gen_random_computation
+from mtlmon.cli import main as cli_main, write_jsonl
 from mtlmon.computation import Event, build_computation
 from mtlmon.formula import FALSE, TRUE, max_nesting, shift_anchored
 from mtlmon.oracle import TimedTrace, enumerate_linearizations, progress
@@ -273,6 +276,73 @@ class TestSolve:
             fig3_computation(), parse_spec("a U[0,6) b"), 16, bundled_solver_command()
         )
         assert {finalize(h) for h, _ in en.branches} == {Verdict.TOP, Verdict.BOTTOM}
+
+
+class TestModelReader:
+    """`smt._parse_model` reads a (get-model) reply in the layouts SMT-LIB
+    2.6 allows, and nothing else."""
+
+    def test_a_define_fun_over_several_lines(self):
+        text = "(model\n  (define-fun rho_1_0\n    ()\n    Bool\n    true)\n  (define-fun tau_1 () Int\n    7)\n)"
+        assert smt._parse_model(text) == {"rho_1_0": 1, "tau_1": 7}
+
+    def test_a_negative_numeral(self):
+        text = "(model (define-fun d () Int (- 3)) (define-fun e () Int ( -  12 )))"
+        assert smt._parse_model(text) == {"d": -3, "e": -12}
+
+    def test_no_model_head(self):
+        text = "(\n(define-fun a () Bool false)\n(define-fun b () Int 0)\n)"
+        assert smt._parse_model(text) == {"a": 0, "b": 0}
+
+    def test_the_bundled_solvers_models(self):
+        """The first model the bundled solver prints for each of the first
+        cases of the criterion-4 recipe reads as the values it holds."""
+        for c, f in criterion_4_cases(8):
+            executor = refsolver.Executor()
+            text = encode(c, f).text + smt.QUERY_END
+            *_, status, model = [executor.execute(form)
+                                 for form in refsolver.parse_sexprs(refsolver.tokenize(text))]
+            assert status == "sat"
+            assert smt._parse_model(model) == {
+                name: int(value) for name, value in executor.model.items()
+            }
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "(model (define-fun a () Bool maybe))",
+        "(model (define-fun a () Bool true)",
+        "(model (define-fun a () Bool true)) (define-fun b () Bool true)",
+        "(model (define-fun f ((x Int)) Int x))",
+        "(models (define-fun a () Bool true))",
+        "(model (define-fun a () Int (- x)))",
+        "(error \"model is not available\")",
+    ])
+    def test_anything_else_is_a_decode_error(self, text):
+        with pytest.raises(ModelDecodeError):
+            smt._parse_model(text)
+
+    def test_smt_does_not_import_the_bundled_solver(self):
+        """The bundled solver runs in its own process; the engine reads its
+        replies without its reader."""
+        tree = ast.parse(Path(smt.__file__).read_text(encoding="utf-8"))
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        imported |= {n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        assert not any("refsolver" in name for name in imported)
+
+    def test_a_malformed_reply_exits_69(self, tmp_path, capsys, spawned):
+        """Through the CLI a reply the reader cannot place is a solver
+        error: one line, exit 69, and the solver is stopped."""
+        trace, spec = tmp_path / "log.jsonl", tmp_path / "spec.mtl"
+        write_jsonl(fig3_computation().events, str(trace))
+        spec.write_text("a U[0,6) b\n")
+        fake = "sh -c \"printf 'sat\\n(model (define-fun rho_1_0 () Bool yes))\\n'; exec sleep 30\""
+        code = cli_main(["monitor", "--trace", str(trace), "--spec", str(spec),
+                         "--epsilon", "2", "--engine", "smt", "--solver-cmd", fake])
+        err = capsys.readouterr().err
+        assert code == 69
+        assert err.startswith("mtlmon: solver error: unreadable model") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert len(spawned) == 1 and spawned[0].poll() is not None
 
 
 class TestSessionLifetime:
