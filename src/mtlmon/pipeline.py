@@ -15,10 +15,10 @@ stepped once per gap, in one call, however many enabled events land at
 the same time.
 Each branch's outcome set, the states whose mask holds its bit, equals
 the rewrite over every admissible linearization, and the state budget
-counts each branch's own states. Each one-state rewrite, and each
-first-layer shift of a branch's anchored windows, goes through
-`progression.advance`, the memoized rewrite both engines share;
-`monitor` runs `progression.evict` when it returns. The input formula is
+counts each branch's own states. Each one-state rewrite, and each shift
+of a branch's anchored windows out of the empty cut, reads the memo of
+`progression.advance`, the rewrite both engines share; `monitor` runs
+`progression.evict` when it returns. The input formula is
 normalized once per distinct formula. The floor carries the previous
 segment's last timestamp so times never decrease across the boundary, and any
 event-free gap between the floor and a segment's first time shifts the
@@ -58,7 +58,7 @@ from . import smt as smt_backend
 from .computation import Computation, Event, build_computation, time_window
 from .errors import BudgetExceeded, InputError, UsageError
 from .formula import Formula, simplify
-from .progression import advance, advance_all, evict, frontier
+from .progression import advance_all, evict, frontier
 
 # perfbench/spans.py wraps these three names on this module to count
 # linearizations, progress calls and shifts; the cut walk calls none.
@@ -325,9 +325,7 @@ def monitor(events: Sequence[Event], f: Formula, cfg: MonitorConfig) -> MonitorR
             t0 = _time.perf_counter()
             if consumed:
                 sub = comp.restrict(consumed)
-                ordered = sorted(
-                    branches, key=lambda b: (str(b[0]), b[1] if b[1] is not None else -1)
-                )
+                ordered = sorted(branches, key=_branch_key)
                 live = []
                 for ordinal, (phi, floor) in enumerate(ordered):
                     verdict = formula_verdict(phi)
@@ -339,7 +337,7 @@ def monitor(events: Sequence[Event], f: Formula, cfg: MonitorConfig) -> MonitorR
                 truncated = truncated or not all(complete for _, complete in results)
                 branches = {pair: None for pairs, _ in results for pair in pairs}
                 if len(branches) > cfg.branch_cap:
-                    keep = sorted(branches, key=lambda b: (str(b[0]), b[1]))[: cfg.branch_cap]
+                    keep = sorted(branches, key=_branch_key)[: cfg.branch_cap]
                     branches = {b: None for b in keep}
                     truncated = True
                 carry.update(_segment_carry(sub))
@@ -352,6 +350,12 @@ def monitor(events: Sequence[Event], f: Formula, cfg: MonitorConfig) -> MonitorR
 
     final = frozen | {finalize(phi) for phi, _floor in branches}
     return MonitorReport(final, seg_reports, truncated)
+
+
+def _branch_key(b: Tuple[Formula, Optional[int]]) -> Tuple[str, int]:
+    """The order of branches and outcomes (formula, time): by formula text,
+    then time, a missing floor first."""
+    return str(b[0]), -1 if b[1] is None else b[1]
 
 
 @functools.lru_cache(maxsize=NORMAL_CACHE_SIZE)
@@ -397,7 +401,7 @@ def _progress_segment(
         outs = _walk_cuts(sub, [(phi, floor) for _, phi, floor in live], carry)
     return [
         (out, True) if len(out) <= cap
-        else (set(sorted(out, key=lambda p: (str(p[0]), p[1]))[:cap]), False)
+        else (set(sorted(out, key=_branch_key)[:cap]), False)
         for out in outs
     ]
 
@@ -422,23 +426,25 @@ def _walk_cuts(
     The branches share the walk. A layer maps each cut to {last time:
     {pending formula: bitmask of the branches that reach it}}, and where
     states meet their masks are OR-ed; a branch's outcomes are those whose
-    mask holds its bit. Only the first layer depends on a branch: it holds
-    the branch's formula with its anchored windows shifted by the
-    event-free gap from the floor. A cut of k events lies only in layer k,
+    mask holds its bit. Only layer 0, the empty cut, depends on a branch:
+    each branch's formula sits there at its floor as its time, and since
+    no state is visible yet, an edge out of it shifts the formula's
+    anchored windows by the gap from the floor (none without a floor)
+    instead of stepping it. A cut of k events lies only in layer k,
     so its frontier state and its enabled events are found once, then
     each of its times is expanded once, and each pending formula is
     stepped once per gap: every enabled event that lands at the same time
     shares the result. Raises BudgetExceeded when some branch visits more
     than STATE_BUDGET states, counting for each branch the states whose
-    mask holds its bit; the masks are counted per branch only once the
-    states of all branches together pass the budget.
+    mask holds its bit, but not the empty cut; the masks are counted per
+    branch only once the states of all branches together pass the budget.
 
-    Every formula is normalized. Each first-layer shift is
-    `progression.advance`; each (cut, time, gap) steps its whole pending
-    set in one `progression.advance_all` call, as does each (cut, time) of
-    the last layer with gap 0, and a successor reached first takes a copy
-    of the stepped set. Each frontier state is `progression.frontier`; the
-    memos are described there.
+    Every formula is normalized. Each (cut, time, gap) steps, or shifts,
+    its whole pending set in one `progression.advance_all` call, as does
+    each (cut, time) of the full cut, the cut with no enabled event, with
+    gap 0; a successor reached first takes a copy of the stepped set.
+    Each frontier state is `progression.frontier`; the memos are described
+    there.
     """
     procs = sub.processes
     windows = [time_window(e, sub.epsilon) for e in sub.events]
@@ -497,35 +503,31 @@ def _walk_cuts(
             if max(visited) > STATE_BUDGET:
                 raise BudgetExceeded(f"more than {STATE_BUDGET} lattice states")
 
-    # layer k maps each cut of k events to {last time: {pending formula: mask}}
-    layer: Dict[Tuple[int, ...], Dict[int, Dict[Formula, int]]] = {}
-    hi, first = moves((0,) * len(procs))
-    for nxt, lo in first:
-        at: Dict[int, Dict[Formula, int]] = {}
-        for b, (phi, floor) in enumerate(branches):
-            bit = 1 << b
-            for t in range(lo if floor is None else max(floor, lo), hi + 1):
-                f = advance(None, phi, 0 if floor is None else t - floor)
-                fs = at.get(t)
-                if fs is None:
-                    at[t] = {f: bit}
-                else:
-                    fs[f] = fs.get(f, 0) | bit
-        if at:
-            layer[nxt] = at
-    count(layer)
-    for _ in range(1, len(sub.events)):
-        nxt_layer: Dict[Tuple[int, ...], Dict[int, Dict[Formula, int]]] = {}
+    # layer k maps each cut of k events to {last time: {pending formula:
+    # mask}}; at the empty cut a branch's time is its floor, which may be None
+    empty = (0,) * len(procs)
+    layer: Dict[Tuple[int, ...], Dict[Optional[int], Dict[Formula, int]]] = {empty: {}}
+    for b, (phi, floor) in enumerate(branches):
+        fs = layer[empty].setdefault(floor, {})
+        fs[phi] = fs.get(phi, 0) | 1 << b
+    final: Dict[Tuple[Formula, int], int] = {}  # (residual, last time) -> mask
+    while layer:
+        nxt_layer: Dict[Tuple[int, ...], Dict[Optional[int], Dict[Formula, int]]] = {}
         for cut, at in layer.items():
-            st = frontier_at(cut)
+            st = frontier_at(cut) if cut != empty else None
             hi, enabled = moves(cut)
+            if not enabled:  # the full cut
+                for t, fs in at.items():
+                    for g, m in advance_all(st, fs, 0).items():
+                        final[g, t] = final.get((g, t), 0) | m
+                continue
             for t, fs in at.items():
                 stepped: Dict[int, Dict[Formula, int]] = {}  # next time -> {rewrite: mask}
                 for nxt, lo in enabled:
-                    for t2 in range(max(t, lo), hi + 1):
+                    for t2 in range(lo if t is None else max(t, lo), hi + 1):
                         out = stepped.get(t2)
                         if out is None:
-                            out = stepped[t2] = advance_all(st, fs, t2 - t)
+                            out = stepped[t2] = advance_all(st, fs, 0 if t is None else t2 - t)
                         at2 = nxt_layer.setdefault(nxt, {})
                         succ = at2.get(t2)
                         if succ is None:
@@ -535,10 +537,4 @@ def _walk_cuts(
                                 succ[g] = succ.get(g, 0) | m
         layer = nxt_layer
         count(layer)
-    final: Dict[Tuple[Formula, int], int] = {}  # (residual, last time) -> mask
-    for cut, at in layer.items():
-        st = frontier_at(cut)
-        for t, fs in at.items():
-            for g, m in advance_all(st, fs, 0).items():
-                final[g, t] = final.get((g, t), 0) | m
     return [{o for o, m in final.items() if m >> b & 1} for b in range(len(branches))]

@@ -30,8 +30,9 @@ call that meets a key reads one result; a junction over a state is
 stepped operand by operand through it (Roşu & Havelund 2005), and the
 junction of the stepped operands is built once per distinct operand
 tuple. `advance_all(state, pending, gap)` steps a whole pending set
-{formula: mask} over one state and gap in one call, reading the same memo
-inline; the cut walk makes one such call per (cut, time, gap). Keys are
+{formula: mask} over one state and gap, or shifts it when state is None,
+in one call, reading the same memo inline; the cut walk makes one such
+call per (cut, time, gap). Keys are
 interned (see `formula`). `frontier` memoizes the state at a cut the same
 way, keyed by its processes' latest payloads. `pipeline.monitor` runs
 `evict` at the end of each call, which drops the memos whole, and the
@@ -102,10 +103,11 @@ def advance(state: Optional[State], f: Formula, gap: int) -> Formula:
     return out
 
 
-def advance_all(state: State, pending: Dict[Formula, int], gap: int) -> Dict[Formula, int]:
+def advance_all(state: Optional[State], pending: Dict[Formula, int], gap: int) -> Dict[Formula, int]:
     """`advance` of each formula of a pending set {formula: mask} over one
-    state and gap: {residual: OR of the masks of the formulas that step to
-    it}, in the order each residual is first reached."""
+    state and gap, a shift by gap when state is None: {residual: OR of the
+    masks of the formulas that step to it}, in the order each residual is
+    first reached."""
     out: Dict[Formula, int] = {}
     get = _rewrites.get
     for f, m in pending.items():

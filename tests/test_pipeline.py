@@ -579,19 +579,24 @@ class TestCutWalk:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32))
     def test_shared_walk_equals_oracle_per_branch(self, seed):
-        """2-4 branches with distinct formulas and floors, and a carry:
-        each branch's outcome set is the rewrite over every linearization
-        of the segment."""
+        """3-5 branches, and a carry: 2-4 distinct formulas with floors
+        drawn with replacement, so branches may share a time at the empty
+        cut, and one of them once more under another floor. Each branch's
+        outcome set is the rewrite over every linearization of the
+        segment."""
         rng = random.Random(seed)
         sub = bounded_computation(rng, max_events=5, epsilons=(1, 2), lin_cap=150)
         carry = {p: State(frozenset(rng.sample(("p", "q", "r"), 1))) for p in ("P1", "P9")}
         k = rng.randrange(2, 5)
         start = min(e.local_time for e in sub.events)
-        floors = rng.sample([None] + list(range(start + sub.epsilon + 2)), k)
+        floors = [None] + list(range(start + sub.epsilon + 2))
         formulas = set()
         while len(formulas) < k:
             formulas.add(pipeline._normalized(random_formula(rng, 2, constants=False)))
-        branches = list(zip(sorted(formulas, key=str), floors))
+        branches = [(phi, rng.choice(floors)) for phi in sorted(formulas, key=str)]
+        phi, floor = rng.choice(branches)
+        again = (phi, rng.choice([f for f in floors if f != floor]))
+        branches.insert(rng.randrange(k + 1), again)
         outs = pipeline._walk_cuts(sub, branches, carry)
         assert outs == [oracle_pairs(sub, phi, floor, carry) for phi, floor in branches]
 
@@ -729,12 +734,13 @@ class TestWalkCost:
     walk's cost; a change that raises one says why."""
 
     STEPS = 1380  # outermost `progression.step` calls: rewrite memo misses
-    # pending formulas the walk steps: first-layer `advance` calls plus the
-    # sizes of the sets it passes to `advance_all`
-    ADVANCES = 47639
-    CALLS = 2771  # the walk's calls of `advance` and `advance_all`
+    # pending formulas the walk steps or shifts: the sizes of the sets it
+    # passes to `advance_all`
+    ADVANCES = 46754
+    CALLS = 1008  # the walk's calls of `advance_all`
     MERGES = 20  # frontier merges: distinct tuples of latest payloads
     JUNCTIONS = 15321  # at eps 6: distinct (connective, stepped operands)
+    BUDGET = 1470  # the least STATE_BUDGET with which the eps-4 run completes
 
     @staticmethod
     def _run(epsilon: int):
@@ -750,10 +756,8 @@ class TestWalkCost:
         """At eps 4."""
         steps = _count_steps(monkeypatch)
         sizes, merges = [], []  # the formulas each walk call steps
-        advance, advance_all = pipeline.advance, pipeline.advance_all
+        advance_all = pipeline.advance_all
         merge = progression.merge_frontier
-        monkeypatch.setattr(pipeline, "advance",
-                            lambda *key: sizes.append(1) or advance(*key))
         monkeypatch.setattr(pipeline, "advance_all",
                             lambda st, fs, gap: sizes.append(len(fs)) or advance_all(st, fs, gap))
         monkeypatch.setattr(progression, "merge_frontier",
@@ -763,6 +767,16 @@ class TestWalkCost:
         assert sum(sizes) == self.ADVANCES
         assert len(sizes) <= self.CALLS
         assert len(merges) <= self.MERGES
+
+    def test_walk_counts_its_lattice_states(self, monkeypatch):
+        """At eps 4, the run completes with a budget of BUDGET states a
+        branch and segment, and one state fewer is exceeded: the empty cut
+        is not counted, and the full cut is counted once."""
+        monkeypatch.setattr(pipeline, "STATE_BUDGET", self.BUDGET)
+        self._run(4)
+        monkeypatch.setattr(pipeline, "STATE_BUDGET", self.BUDGET - 1)
+        with pytest.raises(BudgetExceeded):
+            self._run(4)
 
     def test_each_stepped_junction_is_built_once(self, monkeypatch):
         """At eps 6, the junctions `advance` rebuilds from stepped operands

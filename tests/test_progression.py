@@ -264,15 +264,15 @@ class TestAdvance:
             assert progression._rewrites[(s_, h, 2)] == advance(s_, h, 2)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2**32), st.integers(0, 12))
-    def test_stepping_a_set_folds_advance(self, seed, gap):
+    @given(st.integers(0, 2**32), st.integers(0, 12), st.booleans())
+    def test_stepping_a_set_folds_advance(self, seed, gap, shift):
         """`advance_all` of a pending set, on a cold and on a warm memo,
         equals `advance` of each formula with the masks of the formulas
         that step to one residual OR-ed, in the order the residuals are
-        first reached."""
+        first reached; so too with state None, a shift."""
         rng = random.Random(seed)
         fs = {simplify(random_formula(rng, rng.randrange(0, 3))): 1 << b for b in range(6)}
-        s_ = State(frozenset(a for a in ATOMS if rng.random() < 0.5))
+        s_ = None if shift else State(frozenset(a for a in ATOMS if rng.random() < 0.5))
         progression._rewrites.clear()
         expected = {}
         for f, m in fs.items():
