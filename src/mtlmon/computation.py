@@ -130,8 +130,12 @@ def build_computation(events: Sequence[Event], epsilon: int) -> Computation:
     event's clock is the componentwise max over its direct predecessors:
     the previous event of its process, the latest event of every other
     process at least epsilon earlier (one bisect per process), and the
-    matching send of a receive, taken in topological (Kahn) order, so the
-    cost is O(n·P·log n). Raises ComputationError for duplicate
+    matching send of a receive, so the cost is O(n·P·log n). The clocks
+    are built in one pass in sorted order, where every direct predecessor
+    comes first except a send that sorts after its own receive: an event
+    that waits on such a send, directly or through another waiting event,
+    is deferred and finished depth-first once the send is done. Raises
+    ComputationError for duplicate
     (process, local_time) pairs, dangling or reused message ids, and
     ordering cycles (a physically impossible log).
     """
@@ -174,47 +178,47 @@ def build_computation(events: Sequence[Event], epsilon: int) -> Computation:
         own.append(len(streams[k]))
         streams[k].append(i)
     times = [[ordered[i].local_time for i in s] for s in streams]
+    send_of = {recvs[m]: si for m, si in sends.items()}
 
-    preds: List[List[int]] = []  # direct predecessors
+    counted: List[Optional[List[int]]] = [None] * n  # clock[i], event i counted too
+    clock: List[Optional[Tuple[int, ...]]] = [None] * n
+    # a deferred event's direct predecessors, while one is unfinished, and
+    # the deferred events that wait on each unfinished event
+    deferred: Dict[int, List[int]] = {}
+    waiting: Dict[int, List[int]] = {}
+    zero = [0] * len(procs)
     for i, e in enumerate(ordered):
         k = cols[i]
-        ps = [streams[k][own[i] - 1]] if own[i] else []
+        ps = [streams[k][own[i] - 1]] if own[i] else []  # direct predecessors
         for q, ts in enumerate(times):
             if q != k:
                 r = bisect_right(ts, e.local_time - epsilon)
                 if r:
                     ps.append(streams[q][r - 1])
-        preds.append(ps)
-    for m, si in sends.items():
-        preds[recvs[m]].append(si)
-
-    succs: List[List[int]] = [[] for _ in range(n)]
-    indegree = [len(ps) for ps in preds]
-    for i, ps in enumerate(preds):
-        for p in ps:
-            succs[p].append(i)
-    clock: List[Optional[Tuple[int, ...]]] = [None] * n
-    counted: List[Optional[List[int]]] = [None] * n  # clock[i], event i counted too
-    ready = [i for i in range(n) if not indegree[i]]
-    while ready:
-        i = ready.pop()
-        rows = [counted[p] for p in preds[i]]
-        vec = list(map(max, *rows)) if len(rows) > 1 else (rows[0][:] if rows else [0] * len(procs))
-        clock[i] = tuple(vec)
-        vec[cols[i]] += 1
-        counted[i] = vec
-        for j in succs[i]:
-            indegree[j] -= 1
-            if not indegree[j]:
-                ready.append(j)
-    if None in clock:
-        # every event Kahn left has an unvisited direct predecessor, so
+        if i in send_of:
+            ps.append(send_of[i])
+        todo = [(i, ps)]
+        while todo:
+            j, ps = todo.pop()
+            rows = [counted[p] for p in ps]
+            if None in rows:  # a send past its receive, or an event waiting on one
+                deferred[j] = ps
+                waiting.setdefault(ps[rows.index(None)], []).append(j)
+                continue
+            vec = list(map(max, *rows)) if len(rows) > 1 else (rows[0] if rows else zero)[:]
+            clock[j] = tuple(vec)
+            vec[cols[j]] += 1
+            counted[j] = vec
+            if j in waiting:
+                todo.extend((w, deferred.pop(w)) for w in waiting.pop(j))
+    if deferred:
+        # every event left waits on an unfinished direct predecessor, so
         # walking back through them must close a cycle
         seen: Set[int] = set()
-        i = clock.index(None)
+        i = min(deferred)
         while i not in seen:
             seen.add(i)
-            i = next(p for p in preds[i] if clock[p] is None)
+            i = next(p for p in deferred[i] if clock[p] is None)
         raise ComputationError(
             f"ordering cycle through {ordered[i]}: log is physically impossible"
         )

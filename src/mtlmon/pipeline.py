@@ -23,10 +23,16 @@ normalized once per distinct formula. The floor carries the previous
 segment's last timestamp so times never decrease across the boundary, and any
 event-free gap between the floor and a segment's first time shifts the
 branch's anchored windows before rewriting. Branches that collapse to a
-constant freeze immediately and join the final verdict set. Per-process
-latest payloads (the carry) seed each segment's frontier merging; they
-depend only on which events earlier segments consumed, not on how they
-interleaved. The smt engine runs one solver enumeration per live branch.
+constant freeze immediately and join the final verdict set. The
+computation is built once; a segment is a range of its event indices,
+which holds one block of each process's stream, and the enumerate
+engine walks those slices directly. Its cuts count from the segment's
+base cut, the count of each process's events before the range, and the
+payloads the processes hold at the base cut seed its frontier merging;
+they depend only on which events earlier segments consumed, not on how
+they interleaved. The smt engine runs one solver enumeration per live
+branch, on the segment restricted out of the computation, with the same
+payloads as its carry.
 
 Segment boundaries come in two flavors:
 
@@ -48,10 +54,10 @@ import json
 import math
 import shlex
 import time as _time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import ge, getitem
+from operator import ge, getitem, sub
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import smt as smt_backend
@@ -314,7 +320,6 @@ def monitor(events: Sequence[Event], f: Formula, cfg: MonitorConfig) -> MonitorR
     frozen: Set[Verdict] = set()
     truncated = False
     seg_reports: List[SegmentReport] = []
-    carry: Dict[str, State] = {}
 
     times = [e.local_time for e in comp.events]  # ascending: events sort by time
     prev_theta = -1
@@ -324,7 +329,6 @@ def monitor(events: Sequence[Event], f: Formula, cfg: MonitorConfig) -> MonitorR
             report = SegmentReport(index, prev_theta + 1, theta, len(consumed))
             t0 = _time.perf_counter()
             if consumed:
-                sub = comp.restrict(consumed)
                 ordered = sorted(branches, key=_branch_key)
                 live = []
                 for ordinal, (phi, floor) in enumerate(ordered):
@@ -333,14 +337,13 @@ def monitor(events: Sequence[Event], f: Formula, cfg: MonitorConfig) -> MonitorR
                         live.append((ordinal, phi, floor))
                     else:
                         frozen.add(verdict)
-                results = _progress_segment(sub, live, carry, cfg, index)
+                results = _progress_segment(comp, consumed, live, cfg, index)
                 truncated = truncated or not all(complete for _, complete in results)
                 branches = {pair: None for pairs, _ in results for pair in pairs}
                 if len(branches) > cfg.branch_cap:
                     keep = sorted(branches, key=_branch_key)[: cfg.branch_cap]
                     branches = {b: None for b in keep}
                     truncated = True
-                carry.update(_segment_carry(sub))
             report.ms = (_time.perf_counter() - t0) * 1000.0
             report.branches = sorted({str(phi) for phi, _ in branches})
             seg_reports.append(report)
@@ -364,41 +367,55 @@ def _normalized(f: Formula) -> Formula:
     return simplify(f)
 
 
-def _segment_carry(sub: Computation) -> Dict[str, State]:
-    """Payload of each process's latest event in the segment."""
-    return {p: sub.events[s[-1]].payload for p, s in zip(sub.processes, sub.streams)}
+def _cut_before(comp: Computation, i: int) -> Tuple[int, ...]:
+    """The cut of the events indexed below i: each process's count of
+    them. Events sort by (time, process), so a segment's range of indices
+    holds one block of each process's stream, from the cut before its
+    first event, its base cut, to the cut before the next segment's."""
+    return tuple(bisect_left(s, i) for s in comp.streams)
+
+
+def _held_at(comp: Computation, cut: Sequence[int]) -> Dict[str, State]:
+    """The payload each process holds at a cut: its latest event's, for
+    each process with an event in the cut."""
+    return {p: comp.events[s[c - 1]].payload
+            for p, s, c in zip(comp.processes, comp.streams, cut) if c}
 
 
 def _progress_segment(
-    sub: Computation,
+    comp: Computation,
+    consumed: range,
     live: Sequence[Tuple[int, Formula, Optional[int]]],
-    carry: Dict[str, State],
     cfg: MonitorConfig,
     seg_index: int,
 ) -> List[Tuple[Set[Tuple[Formula, int]], bool]]:
     """The (rewritten formula, last time) outcomes of each live branch
-    (ordinal, formula, floor) over one segment, each with a completeness
-    flag. Both engines flag a branch's result incomplete exactly when more
+    (ordinal, formula, floor) over the segment of the events indexed by
+    `consumed`, each with a completeness flag. Both engines flag a
+    branch's result incomplete exactly when more
     than `max_verdicts_per_segment` outcomes exist, and then keep that
     many in sorted order: the enumerate engine the sorted first of all
     outcomes, the smt engine, which stops after one outcome past the cap,
     the sorted first of those it found. The kept outcomes of a truncated
     result may therefore differ between engines. The enumerate engine
-    walks the segment once for all branches; the smt engine runs one
-    enumeration per branch."""
+    walks the segment once for all branches, on the whole computation;
+    the smt engine runs one enumeration per branch, on the restricted
+    segment with the payloads the processes hold at its base cut."""
     cap = cfg.max_verdicts_per_segment
     if cfg.engine == ENGINE_SMT:
+        seg = comp.restrict(consumed)
+        carry = _held_at(comp, _cut_before(comp, consumed.start))
         outs = [
             # one outcome past the cap tells "exactly cap" from "more than cap"
             set(smt_backend.enumerate_verdicts(
-                sub, phi, cap + 1, cfg.solver_command, floor=floor, carry=carry,
+                seg, phi, cap + 1, cfg.solver_command, floor=floor, carry=carry,
                 timeout=cfg.timeout, emit_dir=cfg.emit_smt_dir,
                 emit_tag=f"seg{seg_index}_b{ordinal}",
             ).branches)
             for ordinal, phi, floor in live
         ]
     else:
-        outs = _walk_cuts(sub, [(phi, floor) for _, phi, floor in live], carry)
+        outs = _walk_cuts(comp, consumed, [(phi, floor) for _, phi, floor in live])
     return [
         (out, True) if len(out) <= cap
         else (set(sorted(out, key=_branch_key)[:cap]), False)
@@ -407,13 +424,22 @@ def _progress_segment(
 
 
 def _walk_cuts(
-    sub: Computation,
+    comp: Computation,
+    consumed: range,
     branches: Sequence[Tuple[Formula, Optional[int]]],
-    carry: Dict[str, State],
 ) -> List[Set[Tuple[Formula, int]]]:
     """Every (residual, last time) outcome of each branch (formula, floor)
-    over one segment: one set per branch, in order, from one walk over
-    the segment's lattice of consistent cuts, one event per layer.
+    over the segment of the events indexed by `consumed`: one set per
+    branch, in order, from one walk over the segment's lattice of
+    consistent cuts, one event per layer.
+
+    The walk reads the segment's slices of the whole computation. A cut
+    counts, for each process, its events in the segment that the cut
+    holds, so the empty cut is the segment's base cut (`_cut_before`) and
+    the full cut the next segment's. An event is enabled once the cut
+    reaches its clock clamped between those two cuts, which is the order
+    `Computation.restrict` keeps of the segment, and until its first
+    event in the segment each process holds its payload at the base cut.
 
     A state is (cut, last time, pending formula): the cut as per-process
     prefix lengths, and the formula not yet progressed over the cut's
@@ -446,30 +472,34 @@ def _walk_cuts(
     Each frontier state is `progression.frontier`; the memos are described
     there.
     """
-    procs = sub.processes
-    windows = [time_window(e, sub.epsilon) for e in sub.events]
-    # enable[k][c]: the clock a cut must reach for the c-th event of
-    # process k to be enabled, and that event's earliest time
-    enable = [[(sub.clock[i], windows[i].start) for i in s] for s in sub.streams]
+    events, clock, streams = comp.events, comp.clock, comp.streams
+    base = _cut_before(comp, consumed.start)
+    end = _cut_before(comp, consumed.stop)
+    blocks = [s[b:e] for s, b, e in zip(streams, base, end)]  # each process's events
+    windows = {i: time_window(events[i], comp.epsilon) for i in consumed}
+    # enable[k][c]: the cut that enables the c-th event of process k, its
+    # clock clamped to the end cut and counted from the base cut (a column
+    # below the base cut reads negative, which every cut meets), and that
+    # event's earliest time
+    enable = [
+        [(tuple(map(sub, map(min, clock[i], end), base)), windows[i].start) for i in s]
+        for s in blocks
+    ]
     # ends[k][c]: the latest time the c-th event of process k may take,
-    # rising with c; a process with no event left bounds nothing
-    top = max(w[-1] for w in windows)
-    ends = [[windows[i][-1] for i in s] + [top] for s in sub.streams]
-    # latest[j][c]: the latest payload of the j-th process the carry
-    # or the segment names, in sorted order, once the cut holds c of its
-    # events (before the first, its carry or None). cols[j] is its column
-    # in the cut: -1, an empty stream held at 0, if only the carry names it
-    names = sorted(set(carry).union(procs))
-    cols = [procs.index(p) if p in procs else -1 for p in names]
-    streams = sub.streams + ((),)
+    # rising with c; a process with no event left bounds nothing, and the
+    # segment's last event sorts latest
+    top = windows[consumed[-1]][-1]
+    ends = [[windows[i][-1] for i in s] + [top] for s in blocks]
+    # latest[k][c]: the latest payload of process k once the cut holds c
+    # of its events; before the first, the one it holds at the base cut,
+    # None if it holds none yet
     latest = [
-        [carry.get(p)] + [sub.events[i].payload for i in streams[k]]
-        for p, k in zip(names, cols)
+        [events[s[b - 1]].payload if b else None] + [events[i].payload for i in blk]
+        for s, b, blk in zip(streams, base, blocks)
     ]
 
     def frontier_at(cut) -> State:
-        at = cut + (0,)  # column -1 reads the 0
-        return frontier(tuple(filter(None, map(getitem, latest, map(at.__getitem__, cols)))))
+        return frontier(tuple(filter(None, map(getitem, latest, cut))))
 
     def moves(cut):
         """The latest time that leaves every remaining event room, which is
@@ -505,7 +535,7 @@ def _walk_cuts(
 
     # layer k maps each cut of k events to {last time: {pending formula:
     # mask}}; at the empty cut a branch's time is its floor, which may be None
-    empty = (0,) * len(procs)
+    empty = (0,) * len(streams)
     layer: Dict[Tuple[int, ...], Dict[Optional[int], Dict[Formula, int]]] = {empty: {}}
     for b, (phi, floor) in enumerate(branches):
         fs = layer[empty].setdefault(floor, {})
@@ -524,11 +554,11 @@ def _walk_cuts(
             for t, fs in at.items():
                 stepped: Dict[int, Dict[Formula, int]] = {}  # next time -> {rewrite: mask}
                 for nxt, lo in enabled:
+                    at2 = nxt_layer.setdefault(nxt, {})
                     for t2 in range(lo if t is None else max(t, lo), hi + 1):
                         out = stepped.get(t2)
                         if out is None:
                             out = stepped[t2] = advance_all(st, fs, 0 if t is None else t2 - t)
-                        at2 = nxt_layer.setdefault(nxt, {})
                         succ = at2.get(t2)
                         if succ is None:
                             at2[t2] = out.copy()

@@ -88,12 +88,18 @@ def advance(state: Optional[State], f: Formula, gap: int) -> Formula:
     """The normalized f stepped over state, `gap` time units before the
     next state, or shifted by gap when state is None; memoized. A junction
     over a state is the junction of its stepped operands, built once per
-    distinct operand tuple."""
+    distinct operand tuple; each operand's memo entry is read inline, and
+    only a miss recurses."""
     key = (state, f, gap)
-    out = _rewrites.get(key)
+    get = _rewrites.get
+    out = get(key)
     if out is None:
         if state is not None and isinstance(f, (And, Or)):
-            ops = (type(f), *[advance(state, g, gap) for g in f.args])
+            stepped = [type(f)]
+            for g in f.args:  # each operand's memo entry, read inline
+                h = get((state, g, gap))
+                stepped.append(advance(state, g, gap) if h is None else h)
+            ops = tuple(stepped)
             out = _junctions.get(ops)
             if out is None:
                 out = _junctions[ops] = mk_junction(ops[0], ops[1:])

@@ -141,6 +141,46 @@ def bounded_computation(
     raise RuntimeError("could not draw a bounded computation")
 
 
+def segment_with_messages(
+    rng: random.Random,
+    max_events: int = 5,
+    epsilons: Sequence[int] = (1, 2, 3),
+    lin_cap: int = 1200,
+) -> Tuple[Computation, range]:
+    """A random computation of 8-14 events on 2-3 processes with one or
+    two messages, some of whose receives may sort before their sends, and
+    a range of 3 to max_events of its event indices with at least two
+    events before it, whose restriction admits at most lin_cap
+    linearizations."""
+    for _ in range(200):
+        epsilon = rng.choice(list(epsilons))
+        evs = random_events(rng, rng.randrange(2, 4), rng.randrange(8, 15),
+                            spread=2 * epsilon + 2)
+        for m in range(rng.randrange(1, 3)):
+            a = rng.choice(evs)
+            # a receive no more than epsilon - 1 before its send
+            recvs = [e for e in evs if e.process != a.process
+                     and e.local_time > a.local_time - epsilon and e.kind == "local"]
+            if a.kind != "local" or not recvs:
+                continue
+            b = rng.choice(recvs)
+            evs[evs.index(a)] = Event(a.process, a.local_time, a.payload, "send", f"m{m}")
+            evs[evs.index(b)] = Event(b.process, b.local_time, b.payload, "recv", f"m{m}")
+        try:
+            comp = build_computation(evs, epsilon)
+        except ComputationError:
+            continue
+        size = rng.randrange(3, max_events + 1)
+        start = rng.randrange(2, len(comp) - size + 1)
+        consumed = range(start, start + size)
+        try:
+            sum(1 for _ in enumerate_linearizations(comp.restrict(consumed), budget=lin_cap))
+            return comp, consumed
+        except OracleBudgetError:
+            continue
+    raise RuntimeError("could not draw a bounded segment")
+
+
 def reference_order(
     events: Sequence[Event], epsilon: int
 ) -> Tuple[Tuple[Event, ...], Tuple[FrozenSet[int], ...], FrozenSet[int]]:

@@ -10,7 +10,7 @@ from mtlmon.computation import (
     build_computation,
     time_window,
 )
-from mtlmon.pipeline import BOUNDARY_EXACT, _segment_carry, consumption_boundaries
+from mtlmon.pipeline import BOUNDARY_EXACT, _cut_before, _held_at, consumption_boundaries
 from mtlmon.semantics import State
 from reference import is_consistent_cut_indices
 from support import random_events, reference_boundaries, reference_order
@@ -71,6 +71,40 @@ class TestBuild:
         with pytest.raises(ComputationError):
             build_computation(events, 2)
 
+    def test_sends_after_their_receives_two_deep(self):
+        """Each receive sorts before its send, and the send of m1 follows
+        the receive of m2 on P2, whose send sorts last: the receive of m1
+        waits on a send that waits on a deferred receive. The clocks
+        equal the brute-force closure's."""
+        events = [
+            Event("P1", 1, State(), "recv", "m1"), ev("P1", 2),
+            Event("P2", 3, State(), "recv", "m2"), Event("P2", 5, State(), "send", "m1"),
+            Event("P3", 7, State(), "send", "m2"), ev("P3", 20), ev("P1", 21),
+        ]
+        c = build_computation(events, 10)
+        ordered, hb, cyclic = reference_order(events, 10)
+        assert not cyclic
+        assert c.events == ordered and c.hb == hb
+        # P1@1 waits on P2@5, which waits on P2@3, which waits on P3@7
+        assert c.clock[0] == (0, 2, 1)
+        assert c.clock[1] == (1, 2, 1)
+
+    def test_cycle_through_a_deferred_event_is_named(self):
+        """The receive P1@1 sorts before its send P2@5, which the skew
+        rule puts after P1@2: a cycle through the deferred receive. P1@8,
+        off the cycle, waits on it too; the error names an event on the
+        cycle."""
+        events = [
+            Event("P1", 1, State(), "recv", "m"), ev("P1", 2),
+            Event("P2", 5, State(), "send", "m"), ev("P1", 8), ev("P3", 0),
+        ]
+        _ordered, _hb, cyclic = reference_order(events, 3)
+        assert {str(_ordered[i]) for i in cyclic} == {"P1@1", "P1@2", "P2@5"}
+        with pytest.raises(ComputationError) as exc:
+            build_computation(events, 3)
+        named = re.search(r"cycle through (\S+):", str(exc.value)).group(1)
+        assert named in {"P1@1", "P1@2", "P2@5"}
+
     def test_deterministic_indexing(self):
         evs = fig3()
         random.Random(1).shuffle(evs)
@@ -105,12 +139,14 @@ class TestCuts:
         assert is_consistent_cut_indices(c, {A1, A2, NA4})
 
     def test_frontier(self):
-        # a segment's carry is the payload of each process's latest event
+        # a segment's base cut counts each process's events before it, and
+        # each process holds the payload of its latest event in that cut
         c = build_computation(fig3(), 2)
         p = [e.payload for e in c.events]
-        assert _segment_carry(c.restrict({A1, A2})) == {"P1": p[A1], "P2": p[A2]}
-        assert _segment_carry(c.restrict(set())) == {}
-        assert _segment_carry(c.restrict({A1, NA4})) == {"P1": p[NA4]}
+        assert [_cut_before(c, i) for i in range(5)] == [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]
+        assert _held_at(c, _cut_before(c, NA4)) == {"P1": p[A1], "P2": p[A2]}
+        assert _held_at(c, _cut_before(c, A1)) == {}
+        assert _held_at(c, (2, 0)) == {"P1": p[NA4]}
 
 
 class TestTimeWindow:

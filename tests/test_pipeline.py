@@ -50,6 +50,7 @@ from support import (
     random_events,
     random_flat_formula,
     random_formula,
+    segment_with_messages,
 )
 
 CMD = bundled_solver_command()
@@ -351,9 +352,9 @@ class TestMonitor:
         starts, left = {}, {}  # segment index -> branches it starts from, leaves
         real = pipeline._progress_segment
 
-        def recording(sub, live, carry, cfg, seg_index):
+        def recording(comp, consumed, live, cfg, seg_index):
             starts[seg_index] = [(str(f), floor) for _, f, floor in live]
-            out = real(sub, live, carry, cfg, seg_index)
+            out = real(comp, consumed, live, cfg, seg_index)
             left[seg_index] = sorted({(str(f), t) for pairs, _ in out for f, t in pairs})
             return out
 
@@ -457,15 +458,17 @@ class TestCutWalk:
     def test_outcomes_equal_oracle_per_call(self, monkeypatch):
         """Criterion-4 recipe in window mode with g in {1, 2, 3}, so that
         floors and carries occur: each branch's (residual, last time) set
-        from every walk equals the rewrite over each linearization."""
+        from every walk equals the rewrite over each linearization of the
+        restricted segment, with the payloads held at its base cut."""
         calls = []
         walk = pipeline._walk_cuts
 
-        def recording(sub, branches, carry):
-            outs = walk(sub, branches, carry)
+        def recording(comp, consumed, branches):
+            outs = walk(comp, consumed, branches)
             assert len(outs) == len(branches)
+            sub, carry = comp.restrict(consumed), _carry(comp, consumed)
             for (phi, floor), out in zip(branches, outs):
-                calls.append((sub, phi, floor, dict(carry), out))
+                calls.append((sub, phi, floor, carry, out))
             return outs
 
         monkeypatch.setattr(pipeline, "_walk_cuts", recording)
@@ -487,6 +490,7 @@ class TestCutWalk:
                     )
                     monitor(list(comp.events), phi, cfg)
         assert sum(floor is not None for _, _, floor, _, _ in calls) > 500
+        assert sum(bool(carry) for _, _, _, carry, _ in calls) > 500
         for sub, phi, floor, carry, out in calls:
             assert out == oracle_pairs(sub, phi, floor, carry), (str(phi), floor)
 
@@ -507,8 +511,9 @@ class TestCutWalk:
 
         monkeypatch.setattr(
             pipeline, "_walk_cuts",
-            lambda sub, branches, carry: [
-                oracle_pairs(sub, phi, floor, carry) for phi, floor in branches
+            lambda comp, consumed, branches: [
+                oracle_pairs(comp.restrict(consumed), phi, floor, _carry(comp, consumed))
+                for phi, floor in branches
             ],
         )
         ref = monitor(list(comp.events), phi, cfg)
@@ -565,28 +570,32 @@ class TestCutWalk:
         """On a one-process chain at eps 1 each branch visits one state per
         layer, 4 in all, and the two branches never share a state: the
         walk visits 8 states, 4 for each branch."""
-        sub = build_computation([ev("P1", t) for t in (1, 2, 3, 4)], 1)
+        comp = build_computation([ev("P1", t) for t in (1, 2, 3, 4)], 1)
+        whole = range(len(comp))
         branches = [(pipeline._normalized(parse_spec(s)), floor)
                     for s, floor in (("F[0,50) q", None), ("F[0,60) r", 0))]
         monkeypatch.setattr(pipeline, "STATE_BUDGET", 4)
-        outs = pipeline._walk_cuts(sub, branches, {})
-        assert outs == [oracle_pairs(sub, phi, floor) for phi, floor in branches]
+        outs = pipeline._walk_cuts(comp, whole, branches)
+        assert outs == [oracle_pairs(comp, phi, floor) for phi, floor in branches]
         monkeypatch.setattr(pipeline, "STATE_BUDGET", 3)
         for walked in (branches[:1], branches[1:], branches):
             with pytest.raises(BudgetExceeded):
-                pipeline._walk_cuts(sub, walked, {})
+                pipeline._walk_cuts(comp, whole, walked)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32))
     def test_shared_walk_equals_oracle_per_branch(self, seed):
-        """3-5 branches, and a carry: 2-4 distinct formulas with floors
-        drawn with replacement, so branches may share a time at the empty
-        cut, and one of them once more under another floor. Each branch's
-        outcome set is the rewrite over every linearization of the
-        segment."""
+        """3-5 branches over a segment of 3-5 events from the middle of a
+        longer log with messages, so that the processes hold payloads at
+        its base cut: 2-4 distinct formulas with floors drawn with
+        replacement, so branches may share a time at the empty cut, and
+        one of them once more under another floor. Each branch's outcome
+        set is the rewrite over every linearization of the restricted
+        segment, with the payloads held at its base cut."""
         rng = random.Random(seed)
-        sub = bounded_computation(rng, max_events=5, epsilons=(1, 2), lin_cap=150)
-        carry = {p: State(frozenset(rng.sample(("p", "q", "r"), 1))) for p in ("P1", "P9")}
+        comp, consumed = segment_with_messages(rng, max_events=5, epsilons=(1, 2), lin_cap=150)
+        sub, carry = comp.restrict(consumed), _carry(comp, consumed)
+        assert carry
         k = rng.randrange(2, 5)
         start = min(e.local_time for e in sub.events)
         floors = [None] + list(range(start + sub.epsilon + 2))
@@ -597,8 +606,47 @@ class TestCutWalk:
         phi, floor = rng.choice(branches)
         again = (phi, rng.choice([f for f in floors if f != floor]))
         branches.insert(rng.randrange(k + 1), again)
-        outs = pipeline._walk_cuts(sub, branches, carry)
+        outs = pipeline._walk_cuts(comp, consumed, branches)
         assert outs == [oracle_pairs(sub, phi, floor, carry) for phi, floor in branches]
+
+    def test_receive_whose_send_lies_past_the_segment(self, monkeypatch):
+        """In window mode at eps 2 the first segment consumes through time
+        3, which takes the receive at P2@3 but not its send at P1@4: the
+        receive is enabled once the segment's own P1 events are in the
+        cut, as in the restricted segment, and the report equals the one
+        the per-linearization rewrite gives."""
+        events = [
+            ev("P1", 1, {"p"}), Event("P2", 3, State(frozenset({"q"})), "recv", "m"),
+            Event("P1", 4, State(), "send", "m"), ev("P2", 6, {"p"}),
+        ]
+        comp = build_computation(events, 2)
+        first = range(2)
+        recv_clock, end = comp.clock[1], pipeline._cut_before(comp, first.stop)
+        assert recv_clock[0] > end[0]  # its send lies past the segment
+        assert comp.restrict(first).clock[1] == (1, 0)
+        phi = pipeline._normalized(parse_spec("q U[0,8) p"))
+        for floor in (None, 0, 2):
+            assert pipeline._walk_cuts(comp, first, [(phi, floor)]) == [
+                oracle_pairs(comp.restrict(first), phi, floor)
+            ]
+        cfg = MonitorConfig(epsilon=2, segments=2, length=6, boundary="window")
+        report = monitor(events, phi, cfg)
+        assert [s.event_count for s in report.segments] == [2, 2]
+        monkeypatch.setattr(
+            pipeline, "_walk_cuts",
+            lambda comp, consumed, branches: [
+                oracle_pairs(comp.restrict(consumed), phi, floor, _carry(comp, consumed))
+                for phi, floor in branches
+            ],
+        )
+        ref = monitor(events, phi, cfg)
+        assert (report.verdicts, report.truncated) == (ref.verdicts, ref.truncated)
+        assert [s.branches for s in report.segments] == [s.branches for s in ref.segments]
+
+
+def _carry(comp, consumed: range) -> dict:
+    """The payload each process holds at the segment's base cut."""
+    return pipeline._held_at(comp, pipeline._cut_before(comp, consumed.start))
 
 
 def _count_steps(monkeypatch) -> list:
@@ -815,11 +863,13 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("engine", ["enumerate", "smt"])
     def test_reports_do_not_depend_on_addresses(self, tmp_path, engine):
-        """The criterion-8 log at eps 2 in 4 segments, several branches a
-        segment, in 3 fresh interpreters that first allocate 0, 1,000 and
-        7,777 throwaway nodes: stdout without the wall times is the same
-        byte for byte."""
-        comp = gen_random_computation(2024, processes=2, events=20, epsilon=2, max_gap=6)
+        """The criterion-8 recipe at 12 events and eps 2 in 4 segments,
+        several branches in each segment, in 3 fresh interpreters that
+        first allocate 0, 1,000 and 7,777 throwaway nodes: stdout without
+        the wall times is the same byte for byte. At 12 events the solver
+        engine leaves 16, 3, 3 and 3 branches, gives both verdicts and is
+        truncated, at a fraction of the 20-event log's solver rounds."""
+        comp = gen_random_computation(2024, processes=2, events=12, epsilon=2, max_gap=6)
         trace, spec = tmp_path / "log.jsonl", tmp_path / "spec.mtl"
         write_jsonl(comp.events, str(trace))
         spec.write_text("G[0,40) (p -> F[0,12) q)\n")
@@ -844,7 +894,9 @@ class TestDeterminism:
             assert proc.returncode in (0, 1), err
             outs.append(re.sub(rb'"ms": [^,\n}]+', b'"ms": 0', out))
         assert outs[0] == outs[1] == outs[2]
-        assert max(len(seg["branches"]) for seg in json.loads(outs[0])["segments"]) > 1
+        counts = [len(seg["branches"]) for seg in json.loads(outs[0])["segments"]]
+        assert max(counts) > 1
+        assert sum(n > 1 for n in counts) >= 2
 
 
 class TestCli:
