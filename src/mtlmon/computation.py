@@ -15,7 +15,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import sub
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .errors import InputError
 from .semantics import State
@@ -83,10 +84,6 @@ class Computation:
             out[col[e.process]].append(i)
         return tuple(tuple(s) for s in out)
 
-    def predecessors(self, i: int) -> List[int]:
-        """Indices of the events that happened before event i, ascending."""
-        return sorted(j for s, c in zip(self.streams, self.clock[i]) for j in s[:c])
-
     @cached_property
     def hb(self) -> Tuple[FrozenSet[int], ...]:
         """hb[i] = indices that happened before event i (read-only view of
@@ -102,7 +99,9 @@ class Computation:
         return max((e.local_time for e in self.events), default=0)
 
     def restrict(self, indices: Iterable[int]) -> "Computation":
-        """Sub-computation induced by a subset of event indices."""
+        """Sub-computation induced by a subset of event indices. Both engines
+        read segments through `segment_tables`; only the tests' references
+        and the benchmark's span tracer call this."""
         keep = sorted(set(indices))
         col = {p: k for k, p in enumerate(self.processes)}
         # stream positions of the kept events, and their new indices, per
@@ -121,6 +120,36 @@ class Computation:
             processes=tuple(self.processes[k] for k in cols),
             streams=tuple(tuple(streams[k]) for k in cols))
         return sub
+
+
+class Segment(NamedTuple):
+    """The events indexed by `consumed`, a range of consecutive indices, as
+    slices of the computation. Events sort by (time, process), so the range
+    holds one block of each process's stream, from the cut before its first
+    event, its base cut, to the cut before the next segment's, its end cut.
+    Cuts count each process's events, in the columns of `comp.processes`."""
+
+    comp: Computation
+    consumed: range
+    base: Tuple[int, ...]
+    end: Tuple[int, ...]
+    blocks: List[Tuple[int, ...]]  # each process's event indices in the range
+    # enabling[k][c]: the c-th event of process k's clock clamped to the end
+    # cut, less the base cut; clamped at 0, the clocks `Computation.restrict` gives
+    enabling: List[List[Tuple[int, ...]]]
+    held: List[Optional[State]]  # each process's payload at the base cut, or None
+
+
+def segment_tables(comp: Computation, consumed: range) -> Segment:
+    """The tables both engines read of one segment. The held payloads depend
+    only on which events earlier segments consumed, not on their order."""
+    events, clock, streams = comp.events, comp.clock, comp.streams
+    base = tuple(bisect_left(s, consumed.start) for s in streams)
+    end = tuple(bisect_left(s, consumed.stop) for s in streams)
+    blocks = [s[b:e] for s, b, e in zip(streams, base, end)]
+    enabling = [[tuple(map(sub, map(min, clock[i], end), base)) for i in blk] for blk in blocks]
+    held = [events[s[b - 1]].payload if b else None for s, b in zip(streams, base)]
+    return Segment(comp, consumed, base, end, blocks, enabling, held)
 
 
 def build_computation(events: Sequence[Event], epsilon: int) -> Computation:

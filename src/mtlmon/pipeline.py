@@ -25,14 +25,12 @@ event-free gap between the floor and a segment's first time shifts the
 branch's anchored windows before rewriting. Branches that collapse to a
 constant freeze immediately and join the final verdict set. The
 computation is built once; a segment is a range of its event indices,
-which holds one block of each process's stream, and the enumerate
-engine walks those slices directly. Its cuts count from the segment's
-base cut, the count of each process's events before the range, and the
-payloads the processes hold at the base cut seed its frontier merging;
-they depend only on which events earlier segments consumed, not on how
-they interleaved. The smt engine runs one solver enumeration per live
-branch, on the segment restricted out of the computation, with the same
-payloads as its carry.
+which holds one block of each process's stream, and both engines read
+those slices through one set of tables (`computation.segment_tables`).
+Cuts count from the segment's base cut, and the payloads the processes
+hold there seed the frontier states. The enumerate engine walks each
+segment once for all live branches; the smt engine runs one solver
+enumeration per live branch.
 
 Segment boundaries come in two flavors:
 
@@ -54,14 +52,14 @@ import json
 import math
 import shlex
 import time as _time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import ge, getitem, sub
+from operator import ge, getitem
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import smt as smt_backend
-from .computation import Computation, Event, build_computation, time_window
+from .computation import Computation, Event, build_computation, segment_tables, time_window
 from .errors import BudgetExceeded, InputError, UsageError
 from .formula import Formula, simplify
 from .progression import advance_all, evict, frontier
@@ -367,21 +365,6 @@ def _normalized(f: Formula) -> Formula:
     return simplify(f)
 
 
-def _cut_before(comp: Computation, i: int) -> Tuple[int, ...]:
-    """The cut of the events indexed below i: each process's count of
-    them. Events sort by (time, process), so a segment's range of indices
-    holds one block of each process's stream, from the cut before its
-    first event, its base cut, to the cut before the next segment's."""
-    return tuple(bisect_left(s, i) for s in comp.streams)
-
-
-def _held_at(comp: Computation, cut: Sequence[int]) -> Dict[str, State]:
-    """The payload each process holds at a cut: its latest event's, for
-    each process with an event in the cut."""
-    return {p: comp.events[s[c - 1]].payload
-            for p, s, c in zip(comp.processes, comp.streams, cut) if c}
-
-
 def _progress_segment(
     comp: Computation,
     consumed: range,
@@ -397,18 +380,16 @@ def _progress_segment(
     many in sorted order: the enumerate engine the sorted first of all
     outcomes, the smt engine, which stops after one outcome past the cap,
     the sorted first of those it found. The kept outcomes of a truncated
-    result may therefore differ between engines. The enumerate engine
-    walks the segment once for all branches, on the whole computation;
-    the smt engine runs one enumeration per branch, on the restricted
-    segment with the payloads the processes hold at its base cut."""
+    result may therefore differ between engines. Both engines read the
+    segment's tables (`computation.segment_tables`): the enumerate engine
+    walks the segment once for all branches, the smt engine runs one
+    enumeration per branch."""
     cap = cfg.max_verdicts_per_segment
     if cfg.engine == ENGINE_SMT:
-        seg = comp.restrict(consumed)
-        carry = _held_at(comp, _cut_before(comp, consumed.start))
         outs = [
             # one outcome past the cap tells "exactly cap" from "more than cap"
             set(smt_backend.enumerate_verdicts(
-                seg, phi, cap + 1, cfg.solver_command, floor=floor, carry=carry,
+                comp, phi, cap + 1, cfg.solver_command, floor=floor, consumed=consumed,
                 timeout=cfg.timeout, emit_dir=cfg.emit_smt_dir,
                 emit_tag=f"seg{seg_index}_b{ordinal}",
             ).branches)
@@ -433,13 +414,13 @@ def _walk_cuts(
     branch, in order, from one walk over the segment's lattice of
     consistent cuts, one event per layer.
 
-    The walk reads the segment's slices of the whole computation. A cut
-    counts, for each process, its events in the segment that the cut
-    holds, so the empty cut is the segment's base cut (`_cut_before`) and
-    the full cut the next segment's. An event is enabled once the cut
-    reaches its clock clamped between those two cuts, which is the order
-    `Computation.restrict` keeps of the segment, and until its first
-    event in the segment each process holds its payload at the base cut.
+    The walk reads the segment's tables (`computation.segment_tables`),
+    slices of the whole computation. A cut counts, for each process, its
+    events in the segment that the cut holds, so the empty cut is the
+    segment's base cut and the full cut the next segment's. An event is
+    enabled once the cut reaches its enabling cut, its clock clamped
+    between those two cuts, and until its first event in the segment each
+    process holds its payload at the base cut.
 
     A state is (cut, last time, pending formula): the cut as per-process
     prefix lengths, and the formula not yet progressed over the cut's
@@ -472,31 +453,20 @@ def _walk_cuts(
     Each frontier state is `progression.frontier`; the memos are described
     there.
     """
-    events, clock, streams = comp.events, comp.clock, comp.streams
-    base = _cut_before(comp, consumed.start)
-    end = _cut_before(comp, consumed.stop)
-    blocks = [s[b:e] for s, b, e in zip(streams, base, end)]  # each process's events
+    seg = segment_tables(comp, consumed)
+    events, blocks, enabling = comp.events, seg.blocks, seg.enabling
     windows = {i: time_window(events[i], comp.epsilon) for i in consumed}
-    # enable[k][c]: the cut that enables the c-th event of process k, its
-    # clock clamped to the end cut and counted from the base cut (a column
-    # below the base cut reads negative, which every cut meets), and that
-    # event's earliest time
-    enable = [
-        [(tuple(map(sub, map(min, clock[i], end), base)), windows[i].start) for i in s]
-        for s in blocks
-    ]
-    # ends[k][c]: the latest time the c-th event of process k may take,
-    # rising with c; a process with no event left bounds nothing, and the
-    # segment's last event sorts latest
+    # starts[k][c] and ends[k][c]: the earliest and the latest time the
+    # c-th event of process k may take, both rising with c; a process with
+    # no event left bounds nothing, and the segment's last event sorts latest
+    starts = [[windows[i].start for i in blk] for blk in blocks]
     top = windows[consumed[-1]][-1]
-    ends = [[windows[i][-1] for i in s] + [top] for s in blocks]
+    ends = [[windows[i][-1] for i in blk] + [top] for blk in blocks]
     # latest[k][c]: the latest payload of process k once the cut holds c
     # of its events; before the first, the one it holds at the base cut,
     # None if it holds none yet
-    latest = [
-        [events[s[b - 1]].payload if b else None] + [events[i].payload for i in blk]
-        for s, b, blk in zip(streams, base, blocks)
-    ]
+    latest = [[held] + [events[i].payload for i in blk]
+              for held, blk in zip(seg.held, blocks)]
 
     def frontier_at(cut) -> State:
         return frontier(tuple(filter(None, map(getitem, latest, cut))))
@@ -507,10 +477,8 @@ def _walk_cuts(
         cut, earliest time) of each event enabled at cut."""
         out = []
         for k, c in enumerate(cut):
-            if c < len(enable[k]):
-                need, lo = enable[k][c]
-                if all(map(ge, cut, need)):
-                    out.append((cut[:k] + (c + 1,) + cut[k + 1:], lo))
+            if c < len(enabling[k]) and all(map(ge, cut, enabling[k][c])):
+                out.append((cut[:k] + (c + 1,) + cut[k + 1:], starts[k][c]))
         return min(map(getitem, ends, cut)), out
 
     masks: List[int] = []  # the mask of each visited state not yet in `visited`
@@ -535,7 +503,7 @@ def _walk_cuts(
 
     # layer k maps each cut of k events to {last time: {pending formula:
     # mask}}; at the empty cut a branch's time is its floor, which may be None
-    empty = (0,) * len(streams)
+    empty = (0,) * len(blocks)
     layer: Dict[Tuple[int, ...], Dict[Optional[int], Dict[Formula, int]]] = {empty: {}}
     for b, (phi, floor) in enumerate(branches):
         fs = layer[empty].setdefault(floor, {})

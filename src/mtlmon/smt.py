@@ -21,8 +21,8 @@ in the next branch, segment or monitor call: that enumeration sends
 
 Symbol scheme (stable across runs for identical inputs):
 
-    rho_<step>_<event_index>   Bool   event is in the cut at this step
-    delta_<event_index>        Int    perturbed time of the event
+    rho_<step>_<event>         Bool   event is in the cut at this step
+    delta_<event>              Int    perturbed time of the event
     tau_<step>                 Int    time of the step's added event
     at_<pos>_<atom_id>         Bool   atom truth in the frontier state
     last                       Int    tau_m, the outcome's last time
@@ -30,7 +30,9 @@ Symbol scheme (stable across runs for identical inputs):
     wit_/vio_/pref_/guard_<node_id>   Bool   per-node rewrite decision bits
     shout_<node_id>            Int    the node's window shift outcome
 
-Steps run 1..m; trace position p corresponds to step p+1. Atom ids number
+A segment is read through its tables (`computation.segment_tables`);
+<event> k is its event consumed.start + k of the computation. Steps run
+1..m; trace position p corresponds to step p+1. Atom ids number
 the formula's distinct state predicates in sorted order; node ids number
 formula nodes in pre-order, where an n-operand And or Or is one node.
 Anchored windows are measured from one base,
@@ -54,7 +56,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .computation import Computation, time_window
+from .computation import Computation, Segment, segment_tables, time_window
 from .errors import BudgetExceeded, EmitError, SolverError
 from .formula import (
     And,
@@ -77,7 +79,6 @@ from .formula import (
     simplify,
 )
 from .progression import advance, frontier
-from .semantics import State
 
 # perfbench/spans.py wraps these two names on this module to count
 # progress calls and shifts; replay calls neither.
@@ -125,16 +126,11 @@ class SmtProblem:
     """Declarations and assertions (without check-sat) plus decode metadata."""
 
     text: str
-    comp: Computation  # the encoded segment
+    seg: Segment  # the encoded segment's tables
     floor: Optional[int]
-    carry: Tuple[Tuple[str, State], ...]
     signature_bools: Tuple[str, ...]
     signature_ints: Tuple[str, ...]
     formula: Formula
-
-    @property
-    def m(self) -> int:
-        return len(self.comp)
 
 
 def _atom_key(a) -> tuple:
@@ -158,18 +154,13 @@ def _bool_fold(op: str, parts: List[str]) -> str:
 
 
 class _Encoder:
-    def __init__(
-        self,
-        c: Computation,
-        f: Formula,
-        floor: Optional[int],
-        carry: Mapping[str, State],
-    ):
-        self.c = c
+    def __init__(self, seg: Segment, f: Formula, floor: Optional[int]):
+        self.seg = seg
         self.f = f
         self.floor = floor
-        self.carry = dict(carry)
-        self.m = len(c.events)
+        start, comp = seg.consumed.start, seg.comp
+        self.events = comp.events[start:seg.consumed.stop]  # by event number
+        self.m = len(self.events)
         self.decls: List[str] = []
         self.asserts: List[str] = []
         self.n_bools = 0
@@ -181,9 +172,9 @@ class _Encoder:
         self._number(f)
         self.sig_bools: List[str] = []
         self.sig_ints: List[str] = []
-        # per-process time-ordered event indices
-        self.by_proc: Dict[str, Tuple[int, ...]] = dict(zip(c.processes, c.streams))
-        self.windows = [time_window(e, c.epsilon) for e in c.events]
+        # each process's event numbers in program order, by clock column
+        self.blocks = [[i - start for i in blk] for blk in seg.blocks]
+        self.windows = [time_window(e, comp.epsilon) for e in self.events]
         # bounds on every step time
         self.tmin = min(w.start for w in self.windows)
         if floor is not None:
@@ -213,7 +204,7 @@ class _Encoder:
     # -- structural constraints over the cut sequence --
 
     def encode_structure(self):
-        c, m = self.c, self.m
+        m = self.m
         for step in range(m + 1):
             for k in range(m):
                 self.declare(f"rho_{step}_{k}", "Bool")
@@ -231,8 +222,12 @@ class _Encoder:
         for step in range(1, m):
             total = " ".join(f"(ite rho_{step}_{k} 1 0)" for k in range(m))
             self.add(f"(= (+ {total}) {step})")
+        before: Dict[int, List[int]] = {}  # the events each one's enabling cut holds
+        for blk, needs in zip(self.blocks, self.seg.enabling):
+            for b, need in zip(blk, needs):
+                before[b] = sorted(a for s, n in zip(self.blocks, need) for a in s[:max(n, 0)])
         for b in range(m):
-            for a in c.predecessors(b):
+            for a in before[b]:
                 for step in range(1, m):
                     self.add(f"(=> rho_{step}_{b} rho_{step}_{a})")
 
@@ -254,35 +249,30 @@ class _Encoder:
 
     def _frontier_atom(self, a: Atom, step: int) -> str:
         parts: List[str] = []
-        for proc in sorted(self.by_proc):
-            idxs = self.by_proc[proc]
+        for idxs in self.blocks:
             for pos, k in enumerate(idxs):
-                if a.name not in self.c.events[k].payload.props:
+                if a.name not in self.events[k].payload.props:
                     continue
                 if pos + 1 < len(idxs):
                     parts.append(f"(and rho_{step}_{k} (not rho_{step}_{idxs[pos + 1]}))")
                 else:
                     parts.append(f"rho_{step}_{k}")
-        for proc in sorted(self.carry):
-            if a.name not in self.carry[proc].props:
-                continue
-            idxs = self.by_proc.get(proc)
-            if idxs:
-                parts.append(f"(not rho_{step}_{idxs[0]})")
-            else:
-                parts.append("true")
+        # a payload held at the base cut shows until the process's first event
+        for idxs, held in zip(self.blocks, self.seg.held):
+            if held is not None and a.name in held.props:
+                parts.append(f"(not rho_{step}_{idxs[0]})" if idxs else "true")
         return _bool_fold("or", parts)
 
     def _total_term(self, key: str, step: int) -> str:
         """Linear term for the cross-process sum of a running-total variable."""
         const = 0
         parts: List[str] = []
-        for proc in sorted(set(self.by_proc) | set(self.carry)):
-            base = self.carry.get(proc, State()).variables.get(key, 0)
+        for idxs, held in zip(self.blocks, self.seg.held):
+            base = 0 if held is None else held.variables.get(key, 0)
             const += base
             prev = base
-            for k in self.by_proc.get(proc, []):
-                cur = self.c.events[k].payload.variables.get(key, prev)
+            for k in idxs:
+                cur = self.events[k].payload.variables.get(key, prev)
                 d = cur - prev
                 if d:
                     parts.append(f"(ite rho_{step}_{k} {_int(d)} 0)")
@@ -445,9 +435,8 @@ class _Encoder:
         text = "\n".join(["(set-logic QF_LIA)"] + self.decls + self.asserts) + "\n"
         return SmtProblem(
             text=text,
-            comp=self.c,
+            seg=self.seg,
             floor=self.floor,
-            carry=tuple(sorted(self.carry.items())),
             signature_bools=tuple(self.sig_bools),
             signature_ints=tuple(self.sig_ints),
             formula=self.f,
@@ -459,19 +448,21 @@ def _int(v: int) -> str:
 
 
 def encode(
-    seg: Computation,
+    comp: Computation,
     f: Formula,
     floor: Optional[int] = None,
-    carry: Optional[Mapping[str, State]] = None,
+    consumed: Optional[range] = None,
 ) -> SmtProblem:
-    """Encode one segment (as a sub-computation) and formula as SMT-LIB text.
+    """Encode one segment, the events of `comp` indexed by `consumed` (all
+    of them by default), and formula as SMT-LIB text.
 
     Text is byte-identical across runs for identical inputs. `floor` bounds
-    the first step's time from below; `carry` seeds per-process frontier
-    state from earlier segments. Raises SegmentTooLargeError beyond
+    the first step's time from below; each process starts from the payload
+    it holds at the segment's base cut. Raises SegmentTooLargeError beyond
     VAR_BUDGET boolean variables.
     """
-    return _Encoder(seg, simplify(f), floor, carry or {}).encode()
+    consumed = range(len(comp)) if consumed is None else consumed
+    return _Encoder(segment_tables(comp, consumed), simplify(f), floor).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +761,10 @@ class DecodedModel:
 
 
 def decode_linearization(problem: SmtProblem, model: Mapping[str, int]) -> DecodedModel:
-    """Extract the cut order and time assignment; re-check all structural
-    constraints natively."""
-    m, comp = problem.m, problem.comp
+    """Extract the cut order, as event indices of the computation, and the
+    time assignment; re-check all structural constraints natively."""
+    seg = problem.seg
+    comp, start, m = seg.comp, seg.consumed.start, len(seg.consumed)
     col = {p: k for k, p in enumerate(comp.processes)}
     counts = [0] * len(col)  # the cut so far, as per-process prefix lengths
     order: List[int] = []
@@ -786,12 +778,12 @@ def decode_linearization(problem: SmtProblem, model: Mapping[str, int]) -> Decod
         if len(added) != 1:
             raise ModelDecodeError(f"step {step} adds {len(added)} events")
         k = added[0]
-        order.append(k)
+        order.append(start + k)
         # the cut stays consistent iff k is next on its process and the cut
-        # already holds everything its clock names
-        own = col[comp.events[k].process]
-        vec = comp.clock[k]
-        if vec[own] != counts[own] or any(v > h for v, h in zip(vec, counts)):
+        # already holds everything its enabling cut names
+        own = col[comp.events[start + k].process]
+        need = seg.enabling[own][comp.clock[start + k][own] - seg.base[own]]
+        if need[own] != counts[own] or any(v > h for v, h in zip(need, counts)):
             raise ModelDecodeError(f"cut at step {step} is not consistent")
         counts[own] += 1
         t = model.get(f"tau_{step}")
@@ -799,7 +791,7 @@ def decode_linearization(problem: SmtProblem, model: Mapping[str, int]) -> Decod
             raise ModelDecodeError(f"model lacks tau_{step}")
         if t != model.get(f"delta_{k}"):
             raise ModelDecodeError(f"tau_{step} disagrees with delta_{k}")
-        if t not in time_window(comp.events[k], comp.epsilon):
+        if t not in time_window(comp.events[start + k], comp.epsilon):
             raise ModelDecodeError(f"delta_{k}={t} outside its window")
         if times and t < times[-1]:
             raise ModelDecodeError("times decrease along the cut sequence")
@@ -815,11 +807,12 @@ def replay(problem: SmtProblem, decoded: DecodedModel) -> Tuple[Formula, int, in
     step each frontier state with the gap to the next time (0 at the end)."""
     times = decoded.times
     f = advance(None, problem.formula, 0 if problem.floor is None else times[0] - problem.floor)
-    latest: Dict[str, State] = dict(problem.carry)
-    for k, t, t2 in zip(decoded.order, times, times[1:] + times[-1:]):
-        e = problem.comp.events[k]
+    comp = problem.seg.comp
+    latest = dict(zip(comp.processes, problem.seg.held))  # from the base cut, in column order
+    for i, t, t2 in zip(decoded.order, times, times[1:] + times[-1:]):
+        e = comp.events[i]
         latest[e.process] = e.payload
-        f = advance(frontier(tuple(latest[p] for p in sorted(latest))), f, t2 - t)
+        f = advance(frontier(tuple(p for p in latest.values() if p is not None)), f, t2 - t)
     return f, times[0], times[-1]
 
 
@@ -850,25 +843,25 @@ class Enumeration:
 
 
 def enumerate_verdicts(
-    seg: Computation,
+    comp: Computation,
     f: Formula,
     max_verdicts: int,
     solver_command: str,
     floor: Optional[int] = None,
-    carry: Optional[Mapping[str, State]] = None,
+    consumed: Optional[range] = None,
     timeout: float = DEFAULT_TIMEOUT,
     emit_dir: Optional[str] = None,
     emit_tag: str = "seg",
 ) -> Enumeration:
-    """Encode once, then solve repeatedly, blocking each found decision
-    class, until unsat or the verdict cap. Each sat model is decoded once
-    (ModelDecodeError when it is not an admissible linearization) and
-    replayed. Hitting the cap is not an error but flags the result
-    incomplete. With `emit_dir`, query n is written to
-    `<emit_dir>/<emit_tag>_q<n>.smt2` before it is solved."""
+    """Encode the segment once (see `encode`), then solve repeatedly,
+    blocking each found decision class, until unsat or the verdict cap.
+    Each sat model is decoded once (ModelDecodeError when it is not an
+    admissible linearization) and replayed. Hitting the cap is not an
+    error but flags the result incomplete. With `emit_dir`, query n is
+    written to `<emit_dir>/<emit_tag>_q<n>.smt2` before it is solved."""
     if max_verdicts < 1:
         raise ValueError("max_verdicts must be >= 1")
-    problem = encode(seg, f, floor, carry)
+    problem = encode(comp, f, floor, consumed)
     if emit_dir:
         try:
             os.makedirs(emit_dir, exist_ok=True)

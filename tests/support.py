@@ -2,8 +2,9 @@
 traces, and computations with a bound on how many linearizations a
 computation admits (keeps exhaustive enumeration affordable); plus the
 brute-force references the fast order and boundary search are checked
-against, and the (residual, last time) outcomes of one segment over
-every linearization."""
+against, the cut before an event and the payloads the processes hold at
+a cut, and the (residual, last time) outcomes of one segment over every
+linearization."""
 
 from __future__ import annotations
 
@@ -256,6 +257,18 @@ def reference_boundaries(events: Sequence[Event], g: int, l: int, epsilon: int) 
         prev = out[-1]
     out.append(max(l, prev))
     return out
+
+
+def cut_before(comp: Computation, i: int) -> Tuple[int, ...]:
+    """The cut of the events indexed below i: each process's count of them."""
+    return tuple(sum(j < i for j in s) for s in comp.streams)
+
+
+def held_at(comp: Computation, cut: Sequence[int]) -> Dict[str, State]:
+    """The payload each process holds at a cut: its latest event's, for
+    each process with an event in the cut."""
+    return {p: comp.events[s[c - 1]].payload
+            for p, s, c in zip(comp.processes, comp.streams, cut) if c}
 
 
 def oracle_pairs(

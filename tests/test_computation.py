@@ -8,12 +8,13 @@ from mtlmon.computation import (
     ComputationError,
     Event,
     build_computation,
+    segment_tables,
     time_window,
 )
-from mtlmon.pipeline import BOUNDARY_EXACT, _cut_before, _held_at, consumption_boundaries
+from mtlmon.pipeline import BOUNDARY_EXACT, consumption_boundaries
 from mtlmon.semantics import State
 from reference import is_consistent_cut_indices
-from support import random_events, reference_boundaries, reference_order
+from support import cut_before, held_at, random_events, reference_boundaries, reference_order
 
 
 def ev(proc, t, props=()):
@@ -143,10 +144,15 @@ class TestCuts:
         # each process holds the payload of its latest event in that cut
         c = build_computation(fig3(), 2)
         p = [e.payload for e in c.events]
-        assert [_cut_before(c, i) for i in range(5)] == [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]
-        assert _held_at(c, _cut_before(c, NA4)) == {"P1": p[A1], "P2": p[A2]}
-        assert _held_at(c, _cut_before(c, A1)) == {}
-        assert _held_at(c, (2, 0)) == {"P1": p[NA4]}
+        bases = [segment_tables(c, range(i, 4)).base for i in range(5)]
+        assert bases == [cut_before(c, i) for i in range(5)]
+        assert bases == [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]
+        assert held_at(c, cut_before(c, NA4)) == {"P1": p[A1], "P2": p[A2]}
+        assert held_at(c, cut_before(c, A1)) == {}
+        assert held_at(c, (2, 0)) == {"P1": p[NA4]}
+        # the segment tables hold the same payloads, by clock column
+        assert segment_tables(c, range(NA4, 4)).held == [p[A1], p[A2]]
+        assert segment_tables(c, range(A2, 4)).held == [p[A1], None]
 
 
 class TestTimeWindow:
@@ -226,6 +232,33 @@ class TestAgainstReference:
         built = build_computation(local, epsilon)
         assert built.events == tuple(local)
         assert (sub.processes, sub.streams) == (built.processes, built.streams)
+
+    @settings(max_examples=200, deadline=None)
+    @given(logs(), st.data())
+    def test_segment_tables_read_the_restricted_copy(self, log, data):
+        """The tables of a range of consecutive events: each process's
+        block, its enabling cuts clamped at 0 on the columns of the
+        processes with an event in the range, which are the clocks of the
+        restricted copy, and the payloads `held_at` reads off the base
+        cut."""
+        events, epsilon = log
+        try:
+            c = build_computation(events, epsilon)
+        except ComputationError:
+            return
+        if not len(c):
+            return
+        lo = data.draw(st.integers(0, len(c) - 1))
+        consumed = range(lo, data.draw(st.integers(lo + 1, len(c))))
+        seg = segment_tables(c, consumed)
+        assert (seg.base, seg.end) == (cut_before(c, lo), cut_before(c, consumed.stop))
+        assert sorted(i for blk in seg.blocks for i in blk) == list(consumed)
+        cols = [k for k, blk in enumerate(seg.blocks) if blk]
+        need = {i: n for blk, ns in zip(seg.blocks, seg.enabling) for i, n in zip(blk, ns)}
+        clamped = tuple(tuple(max(need[i][k], 0) for k in cols) for i in consumed)
+        assert clamped == c.restrict(consumed).clock
+        held = held_at(c, seg.base)
+        assert seg.held == [held.get(p) for p in c.processes]
 
     @settings(max_examples=400, deadline=None)
     @given(logs())

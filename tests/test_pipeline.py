@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from mtlmon import casegen, cli, formula, pipeline, progression, smt
 from mtlmon.casegen import gen_random_computation
 from mtlmon.cli import event_to_json, main as cli_main, write_jsonl
-from mtlmon.computation import Event, build_computation
+from mtlmon.computation import Event, build_computation, segment_tables
 from mtlmon.errors import BudgetExceeded
 from mtlmon.formula import (
     TRUE,
@@ -46,6 +46,8 @@ from mtlmon.smt import bundled_solver_command
 from reference import eval_finite, oracle_verdicts
 from support import (
     bounded_computation,
+    cut_before,
+    held_at,
     oracle_pairs,
     random_events,
     random_flat_formula,
@@ -609,29 +611,39 @@ class TestCutWalk:
         outs = pipeline._walk_cuts(comp, consumed, branches)
         assert outs == [oracle_pairs(sub, phi, floor, carry) for phi, floor in branches]
 
-    def test_receive_whose_send_lies_past_the_segment(self, monkeypatch):
+    @pytest.mark.parametrize("engine", ["enumerate", "smt"])
+    def test_receive_whose_send_lies_past_the_segment(self, monkeypatch, engine):
         """In window mode at eps 2 the first segment consumes through time
         3, which takes the receive at P2@3 but not its send at P1@4: the
         receive is enabled once the segment's own P1 events are in the
-        cut, as in the restricted segment, and the report equals the one
-        the per-linearization rewrite gives."""
+        cut, as in the restricted segment, and with either engine the
+        report equals the one the per-linearization rewrite gives."""
         events = [
             ev("P1", 1, {"p"}), Event("P2", 3, State(frozenset({"q"})), "recv", "m"),
             Event("P1", 4, State(), "send", "m"), ev("P2", 6, {"p"}),
         ]
         comp = build_computation(events, 2)
         first = range(2)
-        recv_clock, end = comp.clock[1], pipeline._cut_before(comp, first.stop)
+        recv_clock, end = comp.clock[1], segment_tables(comp, first).end
         assert recv_clock[0] > end[0]  # its send lies past the segment
         assert comp.restrict(first).clock[1] == (1, 0)
         phi = pipeline._normalized(parse_spec("q U[0,8) p"))
+
+        def outcomes(floor):
+            if engine == "smt":
+                en = smt.enumerate_verdicts(comp, phi, 256, CMD, floor=floor, consumed=first)
+                assert en.complete
+                return set(en.branches)
+            (out,) = pipeline._walk_cuts(comp, first, [(phi, floor)])
+            return out
+
         for floor in (None, 0, 2):
-            assert pipeline._walk_cuts(comp, first, [(phi, floor)]) == [
-                oracle_pairs(comp.restrict(first), phi, floor)
-            ]
-        cfg = MonitorConfig(epsilon=2, segments=2, length=6, boundary="window")
+            assert outcomes(floor) == oracle_pairs(comp.restrict(first), phi, floor)
+        cfg = MonitorConfig(epsilon=2, segments=2, length=6, boundary="window",
+                            engine=engine, solver_command=CMD)
         report = monitor(events, phi, cfg)
         assert [s.event_count for s in report.segments] == [2, 2]
+        # the reference: the enumerate engine's path, with the oracle for the walk
         monkeypatch.setattr(
             pipeline, "_walk_cuts",
             lambda comp, consumed, branches: [
@@ -639,6 +651,7 @@ class TestCutWalk:
                 for phi, floor in branches
             ],
         )
+        cfg.engine = "enumerate"
         ref = monitor(events, phi, cfg)
         assert (report.verdicts, report.truncated) == (ref.verdicts, ref.truncated)
         assert [s.branches for s in report.segments] == [s.branches for s in ref.segments]
@@ -646,7 +659,7 @@ class TestCutWalk:
 
 def _carry(comp, consumed: range) -> dict:
     """The payload each process holds at the segment's base cut."""
-    return pipeline._held_at(comp, pipeline._cut_before(comp, consumed.start))
+    return held_at(comp, cut_before(comp, consumed.start))
 
 
 def _count_steps(monkeypatch) -> list:

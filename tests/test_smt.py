@@ -33,12 +33,14 @@ from mtlmon.smt import (
     solve,
 )
 from support import (
-    ATOMS,
     bounded_computation,
+    cut_before,
+    held_at,
     oracle_pairs,
     random_events,
     random_flat_formula,
     random_formula,
+    segment_with_messages,
 )
 
 CMD = bundled_solver_command()
@@ -115,10 +117,44 @@ class TestEncode:
         refactors of the encoder."""
         digest = hashlib.sha256()
         for c, f in criterion_4_cases(20):
-            problem = encode(c, f, floor=None, carry={})
+            problem = encode(c, f)
             digest.update(problem.text.encode())
         assert digest.hexdigest() == (
             "445faf66a492a996e39a3599b25c94158d6fb979f3753ea82681980384069319"
+        )
+
+    def test_text_pinned_on_middle_segments(self, tmp_path):
+        """Every --emit-smt text of the solver engine through `monitor` in
+        window mode at g in {2, 3}, on criterion-4 logs and on logs with
+        messages, so that queries carry floors, payloads held at the base
+        cut and receives whose sends lie past the segment; the digest pins
+        the query text of later segments against refactors of the
+        encoder."""
+        rng = random.Random(2)
+        comps = [c for c, _ in criterion_4_cases(6)]
+        comps += [segment_with_messages(rng)[0] for _ in range(4)]
+        # the first segment takes the receive at P2@3 but not its send
+        comps.append(build_computation([
+            ev("P1", 1, {"p"}), Event("P2", 3, State(frozenset({"q"})), "recv", "m"),
+            Event("P1", 4, State(), "send", "m"), ev("P2", 6, {"p"}),
+        ], 2))
+        digest, floors = hashlib.sha256(), 0
+        for n, c in enumerate(comps):
+            f = random_flat_formula(rng)
+            for g in (2, 3):
+                out = tmp_path / f"log{n}_g{g}"
+                cfg = MonitorConfig(
+                    epsilon=c.epsilon, segments=g, boundary="window", engine="smt",
+                    solver_command=CMD, emit_smt_dir=str(out),
+                )
+                monitor(list(c.events), f, cfg)
+                for path in sorted(out.iterdir()):
+                    text = path.read_text()
+                    floors += "(assert (>= tau_1 " in text
+                    digest.update(f"{path.name}\n{text}".encode())
+        assert floors > 20
+        assert digest.hexdigest() == (
+            "60d65d8c9ed2350010570fa49b1839e5d93d35e5bd29c1afdc371eff3a8273e9"
         )
 
     def test_blocking_sequence_pinned(self, monkeypatch):
@@ -205,7 +241,7 @@ class TestSolve:
         reference = {
             (tuple(l.events), l.times) for l in enumerate_linearizations(c)
         }
-        events = tuple(problem.comp.events[k] for k in decoded.order)
+        events = tuple(c.events[i] for i in decoded.order)
         assert (events, decoded.times) in reference
 
     def test_malformed_output_raises(self):
@@ -550,6 +586,25 @@ class TestEnumerateVerdicts:
             assert en.complete
             assert set(en.branches) == oracle_pairs(c, f, floor), (str(f), floor)
 
+    def test_middle_segments_equal_oracle(self):
+        """Segments of 3-5 events from the middle of longer logs with
+        messages, under drawn floors: the processes hold payloads at the
+        base cut, and a receive may lie in the segment while its send lies
+        past it. The outcomes equal the rewrite over every linearization
+        of the restricted segment, from the payloads held at its base
+        cut."""
+        rng = random.Random(12)
+        for _ in range(12):
+            comp, consumed = segment_with_messages(rng, max_events=5, epsilons=(1, 2), lin_cap=150)
+            sub, carry = comp.restrict(consumed), held_at(comp, cut_before(comp, consumed.start))
+            assert carry
+            f = random_flat_formula(rng) if rng.random() < 0.75 else random_formula(rng, 2)
+            start = min(e.local_time for e in sub.events)
+            floor = rng.choice([None] + list(range(start + sub.epsilon + 2)))
+            en = enumerate_verdicts(comp, f, 256, CMD, floor=floor, consumed=consumed)
+            assert en.complete
+            assert set(en.branches) == oracle_pairs(sub, f, floor, carry), (str(f), floor)
+
     def test_blocking_assertion_mentions_signature(self):
         c = fig3_computation()
         problem = encode(c, parse_spec("a U[0,6) b"))
@@ -562,12 +617,14 @@ class TestEnumerateVerdicts:
 
 def reference_replay(problem, decoded):
     """Replay without the rewrite memo: a TimedTrace of the merged
-    frontiers, progressed after shifting the anchored windows by the gap
-    from the floor."""
-    latest = dict(problem.carry)
+    frontiers from the payloads held at the segment's base cut,
+    progressed after shifting the anchored windows by the gap from the
+    floor."""
+    comp, consumed = problem.seg.comp, problem.seg.consumed
+    latest = held_at(comp, cut_before(comp, consumed.start))
     states = []
-    for k in decoded.order:
-        e = problem.comp.events[k]
+    for i in decoded.order:
+        e = comp.events[i]
         latest[e.process] = e.payload
         states.append(merge_frontier(latest.values()))
     trace = TimedTrace(tuple(states), decoded.times)
@@ -579,26 +636,30 @@ def reference_replay(problem, decoded):
 class TestReplay:
     def test_memoized_replay_equals_the_reference_fold(self, monkeypatch):
         """Every decoded model of the first criterion-4 cases, each run
-        once plain and once with a drawn floor and carry: `replay`, which
-        goes through the rewrite memo, equals the fold of `progress`."""
+        once whole and once from a drawn event on with a drawn floor, so
+        that the processes hold payloads at the segment's base cut:
+        `replay`, which goes through the rewrite memo, equals the fold of
+        `progress` from the payloads `held_at` reads off that cut."""
         replays = []
         real = smt.replay
 
         def checking(problem, decoded):
             out = real(problem, decoded)
-            replays.append((out, reference_replay(problem, decoded), problem.floor))
+            replays.append((out, reference_replay(problem, decoded), problem))
             return out
 
         monkeypatch.setattr(smt, "replay", checking)
         rng = random.Random(4)
         for c, f in criterion_4_cases(12):
-            start = min(e.local_time for e in c.events)
-            carry = {p: State(frozenset(rng.sample(ATOMS, 1))) for p in ("P1", "P9")}
+            later = range(rng.randrange(1, len(c)), len(c))
+            start = c.events[later.start].local_time
             enumerate_verdicts(c, f, 129, CMD)
-            enumerate_verdicts(c, f, 129, CMD, floor=rng.randrange(start + 1), carry=carry)
-        assert sum(floor is not None for _, _, floor in replays) > 20
-        for out, ref, floor in replays:
-            assert out == ref, floor
+            enumerate_verdicts(c, f, 129, CMD, floor=rng.randrange(start + 1), consumed=later)
+        later = [p for _, _, p in replays if p.seg.consumed.start]
+        assert len(later) > 20
+        assert all(p.floor is not None and any(p.seg.held) for p in later)
+        for out, ref, problem in replays:
+            assert out == ref, problem.floor
 
 
 class TestSolverCost:
