@@ -333,10 +333,10 @@ def simplify(f: Formula) -> Formula:
 def shift_anchored(f: Formula, t: int) -> Formula:
     """Shift intervals anchored at the evaluation point by elapsed time t.
 
-    Used when a residual formula from one segment is carried across an
-    event-free time gap of length t before the next segment begins.
-    Operand-internal intervals are anchored at their own (future)
-    positions and are left untouched.
+    The one way time passes: a rewritten formula is shifted by the time
+    from its state to the next one, or from a branch's floor to its
+    segment's first state. Operand-internal intervals are anchored at
+    their own (future) positions and are left untouched.
     """
     if t == 0:
         return f

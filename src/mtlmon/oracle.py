@@ -1,6 +1,6 @@
 """Exhaustive oracle: every linearization of a (small) computation that
 respects the ordering and the skew windows, as a timed trace, and
-`progress`, the fold of `progression.step` over one trace.
+`progress`, which folds `progression.step` and `shift_anchored` over a trace.
 
 Exists for correctness, not performance: the tests check both verdict
 engines against it and against `tests/reference.py`. The pipeline and the
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .computation import Computation, Event, time_window
-from .formula import Formula, simplify
+from .formula import Formula, shift_anchored, simplify
 from .progression import step
 from .semantics import State, merge_frontier
 
@@ -69,7 +69,7 @@ def progress(trace: TimedTrace, f: Formula, elapsed: Optional[int] = None) -> Fo
     gaps.append(elapsed - span)
     f = simplify(f)  # residual operands are reused, so normalize up front
     for state, gap in zip(trace.states, gaps):
-        f = step(state, f, gap)
+        f = shift_anchored(step(state, f), gap)
     return f
 
 

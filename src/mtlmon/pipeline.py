@@ -10,14 +10,13 @@ and carries a bitmask of the branches that reach it, so linearizations,
 and branches, that reach the same state share the rest of the work. A
 layer is keyed by cut, then last time, so each cut's frontier state (one
 `progression.frontier` lookup) and its enabled events are found once per
-segment; each of its times is expanded once, and its pending set is
-stepped once per gap, in one call, however many enabled events land at
-the same time.
+segment; each of its times is expanded once: its pending set is stepped
+over the frontier in one call, and the result shifted once per successor
+time, however many enabled events land at that time.
 Each branch's outcome set, the states whose mask holds its bit, equals
 the rewrite over every admissible linearization, and the state budget
-counts each branch's own states. Each one-state rewrite, and each shift
-of a branch's anchored windows out of the empty cut, reads the memo of
-`progression.advance`, the rewrite both engines share; `monitor` runs
+counts each branch's own states. Each one-state rewrite and each shift
+reads the memo of `progression`, which both engines share; `monitor` runs
 `progression.evict` when it returns. The input formula is
 normalized once per distinct formula. The floor carries the previous
 segment's last timestamp so times never decrease across the boundary, and any
@@ -62,7 +61,7 @@ from . import smt as smt_backend
 from .computation import Computation, Event, build_computation, segment_tables, time_window
 from .errors import BudgetExceeded, InputError, UsageError
 from .formula import Formula, simplify
-from .progression import advance_all, evict, frontier
+from .progression import advance_all, evict, frontier, shift_all
 
 # perfbench/spans.py wraps these three names on this module to count
 # linearizations, progress calls and shifts; the cut walk calls none.
@@ -425,8 +424,8 @@ def _walk_cuts(
     A state is (cut, last time, pending formula): the cut as per-process
     prefix lengths, and the formula not yet progressed over the cut's
     frontier state. An edge adds one enabled event at a time t' >= t from
-    its skew window and steps the pending formula over the frontier with
-    elapsed t' - t. Linearizations that reach the same state share all
+    its skew window; the pending formula is stepped over the frontier and
+    shifted by t' - t. Linearizations that reach the same state share all
     later work, so the cost follows the number of distinct states rather
     than the number of linearizations.
 
@@ -435,23 +434,22 @@ def _walk_cuts(
     states meet their masks are OR-ed; a branch's outcomes are those whose
     mask holds its bit. Only layer 0, the empty cut, depends on a branch:
     each branch's formula sits there at its floor as its time, and since
-    no state is visible yet, an edge out of it shifts the formula's
-    anchored windows by the gap from the floor (none without a floor)
-    instead of stepping it. A cut of k events lies only in layer k,
-    so its frontier state and its enabled events are found once, then
-    each of its times is expanded once, and each pending formula is
-    stepped once per gap: every enabled event that lands at the same time
-    shares the result. Raises BudgetExceeded when some branch visits more
+    no state is visible yet, an edge out of it only shifts the formula by
+    the gap from the floor (none without a floor). A cut of k events lies
+    only in layer k, so its frontier state and its enabled events are
+    found once, then each of its times is expanded once, and its shifted
+    set is made once per successor time: every enabled event that lands
+    at the same time shares it. Raises BudgetExceeded when some branch visits more
     than STATE_BUDGET states, counting for each branch the states whose
     mask holds its bit, but not the empty cut; the masks are counted per
     branch only once the states of all branches together pass the budget.
 
-    Every formula is normalized. Each (cut, time, gap) steps, or shifts,
-    its whole pending set in one `progression.advance_all` call, as does
-    each (cut, time) of the full cut, the cut with no enabled event, with
-    gap 0; a successor reached first takes a copy of the stepped set.
-    Each frontier state is `progression.frontier`; the memos are described
-    there.
+    Every formula is normalized. Each (cut, time) but the empty cut steps
+    its whole pending set in one `progression.advance_all` call; the full
+    cut, with no enabled event, keeps the result as its outcomes, and any
+    other cut shifts it in one `progression.shift_all` call per successor
+    time, whose copy a successor reached first takes. Each frontier state
+    is `progression.frontier`; the memos are described there.
     """
     seg = segment_tables(comp, consumed)
     events, blocks, enabling = comp.events, seg.blocks, seg.enabling
@@ -514,19 +512,19 @@ def _walk_cuts(
         for cut, at in layer.items():
             st = frontier_at(cut) if cut != empty else None
             hi, enabled = moves(cut)
-            if not enabled:  # the full cut
-                for t, fs in at.items():
-                    for g, m in advance_all(st, fs, 0).items():
-                        final[g, t] = final.get((g, t), 0) | m
-                continue
             for t, fs in at.items():
-                stepped: Dict[int, Dict[Formula, int]] = {}  # next time -> {rewrite: mask}
+                if st is not None:
+                    fs = advance_all(st, fs)
+                if not enabled:  # the full cut
+                    for g, m in fs.items():
+                        final[g, t] = final.get((g, t), 0) | m
+                shifted: Dict[int, Dict[Formula, int]] = {}  # next time -> {residual: mask}
                 for nxt, lo in enabled:
                     at2 = nxt_layer.setdefault(nxt, {})
                     for t2 in range(lo if t is None else max(t, lo), hi + 1):
-                        out = stepped.get(t2)
+                        out = shifted.get(t2)
                         if out is None:
-                            out = stepped[t2] = advance_all(st, fs, 0 if t is None else t2 - t)
+                            out = shifted[t2] = shift_all(fs, 0 if t is None else t2 - t)
                         succ = at2.get(t2)
                         if succ is None:
                             at2[t2] = out.copy()

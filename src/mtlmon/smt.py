@@ -3,11 +3,11 @@
 One segment's question is unrolled into a quantifier-free boolean/integer
 problem over SMT-LIB v2 text, once per segment and branch. The engine is
 one loop: solve, decode the sat model once into a (cut order, timestamp
-assignment) pair, replay the rewrite on that linearization through the
-memo the cut walk shares (`progression.advance`), and add a blocking
-assertion over the bits that determine the outcome (residual and last
-time), until the solver answers unsat. An encoding that would declare
-more than VAR_BUDGET boolean variables is refused.
+assignment) pair, replay the rewrite on that linearization, each step
+through the memo the cut walk shares (`progression.advance`) and each
+gap through `shift_anchored`, and add a blocking assertion over the bits
+that determine the outcome (residual and last time), until the solver
+answers unsat. An encoding over VAR_BUDGET boolean variables is refused.
 
 Each enumeration (one segment and branch) runs in a solver process, a
 SolverSession, in SMT-LIB incremental use: the problem is sent once, then
@@ -81,8 +81,8 @@ from .formula import (
 from .progression import advance, frontier
 
 # perfbench/spans.py wraps these two names on this module to count
-# progress calls and shifts; replay calls neither.
-from .formula import shift_anchored  # noqa: F401
+# progress calls and shifts; replay shifts through this name.
+from .formula import shift_anchored
 from .oracle import progress  # noqa: F401
 
 DEFAULT_TIMEOUT = 60.0
@@ -802,17 +802,17 @@ def decode_linearization(problem: SmtProblem, model: Mapping[str, int]) -> Decod
 
 
 def replay(problem: SmtProblem, decoded: DecodedModel) -> Tuple[Formula, int, int]:
-    """Rewrite the branch formula over the decoded linearization through
-    the memos the cut walk shares: shift it by the gap from the floor, then
-    step each frontier state with the gap to the next time (0 at the end)."""
+    """Rewrite the branch formula over the decoded linearization: shift it
+    by the gap from the floor, then step each frontier state through the
+    cut walk's memo and shift by the gap to the next time (0 at the end)."""
     times = decoded.times
-    f = advance(None, problem.formula, 0 if problem.floor is None else times[0] - problem.floor)
+    f = shift_anchored(problem.formula, 0 if problem.floor is None else times[0] - problem.floor)
     comp = problem.seg.comp
     latest = dict(zip(comp.processes, problem.seg.held))  # from the base cut, in column order
     for i, t, t2 in zip(decoded.order, times, times[1:] + times[-1:]):
         e = comp.events[i]
         latest[e.process] = e.payload
-        f = advance(frontier(tuple(p for p in latest.values() if p is not None)), f, t2 - t)
+        f = shift_anchored(advance(frontier(tuple(filter(None, latest.values()))), f), t2 - t)
     return f, times[0], times[-1]
 
 

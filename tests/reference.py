@@ -30,6 +30,16 @@ from mtlmon.formula import (
     SumAtom,
     TrueF,
     Until,
+    FALSE,
+    TRUE,
+    mk_and,
+    mk_eventually,
+    mk_globally,
+    mk_implies,
+    mk_junction,
+    mk_not,
+    mk_or,
+    mk_until,
 )
 from mtlmon.oracle import DEFAULT_BUDGET, TimedTrace, enumerate_linearizations
 from mtlmon.refsolver import parse_sexprs, tokenize
@@ -113,6 +123,42 @@ def oracle_verdicts(
     for lin in enumerate_linearizations(c, budget=budget):
         out.add(eval_finite(lin.trace, f, 0))
     return out
+
+
+def step(state: State, f: Formula, elapsed: int) -> Formula:
+    """Rewrite a normalized formula over one state, with `elapsed` time
+    units until the continuation's first state: each timed node's window
+    is shifted here, in the rewrite itself. The package steps with no
+    time and shifts with `shift_anchored`; the tests check that the two
+    give the same interned formula."""
+    if isinstance(f, (TrueF, FalseF)):
+        return f
+    if isinstance(f, (Atom, SumAtom)):
+        return TRUE if state.holds(f) else FALSE
+    if isinstance(f, Not):
+        return mk_not(step(state, f.operand, elapsed))
+    if isinstance(f, (And, Or)):
+        return mk_junction(type(f), [step(state, g, elapsed) for g in f.args])
+    if isinstance(f, Implies):
+        return mk_implies(step(state, f.left, elapsed), step(state, f.right, elapsed))
+    iv = f.interval
+    residual = iv.shift(elapsed)
+    if isinstance(f, Eventually):
+        later = mk_eventually(residual, f.operand)
+        if 0 not in iv:
+            return later
+        return mk_or(step(state, f.operand, elapsed), later)
+    if isinstance(f, Globally):
+        later = mk_globally(residual, f.operand)
+        if 0 not in iv:
+            return later
+        return mk_and(step(state, f.operand, elapsed), later)
+    if isinstance(f, Until):
+        later = mk_and(step(state, f.left, elapsed), mk_until(f.left, residual, f.right))
+        if 0 not in iv:
+            return later
+        return mk_or(step(state, f.right, elapsed), later)
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def is_consistent_cut_indices(c: Computation, indices: Set[int]) -> bool:

@@ -269,11 +269,11 @@ class TestNormalForm:
     @given(formulas, states, st.integers(0, 8), st.integers(0, 8))
     def test_step_and_shift_keep_normal_form(self, f, state, gap, t):
         f = simplify(f)
-        out = step(state, f, gap)
-        assert simplify(out) == out
+        out = step(state, f)
+        later = shift_anchored(out, gap)  # the next state gap units later
         shifted = shift_anchored(f, t)
-        assert simplify(shifted) == shifted
-        for g in (f, out, shifted):
+        for g in (f, out, later, shifted):
+            assert simplify(g) == g
             _assert_flat(g)
 
     @given(st.lists(formulas, max_size=6))

@@ -499,8 +499,8 @@ class TestCutWalk:
     def test_each_rewrite_is_stepped_once_per_run(self, monkeypatch):
         """Skew-random recipe, 18 events at eps 2 in 4 segments (segment 3
         leaves 62 branches): the walks of all branches and segments step no
-        (frontier state, formula, gap) twice, and the report equals the
-        one the per-linearization rewrite gives."""
+        (frontier state, formula) twice, and the report equals the one the
+        per-linearization rewrite gives."""
         comp = gen_random_computation(2, processes=2, events=18, epsilon=2, max_gap=6)
         phi = parse_spec("G[0,40) (p -> F[0,12) q)")
         cfg = MonitorConfig(
@@ -669,12 +669,12 @@ def _count_steps(monkeypatch) -> list:
     depth = [0]
     real_step = progression.step
 
-    def counting(st, f, gap):
+    def counting(st, f):
         if not depth[0]:
-            keys.append((st, f, gap))
+            keys.append((st, f))
         depth[0] += 1
         try:
-            return real_step(st, f, gap)
+            return real_step(st, f)
         finally:
             depth[0] -= 1
 
@@ -794,13 +794,15 @@ class TestWalkCost:
     cold memo. They do not depend on the machine, so they can gate the
     walk's cost; a change that raises one says why."""
 
-    STEPS = 1380  # outermost `progression.step` calls: rewrite memo misses
-    # pending formulas the walk steps or shifts: the sizes of the sets it
-    # passes to `advance_all`
-    ADVANCES = 46754
-    CALLS = 1008  # the walk's calls of `advance_all`
+    STEPS = 225  # outermost `progression.step` calls: rewrite memo misses
+    STEPPED = 10569  # pending formulas the walk passes to `advance_all`
+    STEP_CALLS = 220  # the walk's calls of `advance_all`, one per (cut, time)
+    SHIFTED = 13325  # pending formulas the walk passes to `shift_all`
+    SHIFT_CALLS = 980  # the walk's calls of `shift_all`
     MERGES = 20  # frontier merges: distinct tuples of latest payloads
-    JUNCTIONS = 15321  # at eps 6: distinct (connective, stepped operands)
+    # at eps 6: distinct (connective, stepped or shifted operands)
+    JUNCTIONS = 11957
+    ENTRIES = 34083  # at eps 6: rewrite memo entries one call leaves
     BUDGET = 1470  # the least STATE_BUDGET with which the eps-4 run completes
 
     @staticmethod
@@ -816,17 +818,21 @@ class TestWalkCost:
     def test_walk_stays_within_its_counts(self, monkeypatch):
         """At eps 4."""
         steps = _count_steps(monkeypatch)
-        sizes, merges = [], []  # the formulas each walk call steps
-        advance_all = pipeline.advance_all
+        stepped, shifted, merges = [], [], []  # the formulas of each walk call
+        advance_all, shift_all = pipeline.advance_all, pipeline.shift_all
         merge = progression.merge_frontier
         monkeypatch.setattr(pipeline, "advance_all",
-                            lambda st, fs, gap: sizes.append(len(fs)) or advance_all(st, fs, gap))
+                            lambda st, fs: stepped.append(len(fs)) or advance_all(st, fs))
+        monkeypatch.setattr(pipeline, "shift_all",
+                            lambda fs, gap: shifted.append(len(fs)) or shift_all(fs, gap))
         monkeypatch.setattr(progression, "merge_frontier",
                             lambda latest: merges.append(latest) or merge(latest))
         self._run(4)
         assert len(steps) <= self.STEPS
-        assert sum(sizes) == self.ADVANCES
-        assert len(sizes) <= self.CALLS
+        assert sum(stepped) == self.STEPPED
+        assert len(stepped) <= self.STEP_CALLS
+        assert sum(shifted) == self.SHIFTED
+        assert len(shifted) <= self.SHIFT_CALLS
         assert len(merges) <= self.MERGES
 
     def test_walk_counts_its_lattice_states(self, monkeypatch):
@@ -840,14 +846,14 @@ class TestWalkCost:
             self._run(4)
 
     def test_each_stepped_junction_is_built_once(self, monkeypatch):
-        """At eps 6, the junctions `advance` rebuilds from stepped operands
-        are one per distinct operand tuple, and eviction empties their
-        table."""
+        """At eps 6, the junctions the memo builds from stepped or shifted
+        operands are one per distinct operand tuple, and eviction empties
+        their table."""
         built = []
         real = progression.mk_junction
 
         def counted(cls, fs):
-            if sys._getframe(1).f_code.co_name == "advance":
+            if sys._getframe(1).f_code.co_name == "_rewrite":
                 built.append((cls, *fs))
             return real(cls, fs)
 
@@ -855,6 +861,15 @@ class TestWalkCost:
         self._run(6)
         assert len(built) == len(set(built)) <= self.JUNCTIONS
         assert progression._rewrites == {} and progression._junctions == {}
+
+    def test_one_call_leaves_its_memo_entries(self, monkeypatch):
+        """At eps 6, with eviction off, one call leaves at most ENTRIES
+        rewrite memo entries: a step is keyed by (state, formula) and a
+        shift by (gap, formula), so no step is made again for each gap."""
+        monkeypatch.setattr(pipeline, "evict", lambda: None)
+        self._run(6)
+        assert len(progression._rewrites) <= self.ENTRIES
+        _cold_memo()
 
 
 # a CLI run in a fresh interpreter that first allocates argv[1] throwaway

@@ -21,8 +21,9 @@ from mtlmon.formula import (
 )
 from mtlmon.oracle import TimedTrace, progress
 from mtlmon.parser import parse_spec
-from mtlmon.progression import advance, advance_all, step
+from mtlmon.progression import advance, advance_all, shift_all, step
 from mtlmon.semantics import State, Verdict, finalize
+import reference
 from reference import eval_finite, trace_of
 from support import ATOMS, random_formula, random_trace
 
@@ -221,47 +222,72 @@ class TestSoundness:
             assert simplify(out) == out
 
 
+class TestOnePathForTime:
+    """Time passes only through `shift_anchored`: a step takes no time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 3), st.integers(0, 12))
+    def test_step_then_shift_is_the_timed_rewrite(self, seed, depth, gap):
+        """Stepping with no time and then shifting by the gap gives the
+        very object the rewrite that shifts each window itself gives."""
+        rng = random.Random(seed)
+        f = simplify(random_formula(rng, depth))
+        s_ = State(frozenset(a for a in ATOMS if rng.random() < 0.5))
+        assert shift_anchored(step(s_, f), gap) is reference.step(s_, f, gap)
+
+
 class TestAdvance:
-    """`advance` is the one memoized rewrite both engines run."""
+    """`advance` is the one memoized rewrite both engines run, and
+    `shift_all` the memoized shift of the cut walk."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32), st.lists(st.integers(0, 12), min_size=1, max_size=3))
     def test_equals_step_and_shift_on_a_cold_and_a_warm_memo(self, seed, gaps):
-        """Each (state, gap) pair of one formula, with None for a shift,
-        first on a cleared memo, then again on the memo those calls left."""
+        """`advance` and `advance_all` over two states, and `shift_all`
+        by each gap, of one formula: first on a cleared memo, then again
+        on the memo those calls left."""
         rng = random.Random(seed)
         f = simplify(random_formula(rng, rng.randrange(0, 4)))
         states = [State(frozenset(a for a in ATOMS if rng.random() < 0.5)) for _ in range(2)]
-        keys = [(s_, gap) for s_ in states + [None] for gap in gaps]
-        expected = [
-            shift_anchored(f, gap) if s_ is None else step(s_, f, gap) for s_, gap in keys
-        ]
+        expected = [step(s_, f) for s_ in states] + [shift_anchored(f, gap) for gap in gaps]
+
+        def run():
+            stepped = [advance(s_, f) for s_ in states]
+            for s_, g in zip(states, stepped):
+                assert advance_all(s_, {f: 1}) == {g: 1}
+            shifted = []
+            for gap in gaps:
+                [(g, m)] = shift_all({f: 1}, gap).items()
+                assert m == 1
+                shifted.append(g)
+            return stepped + shifted
+
         progression._rewrites.clear()
-        cold = [advance(s_, f, gap) for s_, gap in keys]
+        cold = run()
         assert cold == expected
-        warm = [advance(s_, f, gap) for s_, gap in keys]
+        warm = run()
         assert warm == expected
         assert all(w is c for w, c in zip(warm, cold))
 
     def test_steps_each_operand_of_a_junction_once(self, monkeypatch):
-        """A junction over a state is stepped operand by operand through
-        the memo: each operand's key is entered, and an operand two
-        junctions share is stepped once."""
+        """A junction is stepped operand by operand through the memo: each
+        operand's key is entered, and an operand two junctions share is
+        stepped once."""
         p, later = Atom("p"), Eventually(Interval(2, 5), Atom("q"))
         f = mk_and(Globally(Interval(0, 9), p), later)
         g = mk_or(later, Atom("r"))
         s_ = State(frozenset({"p", "r"}))
-        expected = [step(s_, f, 2), step(s_, g, 2)]
+        expected = [step(s_, f), step(s_, g)]
         stepped = []
         real_step = progression.step
         monkeypatch.setattr(progression, "step",
-                            lambda st_, h, gap: stepped.append(h) or real_step(st_, h, gap))
+                            lambda st_, h: stepped.append(h) or real_step(st_, h))
         progression._rewrites.clear()
-        assert [advance(s_, f, 2), advance(s_, g, 2)] == expected
+        assert [advance(s_, f), advance(s_, g)] == expected
         assert f not in stepped and g not in stepped
         assert stepped.count(later) == 1
         for h in f.args + g.args:
-            assert progression._rewrites[(s_, h, 2)] == advance(s_, h, 2)
+            assert progression._rewrites[s_, h] == advance(s_, h)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32), st.integers(0, 12), st.booleans())
@@ -269,28 +295,30 @@ class TestAdvance:
         """`advance_all` of a pending set, on a cold and on a warm memo,
         equals `advance` of each formula with the masks of the formulas
         that step to one residual OR-ed, in the order the residuals are
-        first reached; so too with state None, a shift."""
+        first reached; so too `shift_all`, with `shift_anchored`, which
+        returns the set itself when the gap is 0."""
         rng = random.Random(seed)
         fs = {simplify(random_formula(rng, rng.randrange(0, 3))): 1 << b for b in range(6)}
-        s_ = None if shift else State(frozenset(a for a in ATOMS if rng.random() < 0.5))
+        s_ = State(frozenset(a for a in ATOMS if rng.random() < 0.5))
+        one = (lambda f: shift_anchored(f, gap)) if shift else (lambda f: advance(s_, f))
         progression._rewrites.clear()
         expected = {}
         for f, m in fs.items():
-            g = advance(s_, f, gap)
+            g = one(f)
             expected[g] = expected.get(g, 0) | m
         progression._rewrites.clear()
         for _ in range(2):
-            out = advance_all(s_, fs, gap)
+            out = shift_all(fs, gap) if shift else advance_all(s_, fs)
             assert list(out.items()) == list(expected.items())
+        assert (shift_all(fs, gap) is fs) == (gap == 0)
 
     def test_formulas_stepping_to_one_residual_share_it(self):
-        """Two formulas that step to one residual over a state leave one
+        """Two formulas that step and shift to one residual leave one
         entry whose mask ORs both of theirs."""
         p, q = Atom("p"), Atom("q")
         later = Eventually(Interval(0, 3), q)
-        f, g = mk_or(p, later), mk_and(Not(q), later)  # both step to F[0,1) q
+        f, g = mk_or(p, later), mk_and(Not(q), later)  # both step to F[0,3) q
         s_ = State(frozenset())
         progression._rewrites.clear()
-        out = advance_all(s_, {f: 0b01, g: 0b10, p: 0b100}, 2)
+        out = shift_all(advance_all(s_, {f: 0b01, g: 0b10, p: 0b100}), 2)
         assert out == {Eventually(Interval(0, 1), q): 0b11, FALSE: 0b100}
-
