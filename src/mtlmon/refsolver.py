@@ -21,13 +21,22 @@ problem after another.
 Terms: true false, integer literals, (- k), and or not => = ite < <= > >=
 + - *.
 
-Each assertion is compiled once, when it is added: its sorts and argument
-counts are checked, ``=`` over booleans becomes its own operator ``iff``,
-and the term becomes closures, one that evaluates it under a partial
-assignment and one for its unit rule. Malformed input (a missing argument,
-a sort mismatch, a symbol declared twice) is refused like unsupported
-input: ``unknown``, a ``; reason`` line, exit status 1. So is a term nested
-too deeply for the recursive compiler.
+Compiling an assertion checks its sorts and argument counts, makes ``=``
+over booleans its own operator ``iff``, and turns each top-level conjunct
+into closures, one that evaluates it under a partial assignment and one
+for its unit rule. Input is read line by line, and each distinct command
+is read and compiled once per process: a table keyed on the text of a
+line, kept across ``(reset)``, holds the line's forms and, for an
+assertion, its closures, watched variables, cardinality shape, bound and
+the sorts of the symbols it names. A line found in the table is executed
+from there while those symbols have the same sorts; no declared name can
+read as a literal, so its meaning depends on nothing else. Past TABLE_CAP
+lines the table is emptied. The closures read integer bounds from one
+dict per process, which ``(reset)`` empties, so a kept closure reads the
+bounds of the problem being solved. Malformed input (a missing argument,
+a sort mismatch, a symbol declared twice or named like a literal) is
+refused like unsupported input: ``unknown``, a ``; reason`` line, exit
+status 1. So is a term nested too deeply for the recursive compiler.
 
 The search is chronological backtracking in declaration order (false before
 true, integers ascending) with watched re-evaluation, unit propagation on
@@ -158,28 +167,32 @@ def signature(op, sorts):
 
 
 def _once(compile_):
-    """A compiler method that builds each subterm once per assertion."""
+    """A compiler method that builds each subterm once per conjunct."""
     def once(self, t):
         key = (compile_, t)
-        if key not in self.built:  # `_add` empties it for each assertion
+        if key not in self.built:  # emptied for each conjunct
             self.built[key] = compile_(self, t)
         return self.built[key]
     return once
 
 
 class Problem:
-    def __init__(self):
+    def __init__(self, bounds=None):
         self.var_order = []  # declaration order
         self.var_sort = {}  # name -> "Bool" | "Int"
         self.tests = []  # per flattened top-level assertion: its evaluator
         self.units = []  # per assertion: its unit rule, or None
         self.watch = {}  # var -> set of assertion indices
         self.card = {}  # assertion index -> (tuple of bool vars, int const)
-        self.bounds = {}  # int var -> (lo, hi)
+        # int var -> (lo, hi); the closures compiled here read this dict,
+        # so problems that share compiled assertions share it too
+        self.bounds = {} if bounds is None else bounds
 
     def declare(self, name, sort):
         if not isinstance(name, str):
             raise Unsupported(f"bad symbol {name!r}")
+        if name in ("true", "false") or is_numeral(name):
+            raise Unsupported(f"symbol {name!r} reads as a literal")
         if name in self.var_sort:
             raise Unsupported(f"symbol {name!r} is already declared")
         if sort not in ("Bool", "Int"):
@@ -189,11 +202,37 @@ class Problem:
         if sort == "Int":
             self.bounds[name] = (-INF, INF)
 
-    def add_assert(self, term):
+    def compile_assertion(self, term):
+        """(sorts, parts): the sort of each symbol assertion `term` names,
+        and per top-level conjunct (test, unit rule, watched variables,
+        cardinality shape, bound). Their meaning depends on those sorts
+        alone, so `add` can give them to any problem that declares the
+        same sorts."""
         term, sort = self.compile(term)
         if sort != "Bool":
             raise Unsupported(f"assertion of sort {sort}")
-        self._add(term)
+        parts = []
+        for conjunct in conjuncts(term, []):
+            self.built = {}  # (compiler, subterm) -> closure; `_unit` reads `_bool`'s
+            parts.append((self._bool(conjunct), self._unit(conjunct), tuple(term_vars(conjunct, set())),
+                          cardinality_shape(conjunct), int_bound(conjunct)))
+        return {v: self.var_sort[v] for part in parts for v in part[2]}, parts
+
+    def add(self, parts):
+        """Add the conjuncts `compile_assertion` made: each becomes one
+        assertion, and its bound narrows its variable's."""
+        for test, unit, names, card, bound in parts:
+            idx = len(self.tests)
+            self.tests.append(test)
+            self.units.append(unit)
+            for v in names:
+                self.watch.setdefault(v, set()).add(idx)
+            if card:
+                self.card[idx] = card
+            if bound:
+                var, lo, hi = bound
+                old_lo, old_hi = self.bounds[var]
+                self.bounds[var] = (max(old_lo, lo), min(old_hi, hi))
 
     def compile(self, term):
         """(compiled term, sort). Compiled terms hold declared names as
@@ -225,47 +264,6 @@ class Problem:
         if op == "=" and want[0] == "Bool":
             op = "iff"
         return (op, *(t for t, _ in args)), sort
-
-    def _add(self, term):
-        # flatten top-level conjunctions so unit rules see the conjuncts
-        if type(term) is tuple and term[0] == "and":
-            for sub in term[1:]:
-                self._add(sub)
-            return
-        idx = len(self.tests)
-        self.built = {}  # (compiler, subterm) -> closure; `_unit` reads `_bool`'s
-        self.tests.append(self._bool(term))
-        self.units.append(self._unit(term))
-        for v in term_vars(term, set()):
-            self.watch.setdefault(v, set()).add(idx)
-        card = cardinality_shape(term)
-        if card:
-            self.card[idx] = card
-        self._infer_bounds(term)
-
-    def _infer_bounds(self, term):
-        if type(term) is not tuple or len(term) != 3:
-            return
-        op, a, b = term
-        if op not in ("<", "<=", ">", ">=", "="):
-            return
-        if type(b) is str and self.var_sort[b] == "Int":
-            a, b = b, a
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}[op]
-        if not (type(a) is str and self.var_sort[a] == "Int" and type(b) is int):
-            return
-        lo, hi = self.bounds[a]
-        if op == ">=":
-            lo = max(lo, b)
-        elif op == ">":
-            lo = max(lo, b + 1)
-        elif op == "<=":
-            hi = min(hi, b)
-        elif op == "<":
-            hi = min(hi, b - 1)
-        else:
-            lo, hi = max(lo, b), min(hi, b)
-        self.bounds[a] = (lo, hi)
 
     # Each compiled term becomes a closure over a partial assignment `asg`.
     # A boolean one gives True, False or None (unknown); an integer one the
@@ -454,6 +452,26 @@ class Problem:
         return None
 
 
+def is_numeral(token) -> bool:
+    """Whether `Problem.compile` reads `token` as an integer literal."""
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
+def conjuncts(term, acc):
+    """The top-level conjuncts of compiled `term`, nested ``and`` flattened,
+    so that unit rules see each one."""
+    if type(term) is tuple and term[0] == "and":
+        for sub in term[1:]:
+            conjuncts(sub, acc)
+    else:
+        acc.append(term)
+    return acc
+
+
 def term_vars(term, acc):
     if type(term) is str:
         acc.add(term)
@@ -461,6 +479,23 @@ def term_vars(term, acc):
         for sub in term[1:]:
             term_vars(sub, acc)
     return acc
+
+
+def int_bound(term):
+    """(var, lo, hi) when compiled assertion `term` compares an integer
+    variable with a literal, else None."""
+    if type(term) is not tuple or len(term) != 3:
+        return None
+    op, a, b = term
+    if op not in ("<", "<=", ">", ">=", "="):  # Int arguments: `=` over Bool is `iff`
+        return None
+    if type(b) is str:
+        a, b = b, a
+        op = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}[op]
+    if not (type(a) is str and type(b) is int):
+        return None
+    lo, hi = {">=": (b, INF), ">": (b + 1, INF), "<=": (-INF, b), "<": (-INF, b - 1), "=": (b, b)}[op]
+    return a, lo, hi
 
 
 def cardinality_shape(term):
@@ -647,23 +682,55 @@ COMMANDS = {
     "declare-const": 2, "declare-fun": 3, "assert": 1, "check-sat": 0, "get-model": 0, "reset": 0,
 }
 
+TABLE_CAP = 4096  # lines an executor keeps read and compiled; past it, all are dropped
+
 
 class Executor:
     """Executes top-level commands in order against one growing problem,
     which `(reset)` empties. `solver` keeps the search of the last `sat`
-    answer while no declaration or reset has followed it."""
+    answer while no declaration or reset has followed it.
+
+    `feed` reads input line by line. `lines` maps the text of each line
+    read at top level that leaves no form open to its forms, each with a
+    slot for what compiling it as an assertion made, so a line seen before
+    is neither read nor compiled again while the symbols its assertions
+    name have the sorts they had. `(reset)` keeps `lines`; past TABLE_CAP
+    lines it is emptied. Every problem reads the one `bounds` dict, which
+    `(reset)` empties, so a kept closure reads the bounds of the problem
+    being solved."""
 
     def __init__(self):
+        self.reader = Reader()
+        self.lines = {}  # line text -> [(form, [compiled assertion or None])]
+        self.bounds = {}
         self.reset()
 
     def reset(self):
-        self.problem = Problem()
+        self.bounds.clear()
+        self.problem = Problem(self.bounds)
         self.status, self.model = None, None
         self.solver = None
 
-    def execute(self, form):
+    def feed(self, line):
+        """Execute the commands that `line` completes; yields each output."""
+        top = not self.reader.open
+        commands = self.lines.get(line) if top else None
+        if commands is None:
+            commands = [(form, [None]) for form in self.reader.feed(tokenize(line))]
+            if top and not self.reader.open:
+                if len(self.lines) >= TABLE_CAP:
+                    self.lines.clear()
+                self.lines[line] = commands
+        for form, kept in commands:
+            out = self.execute(form, kept)
+            if out is not None:
+                yield out
+
+    def execute(self, form, kept=None):
         """Run one command; returns its output line(s) without the final
-        newline, or None for a command that prints nothing."""
+        newline, or None for a command that prints nothing. `kept`, a
+        one-item list, holds an assertion's compiled form for the next
+        time `form` is executed."""
         if not isinstance(form, tuple) or not form:
             raise Unsupported(f"bad top-level form {form!r}")
         head, problem = form[0], self.problem
@@ -679,7 +746,12 @@ class Executor:
             problem.declare(form[1], form[-1])
             self.solver = self.status = None  # the last model lacks the new symbol
         elif head == "assert":
-            problem.add_assert(form[1])
+            compiled = kept and kept[0]
+            if not (compiled and compiled[0].items() <= problem.var_sort.items()):
+                compiled = problem.compile_assertion(form[1])
+                if kept:
+                    kept[0] = compiled
+            problem.add(compiled[1])
         elif head == "reset":
             self.reset()
         elif head == "check-sat":
@@ -713,15 +785,13 @@ def run(text: str) -> str:
 
 
 def main() -> int:
-    executor, reader = Executor(), Reader()
+    executor = Executor()
     try:
         for line in sys.stdin:
-            for form in reader.feed(tokenize(line)):
-                out = executor.execute(form)
-                if out is not None:
-                    sys.stdout.write(out + "\n")
-                    sys.stdout.flush()
-        if reader.open:
+            for out in executor.feed(line):
+                sys.stdout.write(out + "\n")
+                sys.stdout.flush()
+        if executor.reader.open:
             raise Unsupported("unbalanced parentheses")
     except Unsupported as exc:
         sys.stdout.write(f"unknown\n; {exc}\n")

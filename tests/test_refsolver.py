@@ -234,6 +234,12 @@ def ask(executor, text: str) -> str:
     return "".join(out + "\n" for out in outs if out is not None)
 
 
+def feed(executor, text: str) -> str:
+    """Feed `text` line by line, as `main` reads standard input; returns
+    what it prints."""
+    return "".join(out + "\n" for line in text.splitlines(keepends=True) for out in executor.feed(line))
+
+
 @pytest.fixture
 def decisions(monkeypatch):
     """The (variable, value) of every decision the solver makes."""
@@ -337,11 +343,14 @@ class TestAgainstBruteForce:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_fresh_and_session_answers_equal_the_least_model(self, data):
+        """A fresh run and a session fed line by line, as `main` reads
+        input, answer the least model; so does the same session given the
+        whole script again after (reset), which it reads from its table."""
         executor, script, sorts, domains = Executor(), [], {}, {}
 
         def send(command: str):
-            script.append(command)
-            assert ask(executor, command) == ""
+            script.append(command + "\n")
+            assert feed(executor, command + "\n") == ""
 
         def declare():
             name = f"v{len(sorts)}"
@@ -371,7 +380,8 @@ class TestAgainstBruteForce:
                 expected = f"sat\n(model\n{rows})\n"
             asked = "(check-sat)" + "(get-model)" * (model is not None)
             assert run("".join(script) + asked) == expected
-            assert ask(executor, asked) == expected
+            assert feed(executor, asked + "\n") == expected
+        assert feed(executor, "(reset)\n" + "".join(script) + asked + "\n") == expected
 
 
 class TestReset:
@@ -407,6 +417,21 @@ class TestReset:
         assert "".join(o + "\n" for o in outs if o is not None) == run(second)
         assert executor.model == {"x": 0}
 
+    def test_same_lines_with_other_sorts_answer_as_fresh_runs(self):
+        """The executor keeps each line it has read and compiled across
+        (reset), but reuses an assertion only while the symbols it names
+        have the sorts they had. Here `(assert (= x y))` is compiled over
+        Bool, which makes `iff`, and then over Int, and the other way
+        round: a closure compiled for Int reads bounds that Bool symbols
+        lack."""
+        bools = "(declare-const x Bool)\n(declare-const y Bool)\n(assert (= x y))\n(check-sat)\n(get-model)\n"
+        ints = (
+            "(declare-const x Int)\n(declare-const y Int)\n(assert (>= x 1))\n(assert (<= x 2))\n"
+            "(assert (>= y 2))\n(assert (<= y 3))\n(assert (= x y))\n(check-sat)\n(get-model)\n"
+        )
+        for first, second in ((bools, ints), (ints, bools)):
+            assert feed(Executor(), first + "(reset)\n" + second) == run(first) + run(second)
+
 
 class TestMalformedInput:
     """Malformed input is refused like unsupported input: `unknown`, one
@@ -426,10 +451,20 @@ class TestMalformedInput:
             "(check-sat 1)",
             "(declare-const b Bool)(assert " + "(not " * 5000 + "b" + ")" * 5001 + "(check-sat)",
             "(declare-const b Bool)(reset b)(check-sat)",
+            # past the depth at which hashing a nested tuple overflows C's stack
+            "(declare-const b Bool)(assert " + "(not " * 200_000 + "b" + ")" * 200_001 + "(check-sat)",
+            # names that read as literals
+            "(declare-const 5 Int)(assert (= 5 6))(check-sat)",
+            "(declare-const -3 Int)",
+            "(declare-fun 1_0 () Int)",
+            "(declare-const true Bool)(assert (not true))(check-sat)",
+            "(declare-fun false () Bool)",
         ],
         ids=["declare-no-sort", "assert-nothing", "ite-no-args", "redeclare-const",
              "redeclare-fun", "int-assertion", "bool-compared", "implies-three", "check-sat-arg",
-             "nested-5000", "reset-arg"],
+             "nested-5000", "reset-arg", "nested-200000", "declare-numeral",
+             "declare-negative-numeral", "declare-underscored-numeral", "declare-true",
+             "declare-fun-false"],
     )
     def test_refused_with_unknown(self, script):
         proc = subprocess.run(

@@ -662,37 +662,95 @@ class TestReplay:
             assert out == ref, problem.floor
 
 
-class TestSolverCost:
-    # decisions (`Solver._assign` calls) the bundled solver makes on the
-    # session traffic below; a change that raises it says why
-    DECISIONS = 1186
+@pytest.fixture(scope="class")
+def session_rounds(tmp_path_factory):
+    """tag -> the --emit-smt texts of the first criterion-4 cases, in
+    round order."""
+    emitted = tmp_path_factory.mktemp("emitted")
+    for case, (c, f) in enumerate(criterion_4_cases(8)):
+        enumerate_verdicts(c, f, 129, CMD, emit_dir=str(emitted), emit_tag=f"c{case}")
+    rounds = {}
+    for path in emitted.iterdir():
+        tag, n = path.stem.rsplit("_q", 1)
+        rounds.setdefault(tag, []).append((int(n), path.read_text()))
+    return {tag: [text for _, text in sorted(texts)] for tag, texts in rounds.items()}
 
-    def test_session_traffic_stays_within_its_decisions(self, tmp_path, monkeypatch):
-        """The rounds of the first criterion-4 cases, read back from their
-        --emit-smt texts and replayed in-process through one executor as
-        the session sends them: (reset), then each round's new assertions,
-        (check-sat), and (get-model) after sat. The decision count does
-        not depend on the machine, so it can gate the solver's cost."""
-        for case, (c, f) in enumerate(criterion_4_cases(8)):
-            enumerate_verdicts(c, f, 129, CMD, emit_dir=str(tmp_path), emit_tag=f"c{case}")
-        rounds = {}
-        for path in tmp_path.iterdir():
-            tag, n = path.stem.rsplit("_q", 1)
-            rounds.setdefault(tag, []).append((int(n), path.read_text()))
-        made = []
-        assign = refsolver.Solver._assign
+
+def replay(executor, rounds):
+    """Feed `executor` the lines the session sends for `rounds`, as the
+    bundled solver's `main` reads them: (reset), then each round's new
+    lines, (check-sat), and (get-model) after sat. Returns the answers."""
+    answers = []
+    for tag in sorted(rounds):
+        assert list(executor.feed("(reset)\n")) == []
+        sent = ""
+        for text in rounds[tag]:
+            body = text[: -len(smt.QUERY_END)]
+            for line in body[len(sent):].splitlines(keepends=True):
+                assert list(executor.feed(line)) == []
+            sent = body
+            answers += executor.feed("(check-sat)\n")
+            if answers[-1] == "sat":
+                answers += executor.feed("(get-model)\n")
+    return answers
+
+
+class TestSolverCost:
+    """Counts of the bundled solver's work on the session traffic of the
+    first criterion-4 cases. They do not depend on the machine, so they
+    can gate its cost; a change that raises one says why. Each replay
+    starts from a new executor, whose line table is empty."""
+
+    DECISIONS = 1186  # `Solver._assign` calls in one replay
+    COMPILED = 587  # assertions the first replay compiles
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """(decisions, compiled assertions) made since the last clear."""
+        made, compiled = [], []
+        assign, compile_ = refsolver.Solver._assign, refsolver.Problem.compile_assertion
         monkeypatch.setattr(refsolver.Solver, "_assign", lambda s, v, x: made.append(v) or assign(s, v, x))
-        executor, answers = refsolver.Executor(), []
-        for tag in sorted(rounds):
-            executor.execute(("reset",))
-            sent = ""
-            for _, text in sorted(rounds[tag]):
-                body = text[: -len(smt.QUERY_END)]
-                for form in refsolver.parse_sexprs(refsolver.tokenize(body[len(sent):])):
-                    executor.execute(form)
-                sent = body
-                answers.append(executor.execute(("check-sat",)))
-                if answers[-1] == "sat":
-                    executor.execute(("get-model",))
-        assert (len(answers), answers.count("sat")) == (27, 19)
+        monkeypatch.setattr(refsolver.Problem, "compile_assertion",
+                            lambda s, t: compiled.append(t) or compile_(s, t))
+        return made, compiled
+
+    def test_session_traffic_stays_within_its_decisions(self, session_rounds, counted):
+        made, _ = counted
+        answers = replay(refsolver.Executor(), session_rounds)
+        statuses = [a for a in answers if not a.startswith("(model")]
+        assert (len(statuses), statuses.count("sat")) == (27, 19)
         assert len(made) <= self.DECISIONS
+
+    def test_a_second_replay_compiles_nothing(self, session_rounds, counted):
+        """The problems repeat their lines, so one process compiles each
+        distinct assertion once: the second replay reads every line from
+        the table, and answers as the first did."""
+        made, compiled = counted
+        executor = refsolver.Executor()
+        first = replay(executor, session_rounds)
+        assert len(compiled) <= self.COMPILED
+        made.clear()
+        compiled.clear()
+        assert replay(executor, session_rounds) == first
+        assert compiled == []
+        assert len(made) <= self.DECISIONS
+
+    def test_the_line_table_stays_within_its_cap(self, monkeypatch, counted):
+        """Past TABLE_CAP lines the table is emptied, and then it fills
+        again: a line read since is not compiled again."""
+        _, compiled = counted
+        monkeypatch.setattr(refsolver, "TABLE_CAP", 8)
+        executor = refsolver.Executor()
+        lines = ["(declare-const x Int)\n"]
+        lines += [f"(assert (and (>= x 0) (<= x {k})))\n" for k in range(21, 0, -1)]
+        sizes = []
+        for line in lines:
+            assert list(executor.feed(line)) == []
+            sizes.append(len(executor.lines))
+        assert max(sizes) == 8 and sizes[-1] == len(lines) % 8
+        again = "(reset)\n" + lines[0] + "".join(lines[-sizes[-1]:]) + "(check-sat)\n(get-model)\n"
+        expected = refsolver.run(again)
+        compiled.clear()
+        answers = [out for line in again.splitlines(keepends=True) for out in executor.feed(line)]
+        assert "".join(out + "\n" for out in answers) == expected
+        assert compiled == []
