@@ -44,14 +44,27 @@ equalities/implications/clauses, and dedicated pruning for boolean
 cardinality sums. It therefore answers the lexicographically least model.
 Evaluation is three-valued, over intervals for integers, and monotone, so
 an assertion found true is held: skipped until the search backtracks below
-the point where it became true. After ``sat`` the search is kept, decision
-stack and all. New assertions only remove models, so the least model is
-then the first one at or after the last: the next check-sat answers the
-last model again if it satisfies them, and otherwise backtracks from its
-leaf, dropping each decision under which one of them is already false. A
-declaration, a reset, or any answer but ``sat``, drops the kept search; a
-declaration also drops the model, which lacks the new symbol. The answers
-are those of a search from scratch.
+the point where it became true. Two rules narrow integer bounds, and each
+narrowing is an entry on the trail, undone with the assignments above it:
+an equality between two variables keeps each to the other's interval, and
+a comparison keeps a variable side within reach of the other side's
+interval (bound propagation, as in Dutertre & de Moura, CAV 2006). A
+blocking assertion ``(not (and c1 ... cn))`` whose conjuncts are all true
+but one makes that one false (the clause rule of Chaff, DAC 2001): a
+Boolean takes the other value, ``(= x k)`` drops k when it is an end of
+x's interval, and any other conjunct forces nothing. A one-point interval
+is an assignment. Both rules only remove values that no model has, and the
+order of the search is the same, so the answers are too. After ``sat``
+the search is kept, decision stack, trail and all. New assertions only
+remove models, so the least model is then the first one at or after the
+last: the next check-sat answers the last model again if it satisfies
+them, and otherwise backtracks from its leaf, dropping each decision under
+which one of them is already false. A declaration, a reset, an assertion
+that bounds a variable by a literal, or any answer but ``sat``, drops the
+kept search, and undoing its whole trail gives the problem its own bounds
+back, which the new bound then narrows; a declaration also drops the
+model, which lacks the new symbol. The answers are those of a search from
+scratch.
 
 Run it as a bare script (``python -I -S refsolver.py``): it imports only
 ``sys``.
@@ -203,25 +216,28 @@ class Problem:
             self.bounds[name] = (-INF, INF)
 
     def compile_assertion(self, term):
-        """(sorts, parts): the sort of each symbol assertion `term` names,
-        and per top-level conjunct (test, unit rule, watched variables,
-        cardinality shape, bound). Their meaning depends on those sorts
-        alone, so `add` can give them to any problem that declares the
-        same sorts."""
+        """(sorts, parts, bounds): the sort of each symbol assertion `term`
+        names; per top-level conjunct (test, unit rule, watched variables,
+        cardinality shape); and the (var, lo, hi) of each conjunct that
+        compares an integer variable with a literal. Their meaning depends
+        on those sorts alone, so `add` can give them to any problem that
+        declares the same sorts."""
         term, sort = self.compile(term)
         if sort != "Bool":
             raise Unsupported(f"assertion of sort {sort}")
-        parts = []
+        parts, bounds = [], []
         for conjunct in conjuncts(term, []):
             self.built = {}  # (compiler, subterm) -> closure; `_unit` reads `_bool`'s
             parts.append((self._bool(conjunct), self._unit(conjunct), tuple(term_vars(conjunct, set())),
-                          cardinality_shape(conjunct), int_bound(conjunct)))
-        return {v: self.var_sort[v] for part in parts for v in part[2]}, parts
+                          cardinality_shape(conjunct)))
+            if bound := int_bound(conjunct):
+                bounds.append(bound)
+        return {v: self.var_sort[v] for part in parts for v in part[2]}, parts, bounds
 
-    def add(self, parts):
-        """Add the conjuncts `compile_assertion` made: each becomes one
-        assertion, and its bound narrows its variable's."""
-        for test, unit, names, card, bound in parts:
+    def add(self, parts, bounds):
+        """Add what `compile_assertion` made: each conjunct becomes one
+        assertion, and each bound narrows its variable's."""
+        for test, unit, names, card in parts:
             idx = len(self.tests)
             self.tests.append(test)
             self.units.append(unit)
@@ -229,10 +245,9 @@ class Problem:
                 self.watch.setdefault(v, set()).add(idx)
             if card:
                 self.card[idx] = card
-            if bound:
-                var, lo, hi = bound
-                old_lo, old_hi = self.bounds[var]
-                self.bounds[var] = (max(old_lo, lo), min(old_hi, hi))
+        for var, lo, hi in bounds:
+            old_lo, old_hi = self.bounds[var]
+            self.bounds[var] = (max(old_lo, lo), min(old_hi, hi))
 
     def compile(self, term):
         """(compiled term, sort). Compiled terms hold declared names as
@@ -392,18 +407,81 @@ class Problem:
     def _unit(self, t, want=True):
         """The unit rule of boolean term `t`, which must come out `want`:
         a closure `(asg, forced)` that appends each (variable, value) that
-        follows under `asg`, or None when the term's shape gives none."""
+        follows under `asg`, and each (integer variable, (lo, hi)) interval
+        that its value must lie in, or None when the term's shape gives
+        none."""
         if type(t) is str:
             return lambda asg, forced: forced.append((t, want))
         if type(t) is not tuple:
             return None
         op = t[0]
         if op == "not":
-            if want and type(t[1]) is not str:
-                return None
             return self._unit(t[1], not want)
+        if op == ("or" if want else "and"):
+            subs = [(self._bool(s), self._unit(s, want)) for s in t[1:]]
+
+            def lone(asg, forced):  # a lone unknown operand must decide the junction
+                rule, unknown = None, False
+                for test, unit in subs:
+                    v = test(asg)
+                    if v is want or (v is None and unknown):
+                        return
+                    if v is None:
+                        rule, unknown = unit, True
+                if rule:
+                    rule(asg, forced)
+            return lone
+        if op == "=" and not want:
+            x, k = t[1], t[2]
+            if type(x) is not str:
+                x, k = k, x
+            if not (type(x) is str and type(k) is int):
+                return None
+            bounds = self.bounds
+
+            def differ(asg, forced):  # k leaves x's interval when it is an end of it
+                lo, hi = bounds[x]
+                if k == lo:
+                    forced.append((x, (k + 1, hi)))
+                elif k == hi:
+                    forced.append((x, (lo, k - 1)))
+            return differ
         if not want:
             return None
+        if op in ("<", "<=", ">", ">="):
+            a, b = (t[2], t[1]) if op in (">", ">=") else (t[1], t[2])
+            d = 1 if op in ("<", ">") else 0  # a + d <= b
+            sides = [(x, self._int(other), upper) for x, other, upper in ((a, b, True), (b, a, False))
+                     if type(x) is str]
+            if not sides:
+                return None
+            bounds = self.bounds
+
+            def below(asg, forced):  # a variable side keeps within reach of the other
+                for x, other, upper in sides:
+                    if x not in asg:
+                        lo, hi = bounds[x]
+                        if upper:
+                            end = other(asg)[1] - d
+                            if end < hi:
+                                forced.append((x, (lo, end)))
+                        else:
+                            end = other(asg)[0] + d
+                            if end > lo:
+                                forced.append((x, (end, hi)))
+            return below
+        if op == "=" and type(t[1]) is str and type(t[2]) is str:
+            x, y = t[1], t[2]
+            ix, iy = self._int(x), self._int(y)
+
+            def same(asg, forced):  # each side keeps to the other's interval
+                ox, oy = ix(asg), iy(asg)
+                span = (max(ox[0], oy[0]), min(ox[1], oy[1]))
+                if span != ox and x not in asg:
+                    forced.append((x, span))
+                if span != oy and y not in asg:
+                    forced.append((y, span))
+            return same
         if op in ("=", "iff"):
             # the first unassigned variable side takes the other side's value
             sides = [(x, (self._bool if op == "iff" else self._int)(other))
@@ -435,20 +513,6 @@ class Problem:
                 elif ua and b(asg) is False:
                     ua(asg, forced)
             return implies
-        if op == "or":
-            subs = [(self._bool(s), self._unit(s)) for s in t[1:]]
-
-            def clause(asg, forced):  # a lone unknown disjunct must hold
-                rule, unknown = None, False
-                for test, unit in subs:
-                    v = test(asg)
-                    if v is True or (v is None and unknown):
-                        return
-                    if v is None:
-                        rule, unknown = unit, True
-                if rule:
-                    rule(asg, forced)
-            return clause
         return None
 
 
@@ -523,14 +587,17 @@ class Solver:
     """Finds the lexicographically least model of `problem`: a depth-first
     search in declaration order that keeps its state after `sat`. `stack`
     holds one [position, variable, value, trail mark] frame per decision,
-    and the assignment is the last model. Asked again once more assertions
-    have been added, `solve` goes on from there (see `_resume`); after any
-    other answer the solver is spent."""
+    and the assignment is the last model. The trail holds each assigned
+    variable, and (variable, interval) for each narrowing of the problem's
+    bounds, with the interval it replaced; `_undo(0)` gives the problem its
+    own bounds back. Asked again once more assertions have been added,
+    `solve` goes on from there (see `_resume`); after any other answer the
+    solver is spent."""
 
     def __init__(self, problem: Problem):
         self.p = problem
         self.asg = {}
-        self.trail = []  # assigned variables, in order
+        self.trail = []  # assigned variables and (variable, replaced interval), in order
         self.held = []  # per assertion: true under the current assignment
         self.holds = []  # (trail length, index) of each held assertion
         self.stack = None  # the decision frames, once a search has begun
@@ -548,6 +615,10 @@ class Solver:
         self.held += [False] * len(new)
         if self.stack is None:
             self.stack = []
+            for var, (lo, hi) in p.bounds.items():
+                if lo == hi:  # a one-point interval is an assignment
+                    self.asg[var] = lo
+                    self.trail.append(var)
             found = self._propagate(new) and self._search(True)
         else:
             found = self._resume(new)
@@ -617,9 +688,13 @@ class Solver:
         return self._propagate(self.p.watch.get(var, ()))
 
     def _undo(self, mark):
-        trail, asg, holds = self.trail, self.asg, self.holds
+        trail, asg, holds, bounds = self.trail, self.asg, self.holds, self.p.bounds
         while len(trail) > mark:
-            del asg[trail.pop()]
+            entry = trail.pop()
+            if type(entry) is str:
+                del asg[entry]
+            else:
+                bounds[entry[0]] = entry[1]
         while holds and holds[-1][0] > mark:
             self.held[holds.pop()[1]] = False
 
@@ -629,6 +704,7 @@ class Solver:
         that comes out true is held until the trail is undone below the
         length it had then."""
         p, asg, trail, held, holds = self.p, self.asg, self.trail, self.held, self.holds
+        bounds = p.bounds
         queue, forced = list(dirty), []
         while queue:
             idx = queue.pop()
@@ -646,6 +722,22 @@ class Solver:
                 p.units[idx](asg, forced)
             for var, val in forced:
                 cur = asg.get(var)
+                if type(val) is tuple:  # an interval: narrow var's bounds to it
+                    old = bounds[var]
+                    lo, hi = max(val[0], old[0]), min(val[1], old[1])
+                    if cur is not None:
+                        if lo <= cur <= hi:
+                            continue
+                        return False
+                    if lo > hi:
+                        return False
+                    if lo < hi:
+                        if (lo, hi) != old:
+                            bounds[var] = (lo, hi)
+                            trail.append((var, old))
+                            queue.extend(p.watch.get(var, ()))
+                        continue
+                    val = lo
                 if cur is None:
                     asg[var] = val
                     trail.append(var)
@@ -688,7 +780,8 @@ TABLE_CAP = 4096  # lines an executor keeps read and compiled; past it, all are 
 class Executor:
     """Executes top-level commands in order against one growing problem,
     which `(reset)` empties. `solver` keeps the search of the last `sat`
-    answer while no declaration or reset has followed it.
+    answer while no declaration, reset or assertion of a literal bound has
+    followed it; `drop_search` undoes its narrowings of the bounds.
 
     `feed` reads input line by line. `lines` maps the text of each line
     read at top level that leaves no form open to its forms, each with a
@@ -710,6 +803,12 @@ class Executor:
         self.problem = Problem(self.bounds)
         self.status, self.model = None, None
         self.solver = None
+
+    def drop_search(self):
+        """Drop the kept search, if any, restoring the bounds it narrowed."""
+        if self.solver:
+            self.solver._undo(0)
+            self.solver = None
 
     def feed(self, line):
         """Execute the commands that `line` completes; yields each output."""
@@ -743,22 +842,26 @@ class Executor:
         if head in ("declare-const", "declare-fun"):
             if head == "declare-fun" and form[2] != ():
                 raise Unsupported("only zero-arity declare-fun is supported")
+            self.drop_search()
             problem.declare(form[1], form[-1])
-            self.solver = self.status = None  # the last model lacks the new symbol
+            self.status = None  # the last model lacks the new symbol
         elif head == "assert":
             compiled = kept and kept[0]
             if not (compiled and compiled[0].items() <= problem.var_sort.items()):
                 compiled = problem.compile_assertion(form[1])
                 if kept:
                     kept[0] = compiled
-            problem.add(compiled[1])
+            _, parts, bounds = compiled
+            if bounds:
+                self.drop_search()  # a bound narrows the problem's own, not the search's
+            problem.add(parts, bounds)
         elif head == "reset":
             self.reset()
         elif head == "check-sat":
             self.solver = self.solver or Solver(problem)
             self.status, self.model = self.solver.solve()
             if self.status != "sat":
-                self.solver = None
+                self.drop_search()
             return self.status
         elif head == "get-model":
             if self.status != "sat":

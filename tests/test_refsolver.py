@@ -86,6 +86,38 @@ class TestSolver:
         assert out.splitlines()[0] == "sat"
         assert "(define-fun b () Bool true)" in out
 
+    def test_narrowings_are_undone_on_backtracking(self, decisions):
+        """Under x = 0 the first implication narrows y to [2, 3], and the
+        other two then give b both values; back at x = 1, y has its whole
+        interval again."""
+        out = solve(
+            """
+            (declare-const x Int)(declare-const y Int)(declare-const b Bool)
+            (assert (>= x 0)) (assert (<= x 3))
+            (assert (>= y 0)) (assert (<= y 3))
+            (assert (=> (= x 0) (>= y 2)))
+            (assert (=> (>= y 2) b)) (assert (=> (>= y 2) (not b)))
+            (check-sat)(get-model)
+            """
+        )
+        assert "(define-fun x () Int 1)\n  (define-fun y () Int 0)" in out
+        assert decisions == [("x", 0), ("x", 1), ("y", 0), ("b", False)]
+
+    def test_a_blocking_assertion_with_one_open_conjunct_forces_it_false(self, decisions):
+        """Once b is true, the blocking assertion leaves x = 0 out, its
+        lowest value, before x is decided."""
+        out = solve(
+            """
+            (declare-const b Bool)(declare-const x Int)
+            (assert (>= x 0)) (assert (<= x 3))
+            (assert (not (and b (= x 0))))
+            (assert b)
+            (check-sat)(get-model)
+            """
+        )
+        assert "(define-fun x () Int 1)" in out
+        assert decisions == [("x", 1)]
+
     def test_unbounded_int_answers_unknown(self):
         out = solve("(declare-const x Int)(assert (>= x 2))(check-sat)")
         assert out.splitlines()[0] == "unknown"
@@ -146,13 +178,35 @@ class TestResume:
 
     @staticmethod
     def literal(data, sorts):
+        """A literal over a variable: a Bool, or an Int compared with a
+        literal or with an Int variable, which narrows either side."""
         name = data.draw(st.sampled_from(sorted(sorts)))
         if sorts[name] == "Bool":
             return data.draw(st.sampled_from([name, f"(not {name})"]))
         k = _int(data.draw(st.integers(-3, 4)))
-        return data.draw(st.sampled_from(
-            [f"(<= {name} {k})", f"(>= {name} {k})", f"(= {name} {k})", f"(not (= {name} {k}))"]
-        ))
+        other = data.draw(st.sampled_from(sorted(n for n in sorts if sorts[n] == "Int")))
+        return data.draw(st.sampled_from([
+            f"(<= {name} {k})", f"(>= {name} {k})", f"(= {name} {k})", f"(not (= {name} {k}))",
+            f"(<= {name} {other})", f"(>= {name} {other})", f"(= {name} {other})",
+            f"(< {name} (+ {other} 1))",
+        ]))
+
+    @staticmethod
+    def blocking(model, data, sorts):
+        """An assertion that rules `model` out the way the solver engine
+        blocks a model: the negated conjunction of some of its values."""
+        names = data.draw(st.lists(st.sampled_from(sorted(model)), min_size=1, max_size=3, unique=True))
+        values = [(n if model[n] else f"(not {n})") if sorts[n] == "Bool" else f"(= {n} {_int(model[n])})"
+                  for n in names]
+        return f"(not (and {' '.join(values)}))"
+
+    @staticmethod
+    def bound(data, sorts):
+        """A top-level comparison of an Int variable with a literal, which
+        narrows the problem's own bounds."""
+        name = data.draw(st.sampled_from(sorted(n for n in sorts if sorts[n] == "Int")))
+        op = data.draw(st.sampled_from(["<=", ">=", "="]))
+        return f"({op} {name} {_int(data.draw(st.integers(-3, 5)))})"
 
     @staticmethod
     def kept_by(model, data, sorts):
@@ -167,12 +221,15 @@ class TestResume:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_answers_equal_fresh_runs(self, data):
-        executor, script, sorts = Executor(), [], {}
+        """So do the bounds: a search may narrow them only while it is
+        kept, and `own`, which is never asked, holds the problem's own."""
+        executor, own, script, sorts = Executor(), Executor(), [], {}
 
         def send(command: str):
             script.append(command)
             (form,) = parse_sexprs(tokenize(command))
             assert executor.execute(form) is None
+            own.execute(form)
 
         def declare():
             name = f"v{len(sorts)}"
@@ -184,9 +241,15 @@ class TestResume:
                 send(f"(assert (<= {name} {_int(lo + data.draw(st.integers(0, 4)))}))")
 
         def check():
+            if executor.solver is None:
+                assert executor.bounds == own.bounds
             answers = [executor.execute(("check-sat",))]
             if answers[0] == "sat":
                 answers.append(executor.execute(("get-model",)))
+                assert all(own.bounds[v][0] <= lo <= hi <= own.bounds[v][1]
+                           for v, (lo, hi) in executor.bounds.items())
+            else:
+                assert executor.bounds == own.bounds
             asked = "(check-sat)" + "(get-model)" * (len(answers) - 1)
             assert "".join(a + "\n" for a in answers) == run("".join(script) + asked)
 
@@ -194,13 +257,19 @@ class TestResume:
             declare()
         check()
         for _ in range(data.draw(st.integers(1, 24))):
-            step = data.draw(st.sampled_from(["assert", "assert", "kept", "declare", "check"]))
+            step = data.draw(st.sampled_from(
+                ["assert", "assert", "kept", "block", "block", "bound", "declare", "check"]
+            ))
             if step == "declare":
                 declare()
             elif step == "kept" and executor.status == "sat":
                 clause = [self.kept_by(executor.model, data, sorts)]
                 clause += [self.literal(data, sorts) for _ in range(data.draw(st.integers(0, 1)))]
                 send(f"(assert (or {' '.join(clause)}))")
+            elif step == "block" and executor.status == "sat":
+                send(f"(assert {self.blocking(executor.model, data, sorts)})")
+            elif step == "bound" and "Int" in sorts.values():
+                send(f"(assert {self.bound(data, sorts)})")
             elif step != "check":
                 clause = [self.literal(data, sorts) for _ in range(data.draw(st.integers(1, 3)))]
                 send(f"(assert (or {' '.join(clause)}))")
@@ -293,6 +362,23 @@ class TestKeptSearch:
         assert executor.model == {"x": 0, "y": 5}
         assert self.check(executor, script, "(assert (<= y 3))", decisions) == [("x", 1), ("y", 0)]
         assert executor.model == {"x": 1, "y": 0}
+
+    @pytest.mark.parametrize("drop", ["(declare-const b Bool)", "(assert (<= x 2))"],
+                             ids=["declaration", "bound"])
+    def test_a_dropped_search_restores_the_bounds_it_narrowed(self, drop, decisions):
+        """The last model's search narrowed y to [2, 3] under x = 0. A
+        declaration drops it, and so does a new bound, which narrows the
+        problem's own bounds; either way y gets its whole interval back,
+        and once x = 0 is ruled out, y = 0 is the least value again."""
+        script = ("(declare-const x Int)(declare-const y Int)(assert (>= x 0))(assert (<= x 3))"
+                  "(assert (>= y 0))(assert (<= y 3))(assert (or (>= x 1) (>= y 2)))" + self.ASK)
+        executor = Executor()
+        ask(executor, script)
+        assert executor.model == {"x": 0, "y": 2} and executor.bounds["y"] == (2, 3)
+        ask(executor, drop)
+        assert executor.solver is None and executor.bounds["y"] == (0, 3)
+        self.check(executor, script + drop, "(assert (>= x 1))", decisions)
+        assert (executor.model["x"], executor.model["y"]) == (1, 0)
 
     def test_false_after_sat_is_unsat_and_the_next_search_starts_afresh(self, monkeypatch):
         built = []

@@ -701,7 +701,7 @@ class TestSolverCost:
     can gate its cost; a change that raises one says why. Each replay
     starts from a new executor, whose line table is empty."""
 
-    DECISIONS = 1186  # `Solver._assign` calls in one replay
+    DECISIONS = 223  # `Solver._assign` calls in one replay
     COMPILED = 587  # assertions the first replay compiles
 
     @pytest.fixture
@@ -754,3 +754,24 @@ class TestSolverCost:
         answers = [out for line in again.splitlines(keepends=True) for out in executor.feed(line)]
         assert "".join(out + "\n" for out in answers) == expected
         assert compiled == []
+
+
+class TestSolverRounds:
+    """Solver rounds, one per check-sat, that the solver engine spends on
+    the smt-corpus inputs, the first 20 criterion-4 cases. Each outcome
+    takes one round, each enumeration ends with an unsat one, and the rest
+    are models that repeat an outcome; which models those are depends on
+    the least model the solver answers, so a solver that answers another
+    model changes the count. Pinned exactly: a change that moves them says
+    why."""
+
+    QUERIES = 147  # rounds over the 20 cases
+    OUTCOMES = 78  # distinct (residual, last) outcomes over the 20 cases
+    NESTED = 28  # rounds of case 17, whose formula nests timed operators
+
+    def test_smt_corpus_rounds(self):
+        runs = [enumerate_verdicts(c, f, 128, CMD) for c, f in criterion_4_cases(20)]
+        assert all(en.complete for en in runs)
+        assert sum(en.queries for en in runs) == self.QUERIES
+        assert sum(len(set(en.branches)) for en in runs) == self.OUTCOMES
+        assert runs[17].queries == self.NESTED
